@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -77,17 +78,23 @@ def single_cut(space: QuditDims) -> Bipartition:
     return Bipartition(space, 1)
 
 
-def reshape(p: PureState, cut: Bipartition) -> np.ndarray:
-    """Amplitudes rearranged into a dim_a x dim_b matrix for the given cut.
+def reshape_rows(amps: np.ndarray, cut: Bipartition) -> np.ndarray:
+    """Row-batched reshape: a (k, D) amplitude array to a (k, dim_a, dim_b) stack.
 
     Row and column indices are lexicographic over the parties of each block,
     preserving the original party order within the block.
     """
+    k = amps.shape[0]
+    t = amps.reshape((k,) + cut.space.dims)
+    perm = (0,) + tuple(i + 1 for i in cut.block_a + cut.block_b)
+    return np.ascontiguousarray(t.transpose(perm).reshape(k, cut.dim_a, cut.dim_b))
+
+
+def reshape(p: PureState, cut: Bipartition) -> np.ndarray:
+    """Amplitudes rearranged into a dim_a x dim_b matrix for the given cut."""
     if p.space != cut.space:
         raise ValueError(f"space mismatch: {p.space} vs {cut.space}")
-    t = p.amps.reshape(cut.space.dims)
-    perm = cut.block_a + cut.block_b
-    return np.ascontiguousarray(t.transpose(perm).reshape(cut.dim_a, cut.dim_b))
+    return reshape_rows(p.amps[None], cut)[0]
 
 
 def unreshape(matrix: np.ndarray, cut: Bipartition) -> np.ndarray:
@@ -114,6 +121,20 @@ def schmidt(p: PureState, cut: Bipartition, tol: Tolerance | float | None = None
     sv = np.linalg.svd(reshape(p, cut), compute_uv=False)
     sv.setflags(write=False)
     return SchmidtData(cut=cut, coefficients=sv, rank=int((sv > eps).sum()))
+
+
+def schmidt_rank_table(
+    amps: np.ndarray,
+    cuts: Sequence[Bipartition],
+    tol: Tolerance | float | None = None,
+) -> np.ndarray:
+    """(k, len(cuts)) Schmidt ranks of the k rows of amps, one batched SVD per cut."""
+    eps = _eps(tol)
+    ranks = np.empty((amps.shape[0], len(cuts)), dtype=int)
+    for j, cut in enumerate(cuts):
+        sv = np.linalg.svd(reshape_rows(amps, cut), compute_uv=False)
+        ranks[:, j] = (sv > eps).sum(axis=1)
+    return ranks
 
 
 def is_product(p: PureState, cut: Bipartition, tol: Tolerance | float | None = None) -> bool:

@@ -12,11 +12,9 @@ import hashlib
 import json
 from pathlib import Path
 
-import numpy as np
-
-from .cuts import enumerate_cuts, is_genuinely_entangled, schmidt
+from .cuts import enumerate_cuts, schmidt_rank_table
 from .slocc import classify_three_qubit
-from .statefile import dumps_state_file
+from .statefile import complex_vector, dumps_state_file
 from .states import StateSet, Tolerance, canonical_phase, orthogonal_complement
 from .subspaces import (
     BasisKind,
@@ -30,10 +28,6 @@ from .subspaces import (
 
 def sha256_file(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def complex_vector(amps: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in amps]
 
 
 def states_payload(st: StateSet) -> list[list[list[float]]]:
@@ -64,14 +58,16 @@ def catalog_input_payload(entry_id: str, st: StateSet, kind: BasisKind | None) -
 
 def state_diagnostics(st: StateSet, tol: Tolerance | float | None = None) -> list[dict]:
     """Per-state Schmidt ranks across every cut, genuine-entanglement flag, class label."""
-    cuts = list(enumerate_cuts(st.space))
+    cuts = enumerate_cuts(st.space)
+    labels = [c.label for c in cuts]
+    ranks = schmidt_rank_table(st.matrix(), cuts, tol).tolist()
     three_qubit = st.space.dims == (2, 2, 2)
     out: list[dict] = []
     for i, s in enumerate(st.states):
         entry: dict = {
             "index": i,
-            "schmidt_ranks": {c.label: schmidt(s, c, tol).rank for c in cuts},
-            "genuinely_entangled": is_genuinely_entangled(s, tol),
+            "schmidt_ranks": dict(zip(labels, ranks[i])),
+            "genuinely_entangled": min(ranks[i]) >= 2,
         }
         if three_qubit:
             v = classify_three_qubit(s, tol)

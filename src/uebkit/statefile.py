@@ -56,8 +56,9 @@ def _pair_vector(raw: object, length: int, what: str) -> np.ndarray:
     return out
 
 
-def _vector_pairs(v: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in v]
+def complex_vector(amps: np.ndarray) -> list[list[float]]:
+    """Amplitudes as [re, im] float pairs, the encoding of state files and reports."""
+    return [[float(z.real), float(z.imag)] for z in amps]
 
 
 def load_state_file(
@@ -168,8 +169,8 @@ def dumps_state_file(
         "name": name if name is not None else states.name,
         "dims": list(states.space.dims),
         "kind": kind.value if kind is not None else None,
-        "states": [_vector_pairs(s.amps) for s in states.states],
+        "states": [complex_vector(s.amps) for s in states.states],
     }
     if planes:
-        doc["planes"] = {str(mask): [_vector_pairs(row) for row in w] for mask, w in sorted(planes.items())}
+        doc["planes"] = {str(mask): [complex_vector(row) for row in w] for mask, w in sorted(planes.items())}
     return json.dumps(doc, indent=2) + "\n"

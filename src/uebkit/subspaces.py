@@ -1,12 +1,16 @@
 """Subspace analysis: exact only-product certificates, randomized entanglement
 searches, basis verification and completion.
 
-The exact route rests on one fact: a subspace contains no entangled vector at
-a cut exactly when every 2x2 minor of M(c) = sum_i c_i * reshape(b_i)
-vanishes identically in c. Each minor is a homogeneous quadratic, so it is
-the zero polynomial iff it vanishes on the basis vectors e_i and on every sum
-e_i + e_j (polarization). That reduces the decision to finitely many
-evaluations, each checked against the tolerance.
+The exact route rests on one lemma: a subspace holds only product vectors at
+a cut exactly when all its vectors share one A-factor or one B-factor, that
+is, when the rows or the columns of its basis reshapes span at most one
+dimension. Proof: if a(x)b and c(x)d lie in the subspace with a, c and b, d
+both independent, their sum has Schmidt rank 2, so independent members share
+a factor, say a(x)b and a(x)d; a third member e(x)f with e independent of a
+would need f parallel to both b and d, so every member carries the factor a.
+The same argument shows that when all basis vectors are product but the span
+is not, some sum of two basis vectors is entangled. The support ranks are
+singular-value counts, checked against the tolerance as in the Schmidt rank.
 
 Randomized searches share one optimizer: projected gradient ascent on the
 complex unit sphere of coefficient vectors, with backtracking line search,
@@ -20,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -28,11 +31,11 @@ import numpy as np
 from .cuts import (
     Bipartition,
     enumerate_cuts,
-    is_genuinely_entangled,
     is_maximally_entangled,
-    is_product,
     reshape,
+    reshape_rows,
     schmidt,
+    schmidt_rank_table,
     single_cut,
 )
 from .states import (
@@ -174,43 +177,40 @@ def _random_unit(rng: np.random.Generator, k: int) -> np.ndarray:
 
 def _reshapes(s: Subspace, cut: Bipartition) -> np.ndarray:
     """(dim, dim_a, dim_b) stack of reshaped basis vectors."""
-    return np.stack([reshape(b, cut) for b in s.basis])
+    return reshape_rows(s.matrix(), cut)
 
 
-def _minor_pairs(da: int, db: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    rp = np.array(list(combinations(range(da), 2)), dtype=int)
-    cp = np.array(list(combinations(range(db), 2)), dtype=int)
-    return rp[:, 0][:, None], rp[:, 1][:, None], cp[:, 0][None, :], cp[:, 1][None, :]
+def _entangled_probe(r_stack: np.ndarray, eps: float) -> np.ndarray | None:
+    """Coefficients of the first basis vector with sigma_2 > eps, else of the
+    first normalized pair sum with sigma_2 > eps; None when neither exists.
 
-
-def _max_minor(m: np.ndarray, pairs) -> float:
-    p, q, r, s = pairs
-    minors = m[p, r] * m[q, s] - m[p, s] * m[q, r]
-    return float(np.abs(minors).max())
-
-
-def _failing_probe(r_stack: np.ndarray, eps: float) -> tuple[int, int] | None:
-    """First polarization probe whose reshape carries a nonvanishing minor."""
+    By the lemma above, when every basis vector is product some pair sum is
+    entangled unless the span is only-product, so the pair scan runs to the
+    end only on only-product spans.
+    """
     k, da, db = r_stack.shape
     if da < 2 or db < 2:
         return None
-    pairs = _minor_pairs(da, db)
-    for i in range(k):
-        if _max_minor(r_stack[i], pairs) >= eps:
-            return (i, i)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if _max_minor(r_stack[i] + r_stack[j], pairs) >= eps:
-                return (i, j)
+    c = np.zeros(k, dtype=np.complex128)
+    hit = np.flatnonzero(np.linalg.svd(r_stack, compute_uv=False)[:, 1] > eps)
+    if hit.size:
+        c[hit[0]] = 1.0
+        return c
+    for i in range(k - 1):
+        sums = (r_stack[i] + r_stack[i + 1:]) / math.sqrt(2.0)
+        hit = np.flatnonzero(np.linalg.svd(sums, compute_uv=False)[:, 1] > eps)
+        if hit.size:
+            c[i] = c[i + 1 + hit[0]] = 1.0 / math.sqrt(2.0)
+            return c
     return None
 
 
 def only_product_across_cut(s: Subspace, cut: Bipartition, tol: Tolerance | float | None = None) -> bool:
-    """Exact decision: does the subspace contain only product vectors at the cut?"""
-    if s.dim == 0:
-        raise ValueError("empty subspace")
-    eps = _eps(tol)
-    return _failing_probe(_reshapes(s, cut), eps) is None
+    """Exact decision: does the subspace contain only product vectors at the cut?
+
+    By the lemma above this is a Schmidt-rank bound of at most 1.
+    """
+    return schmidt_rank_upper_bound(s, cut, tol) <= 1
 
 
 def schmidt_rank_upper_bound(s: Subspace, cut: Bipartition, tol: Tolerance | float | None = None) -> int:
@@ -450,10 +450,10 @@ def find_maximally_entangled(
     cfg = cfg or SearchConfig()
     dmin = min(cut.dim_a, cut.dim_b)
     target = 1.0 / math.sqrt(dmin)
-    if only_product_across_cut(s, cut, tol):
+    bound = schmidt_rank_upper_bound(s, cut, tol)
+    if bound <= 1:
         return SubspaceVerdict(cut, SubspaceStatus.NO_ME_FOUND, Grade.EXACT, score=0.0,
                                reason="only-product subspace")
-    bound = schmidt_rank_upper_bound(s, cut, tol)
     if bound < dmin:
         return SubspaceVerdict(cut, SubspaceStatus.NO_ME_FOUND, Grade.EXACT, score=None,
                                reason=f"schmidt rank capped at {bound} < {dmin}")
@@ -551,39 +551,26 @@ def entangled_vector_search(
 ) -> PureState | None:
     """Seeded search for any Schmidt-rank >= 2 vector; None when nothing clears tol.
 
-    Polarization probe points are tried first (they witness the exact test's
-    refutations), then entropy ascent from random starts with early exit.
+    The basis and pair-sum probe is tried first (it also supplies the exact
+    test's refutation witnesses), then entropy ascent from random starts with
+    early exit, which never consults the probe or the exact test.
     """
     if s.dim == 0:
         raise ValueError("empty subspace")
     eps = _eps(tol)
     cfg = cfg or SearchConfig()
     r_stack = _reshapes(s, cut)
-    k = s.dim
-
-    def as_witness(c: np.ndarray) -> PureState:
-        return _coeff_state(s, c, tol)
-
-    for i in range(k):
-        c = np.zeros(k, dtype=np.complex128)
-        c[i] = 1.0
-        if _second_singular(r_stack, c) > eps:
-            return as_witness(c)
-    if k <= 40:  # pair probes are quadratic in dim; skip for large subspaces
-        for i in range(k):
-            for j in range(i + 1, k):
-                c = np.zeros(k, dtype=np.complex128)
-                c[i] = c[j] = 1.0 / math.sqrt(2.0)
-                if _second_singular(r_stack, c) > eps:
-                    return as_witness(c)
+    probe = _entangled_probe(r_stack, eps)
+    if probe is not None:
+        return _coeff_state(s, probe, tol)
     vag = _entropy_vag(r_stack)
     for idx in range(cfg.starts):
-        c0 = _random_unit(_rng(cfg.seed, _STREAM_ORACLE, idx), k)
+        c0 = _random_unit(_rng(cfg.seed, _STREAM_ORACLE, idx), s.dim)
         if _second_singular(r_stack, c0) > eps:
-            return as_witness(c0)
+            return _coeff_state(s, c0, tol)
         c, _ = _sphere_ascent(vag, c0, cfg.max_iter, cfg.min_improvement)
         if _second_singular(r_stack, c) > eps:
-            return as_witness(c)
+            return _coeff_state(s, c, tol)
     return None
 
 
@@ -707,14 +694,6 @@ def count_product_states_2d_2x2(
     return ProductCount.ONE if abs(disc) < tol_disc else ProductCount.TWO
 
 
-def _entanglement_ok(p: PureState, kind: BasisKind, cut: Bipartition, tol) -> bool:
-    if kind is BasisKind.UMEB:
-        return is_maximally_entangled(p, cut, tol)
-    if kind is BasisKind.UEB:
-        return not is_product(p, cut, tol)
-    return is_genuinely_entangled(p, tol)
-
-
 def verify_basis(
     st: StateSet,
     kind: BasisKind,
@@ -748,9 +727,12 @@ def verify_basis(
     else:
         cuts = enumerate_cuts(space)
     comp = orthogonal_complement(st.subspace(), tol)
-    for i, psi in enumerate(st.states):
-        if not _entanglement_ok(psi, kind, cuts[0], tol):
-            return BasisVerdict(kind, Outcome.REFUTED, (), comp.dim, offending_state=i)
+    if kind is BasisKind.UMEB:
+        weak = [i for i, psi in enumerate(st.states) if not is_maximally_entangled(psi, cuts[0], tol)]
+    else:
+        weak = np.flatnonzero(schmidt_rank_table(st.matrix(), cuts, tol).min(axis=1) < 2).tolist()
+    if weak:
+        return BasisVerdict(kind, Outcome.REFUTED, (), comp.dim, offending_state=weak[0])
     if comp.dim == 0:
         return BasisVerdict(kind, Outcome.COMPLETE_BASIS, (), 0)
     if kind is BasisKind.UMEB:
@@ -766,20 +748,13 @@ def verify_basis(
         return BasisVerdict(kind, Outcome.VERIFIED, (v,), comp.dim, grade=Grade.NUMERICAL_EVIDENCE)
     per_cut: list[SubspaceVerdict] = []
     all_only = True
-    r_cache = {c.mask: _reshapes(comp, c) for c in cuts}
     for c in cuts:
-        probe = _failing_probe(r_cache[c.mask], eps)
-        if probe is None:
+        if only_product_across_cut(comp, c, tol):
             per_cut.append(SubspaceVerdict(c, SubspaceStatus.ONLY_PRODUCT, Grade.EXACT))
             continue
         all_only = False
-        i, j = probe
-        coeff = np.zeros(comp.dim, dtype=np.complex128)
-        if i == j:
-            coeff[i] = 1.0
-        else:
-            coeff[i] = coeff[j] = 1.0 / math.sqrt(2.0)
-        witness: PureState | None = _coeff_state(comp, coeff, tol)
+        probe = _entangled_probe(_reshapes(comp, c), eps)
+        witness = None if probe is None else _coeff_state(comp, probe, tol)
         if witness is not None and schmidt(witness, c, tol).rank < 2:
             witness = None  # borderline probe: keep the refutation, drop the witness
         per_cut.append(SubspaceVerdict(c, SubspaceStatus.CONTAINS_ENTANGLED, Grade.EXACT, witness=witness))

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from uebkit import (
+    BasisKind,
     Bipartition,
     QuditDims,
+    StateSet,
     Tolerance,
     apply_local_unitaries,
     basis_state,
@@ -19,15 +21,21 @@ from uebkit import (
     is_genuinely_entangled,
     is_maximally_entangled,
     is_product,
+    n_qubit_ueb,
     random_state,
     reshape,
     schmidt,
+    schmidt_rank_table,
     single_cut,
     state_from_combination,
     tensor_product,
+    three_qubit_mixed_ueb,
+    three_qubit_w_ueb,
     unreshape,
+    verify_basis,
     w_state,
 )
+from uebkit.report import state_diagnostics
 
 SP2 = QuditDims((2, 2))
 SP3 = QuditDims((2, 2, 2))
@@ -177,3 +185,31 @@ def test_cut_dims_multiply_to_total():
         assert cut.dim_a * cut.dim_b == sp.total
         assert abs(inner(random_state(sp, np.random.default_rng(0)),
                          random_state(sp, np.random.default_rng(0))) - 1.0) < 1e-12
+
+
+def test_rank_table_matches_per_state_passes():
+    """The shared rank table reproduces per-state Schmidt ranks, flags and gate refutations."""
+    r = 1 / math.sqrt(2)
+    bisep = StateSet(SP3, (
+        w_state(3),
+        state_from_combination(SP3, {"000": 1, "111": 1}),
+        tensor_product(state_from_combination(SP2, {"01": r, "10": r}), basis_state(QuditDims((2,)), 1)),
+    ))
+    for st in (n_qubit_ueb(5), three_qubit_w_ueb(), three_qubit_mixed_ueb(), bisep):
+        cuts = enumerate_cuts(st.space)
+        table = schmidt_rank_table(st.matrix(), cuts, TOL)
+        rows = state_diagnostics(st, TOL)
+        for i, s in enumerate(st.states):
+            want = [schmidt(s, c, TOL).rank for c in cuts]
+            assert table[i].tolist() == want
+            assert rows[i]["schmidt_ranks"] == {c.label: k for c, k in zip(cuts, want)}
+            assert rows[i]["genuinely_entangled"] is is_genuinely_entangled(s, TOL)
+        loop = next((i for i, s in enumerate(st.states) if not is_genuinely_entangled(s, TOL)), None)
+        assert verify_basis(st, BasisKind.UEB_ALL_CUTS, tol=TOL).offending_state == loop
+        for c in cuts:
+            loop = next((i for i, s in enumerate(st.states) if is_product(s, c, TOL)), None)
+            assert verify_basis(st, BasisKind.UEB, tol=TOL, cut=c).offending_state == loop
+    # the biseparable member is the one refuted, and only at the cut that splits it off
+    assert verify_basis(bisep, BasisKind.UEB_ALL_CUTS, tol=TOL).offending_state == 2
+    assert [verify_basis(bisep, BasisKind.UEB, tol=TOL, cut=c).offending_state
+            for c in enumerate_cuts(SP3)] == [None, 2, None]

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uebkit
 from uebkit import (
     BasisKind,
     CATALOG,
@@ -34,8 +37,11 @@ TOL = Tolerance()
 
 
 def cli(*args, cwd=None):
+    # the child runs the same package the tests imported, installed or not
+    path = [str(Path(uebkit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     return subprocess.run([sys.executable, "-m", "uebkit.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=env)
 
 
 def bell_pair() -> StateSet:

@@ -27,6 +27,7 @@ from uebkit import (
     entangled_vector_search,
     find_maximally_entangled,
     find_product_state,
+    haar_unitary,
     is_maximally_entangled,
     is_product,
     max_orthogonal_set,
@@ -286,3 +287,72 @@ def test_search_config_validation():
 def test_empty_subspace_rejected():
     with pytest.raises(ValueError):
         find_maximally_entangled(Subspace(SP2, ()), single_cut(SP2))
+
+
+def _in_span(sub, amps):
+    m = sub.matrix()
+    return np.abs((m.conj() @ amps) @ m - amps).max() < 1e-9
+
+
+def _fourier_set(space, vectors):
+    """Orthonormal set of equal-weight Fourier combinations of orthonormal vectors."""
+    k = len(vectors)
+    w = np.exp(2j * np.pi * np.outer(range(k), range(k)) / k) / np.sqrt(k)
+    return StateSet(space, tuple(PureState(space, row @ np.array(vectors)) for row in w))
+
+
+def test_pair_step_of_the_lemma():
+    """Product basis vectors whose span is not only-product: a pair sum witnesses it."""
+    rng = np.random.default_rng(25)
+    u = haar_unitary(2, rng)
+    v = haar_unitary(3, rng)
+    a, d = u[:, 0], u[:, 1]
+    b, c, e = v[:, 0], v[:, 1], v[:, 2]
+    cases = [
+        (span_of(SP2, 0, 3), [basis_state(SP2, 1).amps, basis_state(SP2, 2).amps]),
+        (Subspace(SP23, tuple(PureState(SP23, np.kron(x, y)) for x, y in ((a, b), (a, c), (d, b)))),
+         [np.kron(a, e), np.kron(d, c), np.kron(d, e)]),
+    ]
+    for sub, rest in cases:
+        cut = single_cut(sub.space)
+        assert all(is_product(x, cut, TOL) for x in sub.basis)
+        assert not only_product_across_cut(sub, cut, TOL)
+        w = entangled_vector_search(sub, cut, SearchConfig(starts=0), TOL)
+        assert w is not None
+        assert schmidt(w, cut, TOL).rank == 2
+        assert _in_span(sub, w.amps)
+
+        # a set whose complement is this span is refuted with a witness inside it
+        st = _fourier_set(sub.space, rest)
+        got = verify_basis(st, BasisKind.UEB, tol=TOL)
+        assert got.outcome is Outcome.REFUTED
+        assert got.offending_state is None
+        (v_cut,) = got.per_cut
+        assert v_cut.status is SubspaceStatus.CONTAINS_ENTANGLED
+        assert v_cut.grade is Grade.EXACT
+        assert schmidt(v_cut.witness, cut, TOL).rank == 2
+        assert _in_span(sub, v_cut.witness.amps)
+
+
+def test_tolerance_boundary_applies_to_singular_values():
+    """sigma_2 = delta (to first order) decides against eps, not a quadratic minor."""
+    cut = single_cut(SP2)
+    for tol in (Tolerance(), Tolerance(1e-6)):
+        for scale, only in ((0.1, True), (10.0, False)):
+            delta = scale * tol.eps
+            ray = np.array([1.0, 0.0, 0.0, delta]) / np.hypot(1.0, delta)
+            sub = Subspace(SP2, (PureState(SP2, ray),))
+            assert only_product_across_cut(sub, cut, tol) is only
+            # the complement of an entangled set around the ray is that ray again
+            other = np.array([delta, 0.0, 0.0, -1.0]) / np.hypot(1.0, delta)
+            st = _fourier_set(SP2, [basis_state(SP2, 1).amps, basis_state(SP2, 2).amps, other])
+            got = verify_basis(st, BasisKind.UEB, tol=tol)
+            assert got.complement_dim == 1
+            (v_cut,) = got.per_cut
+            if only:
+                assert got.outcome is Outcome.VERIFIED
+                assert v_cut.status is SubspaceStatus.ONLY_PRODUCT
+            else:
+                assert got.outcome is Outcome.REFUTED
+                assert v_cut.status is SubspaceStatus.CONTAINS_ENTANGLED
+                assert schmidt(v_cut.witness, cut, tol).rank == 2
