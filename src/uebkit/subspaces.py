@@ -230,6 +230,10 @@ def schmidt_rank_upper_bound(s: Subspace, cut: Bipartition, tol: Tolerance | flo
     return min(r_rows, r_cols)
 
 
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(np.vdot(v, v).real)
+
+
 def _sphere_ascent(
     fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
     c0: np.ndarray,
@@ -243,19 +247,19 @@ def _sphere_ascent(
     an Armijo-style improvement.
     """
     c = np.asarray(c0, dtype=np.complex128)
-    c = c / np.linalg.norm(c)
+    c = c / _norm(c)
     f, g = fun(c)
     step = 1.0
     for _ in range(max_iter):
         d = g - np.vdot(c, g) * c
-        dn = float(np.linalg.norm(d))
+        dn = _norm(d)
         if dn < 1e-15:
             break
         eta = step
         accepted = False
         for _ in range(50):
             trial = c + eta * d
-            trial /= np.linalg.norm(trial)
+            trial /= _norm(trial)
             ft, gt = fun(trial)
             if ft > f + 1e-4 * eta * dn * dn:
                 accepted = True
@@ -306,26 +310,31 @@ def _impurity_vag(r_stack: np.ndarray) -> Callable[[np.ndarray], tuple[float, np
 def _sigma_vag(r_stack: np.ndarray, index: int) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
     """Value/direction for ascending the singular value of M(c) at the given index."""
 
+    k, da, db = r_stack.shape
+    flat = r_stack.reshape(k, da * db)
+    flat_c = flat.conj()
+
     def vag(c: np.ndarray) -> tuple[float, np.ndarray]:
-        m = np.tensordot(c, r_stack, axes=1)
-        u_mat, sv, vh = np.linalg.svd(m, full_matrices=False)
-        u = u_mat[:, index]
-        v = vh[index].conj()
-        t = np.einsum("a,kab,b->k", u.conj(), r_stack, v)
-        return float(sv[index]), t.conj()
+        u_mat, sv, vh = np.linalg.svd((c @ flat).reshape(da, db), full_matrices=False)
+        # d sigma_j / d conj(c_k) direction: conj(u_j^H R_k v_j) = <R_k, u_j v_j^H>
+        return float(sv[index]), flat_c @ np.outer(u_mat[:, index], vh[index]).ravel()
 
     return vag
 
 
 def _entropy_vag(r_stack: np.ndarray) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+    k, da, db = r_stack.shape
+    flat = r_stack.reshape(k, da * db)
+    flat_c = flat.conj()
+
     def vag(c: np.ndarray) -> tuple[float, np.ndarray]:
-        m = np.tensordot(c, r_stack, axes=1)
-        u_mat, sv, vh = np.linalg.svd(m, full_matrices=False)
-        s2 = np.clip(sv**2, 1e-300, None)
-        val = float(-(s2 * np.log(s2)).sum())
-        w = -2.0 * sv * (np.log(s2) + 1.0)
-        t = np.einsum("aj,kab,bj->kj", u_mat.conj(), r_stack, vh.conj().T)
-        return val, t.conj() @ w
+        u_mat, sv, vh = np.linalg.svd((c @ flat).reshape(da, db), full_matrices=False)
+        s2 = np.maximum(sv * sv, 1e-300)
+        log_s2 = np.log(s2)
+        val = float(-(s2 * log_s2).sum())
+        w = -2.0 * sv * (log_s2 + 1.0)
+        # sum_j w_j conj(u_j^H R_k v_j) = <R_k, U diag(w) V^H>
+        return val, flat_c @ ((u_mat * w) @ vh).ravel()
 
     return vag
 
