@@ -436,23 +436,37 @@ def build_entry(
 
 @dataclass(frozen=True)
 class GeneratorEntry:
-    """A parameterized family; the CLI resolves parameters and calls build_generator."""
+    """A parameterized family with its claim; the CLI resolves parameters and calls build_generator."""
 
     name: str
     title: str
     params: str
+    kind: BasisKind | None = None
+    expected: Outcome | None = None
 
 
 GENERATORS: dict[str, GeneratorEntry] = {
     g.name: g
     for g in (
-        GeneratorEntry("bell-meb", "complete maximally entangled basis of d x d", "d >= 2"),
-        GeneratorEntry("embed-meb", "unextendible maximally entangled basis of d x (d+n)", "d >= 2, 1 <= n < d"),
-        GeneratorEntry("nqubit-ueb", "unextendible entangled basis of n qubits, all cuts", "n >= 4, coeff variant"),
+        GeneratorEntry("bell-meb", "complete maximally entangled basis of d x d", "d >= 2",
+                       BasisKind.UMEB, Outcome.COMPLETE_BASIS),
+        GeneratorEntry("embed-meb", "unextendible maximally entangled basis of d x (d+n)", "d >= 2, 1 <= n < d",
+                       BasisKind.UMEB, Outcome.VERIFIED),
+        GeneratorEntry("nqubit-ueb", "unextendible entangled basis of n qubits, all cuts", "n >= 4, coeff variant",
+                       BasisKind.UEB_ALL_CUTS, Outcome.VERIFIED),
         GeneratorEntry("dft-superposition", "Fourier superpositions of chosen basis kets", "dims, kets"),
         GeneratorEntry("prop2a-set", "three maximally entangled states of 2x3 extendible by exactly one more", "none"),
     )
 }
+
+
+def _gated(st: StateSet, name: str, label: str, cfg: SearchConfig | None, tol: Tolerance | float | None) -> StateSet:
+    """Run the verifier on a generated family and check it returns the registered claim."""
+    entry = GENERATORS[name]
+    verdict = verify_basis(st, entry.kind, cfg, tol)
+    if verdict.outcome is not entry.expected:
+        raise ConstructionError(f"{label} failed its gate: {verdict.outcome.value}")
+    return st
 
 
 def build_generator(
@@ -470,19 +484,11 @@ def build_generator(
     if name == "bell-meb":
         if d is None:
             raise ValueError("bell-meb needs d")
-        st = bell_meb(d)
-        verdict = verify_basis(st, BasisKind.UMEB, cfg, tol)
-        if verdict.outcome is not Outcome.COMPLETE_BASIS:
-            raise ConstructionError(f"bell-meb(d={d}) failed its gate: {verdict.outcome.value}")
-        return st
+        return _gated(bell_meb(d), name, f"bell-meb(d={d})", cfg, tol)
     if name == "embed-meb":
         if d is None or n is None:
             raise ValueError("embed-meb needs d and n")
-        st = embed_meb(d, n)
-        verdict = verify_basis(st, BasisKind.UMEB, cfg, tol)
-        if verdict.outcome is not Outcome.VERIFIED:
-            raise ConstructionError(f"embed-meb(d={d}, n={n}) failed its gate: {verdict.outcome.value}")
-        return st
+        return _gated(embed_meb(d, n), name, f"embed-meb(d={d}, n={n})", cfg, tol)
     if name == "nqubit-ueb":
         if n is None:
             raise ValueError("nqubit-ueb needs n")

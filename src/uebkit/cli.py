@@ -146,10 +146,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
     if name in CATALOG:
         entry = CATALOG[name]
         st = build_entry(name, cfg, args.tol)
-        kind = entry.kind
-        title = entry.title
-        gate = entry.expected.value if entry.expected else "ORTHONORMAL"
     elif name in GENERATORS:
+        entry = GENERATORS[name]
         st = build_generator(
             name,
             cfg,
@@ -160,21 +158,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
             dims=tuple(int(x) for x in args.dims.split(",")) if args.dims else None,
             kets=args.kets.split(",") if args.kets else None,
         )
-        kind = {
-            "bell-meb": BasisKind.UMEB,
-            "embed-meb": BasisKind.UMEB,
-            "nqubit-ueb": BasisKind.UEB_ALL_CUTS,
-            "dft-superposition": None,
-            "prop2a-set": None,
-        }[name]
-        title = GENERATORS[name].title
-        gate = "VERIFIED" if kind else "ORTHONORMAL"
     else:
         raise ValueError(f"unknown family {name!r}; run 'uebkit catalog list'")
+    gate = entry.expected.value if entry.expected else "ORTHONORMAL"
     if args.output:
-        save_state_file(args.output, st, kind=kind, name=name)
+        save_state_file(args.output, st, kind=entry.kind, name=name)
     _emit(
-        construct_report(name, title, st, kind, gate, args.output, include_states=args.output is None),
+        construct_report(name, entry.title, st, entry.kind, gate, args.output, include_states=args.output is None),
         args.format,
     )
     return EXIT_OK

@@ -13,10 +13,13 @@ is not, some sum of two basis vectors is entangled. The support ranks are
 singular-value counts, checked against the tolerance as in the Schmidt rank.
 
 Randomized searches share one optimizer: projected gradient ascent on the
-complex unit sphere of coefficient vectors, with backtracking line search,
-per-start sub-seeds derived from (seed, stream, start index), and a fixed
-reduction order, so results are reproducible and independent of evaluation
-order.
+complex unit sphere of coefficient vectors, with backtracking line search.
+All starts of a search are stepped together as one stack, but rows never
+interact: each keeps its own step size and stopping state, so a start
+follows the same trajectory alone or stacked. Starts come from per-start
+sub-seeds derived from (seed, stream, start index), and results are reduced
+in a fixed order (the lowest start index wins ties), so they are
+reproducible and independent of batching.
 """
 
 from __future__ import annotations
@@ -166,13 +169,14 @@ _STREAM_GUARD = 5
 _STREAM_ORACLE = 6
 
 
-def _rng(seed: int, stream: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, stream, index])
-
-
-def _random_unit(rng: np.random.Generator, k: int) -> np.ndarray:
-    v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    return v / np.linalg.norm(v)
+def _random_starts(seed: int, stream: int, count: int, k: int) -> np.ndarray:
+    """(count, k) stack of unit starts; row i is drawn from the sub-seed (seed, stream, i)."""
+    starts = np.zeros((count, k), dtype=np.complex128)
+    for i in range(count):
+        rng = np.random.default_rng([seed, stream, i])
+        v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        starts[i] = v / np.linalg.norm(v)
+    return starts
 
 
 def _reshapes(s: Subspace, cut: Bipartition) -> np.ndarray:
@@ -230,49 +234,65 @@ def schmidt_rank_upper_bound(s: Subspace, cut: Bipartition, tol: Tolerance | flo
     return min(r_rows, r_cols)
 
 
-def _norm(v: np.ndarray) -> float:
-    return math.sqrt(np.vdot(v, v).real)
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise inner products <a_s, b_s> of two (S, k) stacks."""
+    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _sphere_ascent(
-    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
+def _norms(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dots(v, v).real)
+
+
+def _ascend(
+    fun: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     c0: np.ndarray,
     max_iter: int,
     min_improvement: float,
-) -> tuple[np.ndarray, float]:
-    """Projected gradient ascent with backtracking on the complex unit sphere.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projected gradient ascent with backtracking on the complex unit sphere,
+    run independently for every row of an (S, k) stack of starts.
 
-    fun returns (value, ascent direction); the direction is projected onto the
-    sphere's tangent space before stepping, and each accepted step must clear
-    an Armijo-style improvement.
+    fun maps a stack of points to their values and ascent directions; each
+    direction is projected onto the sphere's tangent space before stepping,
+    and each accepted step must clear an Armijo-style improvement. Every row
+    keeps its own step size, backtrack count and step count, and only live
+    rows are evaluated, so a row follows the same trajectory alone or stacked.
     """
-    c = np.asarray(c0, dtype=np.complex128)
-    c = c / _norm(c)
+    c = c0 / _norms(c0)[:, None]
     f, g = fun(c)
-    step = 1.0
-    for _ in range(max_iter):
-        d = g - np.vdot(c, g) * c
-        dn = _norm(d)
-        if dn < 1e-15:
-            break
-        eta = step
-        accepted = False
-        for _ in range(50):
-            trial = c + eta * d
-            trial /= _norm(trial)
-            ft, gt = fun(trial)
-            if ft > f + 1e-4 * eta * dn * dn:
-                accepted = True
-                break
-            eta *= 0.5
-        if not accepted:
-            break
-        gain = ft - f
-        c, f, g = trial, ft, gt
-        step = min(eta * 2.0, 1.0)
-        if gain < min_improvement:
-            break
-    return c, f
+    rows = len(c)
+    d = np.zeros_like(c)
+    dn = np.zeros(rows)
+    step = np.ones(rows)
+    eta = np.ones(rows)
+    tries = np.zeros(rows, dtype=int)
+    taken = np.zeros(rows, dtype=int)
+    live = np.full(rows, max_iter > 0)
+    new = np.flatnonzero(live)  # rows that start a step and need a direction
+    while True:
+        d[new] = g[new] - _dots(c[new], g[new])[:, None] * c[new]
+        dn[new] = _norms(d[new])
+        live[new[dn[new] < 1e-15]] = False
+        eta[new] = step[new]
+        tries[new] = 0
+        i = np.flatnonzero(live)
+        if not i.size:
+            return c, f
+        trial = c[i] + eta[i, None] * d[i]
+        trial /= _norms(trial)[:, None]
+        ft, gt = fun(trial)
+        ok = ft > f[i] + 1e-4 * eta[i] * dn[i] * dn[i]
+        back = i[~ok]
+        eta[back] *= 0.5
+        tries[back] += 1
+        live[back[tries[back] == 50]] = False
+        a = i[ok]
+        gain = ft[ok] - f[a]
+        c[a], f[a], g[a] = trial[ok], ft[ok], gt[ok]
+        step[a] = np.minimum(eta[a] * 2.0, 1.0)
+        taken[a] += 1
+        live[a[(gain < min_improvement) | (taken[a] == max_iter)]] = False
+        new = a[live[a]]
 
 
 def _impurity(r_stack: np.ndarray, c: np.ndarray) -> float:
@@ -293,55 +313,65 @@ def _impurity(r_stack: np.ndarray, c: np.ndarray) -> float:
     return total
 
 
-def _impurity_vag(r_stack: np.ndarray) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+def _m_stack(r_stack: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """M(c) for every row of an (S, k) coefficient stack."""
+    k, da, db = r_stack.shape
+    return (c[:, None, :] @ r_stack.reshape(k, da * db)).reshape(-1, da, db)
+
+
+def _impurity_vag(r_stack: np.ndarray) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     rc = r_stack.conj()
 
-    def vag(c: np.ndarray) -> tuple[float, np.ndarray]:
-        m = np.tensordot(c, r_stack, axes=1)
-        h = m @ m.conj().T
-        trh = float(np.trace(h).real)
-        f = (trh * trh - float((np.abs(h) ** 2).sum())) / 2.0
-        grad = np.einsum("kab,ab->k", rc, trh * m - h @ m)
+    def vag(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m = _m_stack(r_stack, c)
+        h = m @ m.conj().transpose(0, 2, 1)
+        trh = np.trace(h, axis1=1, axis2=2).real
+        f = (trh * trh - (np.abs(h) ** 2).sum(axis=(1, 2))) / 2.0
+        grad = np.einsum("kab,sab->sk", rc, trh[:, None, None] * m - h @ m)
         return -f, -grad  # descent phrased as ascent
 
     return vag
 
 
-def _sigma_vag(r_stack: np.ndarray, index: int) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
+def _sigma_vag(r_stack: np.ndarray, index: int) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Value/direction for ascending the singular value of M(c) at the given index."""
+    flat_c = r_stack.reshape(len(r_stack), -1).conj()
 
-    k, da, db = r_stack.shape
-    flat = r_stack.reshape(k, da * db)
-    flat_c = flat.conj()
-
-    def vag(c: np.ndarray) -> tuple[float, np.ndarray]:
-        u_mat, sv, vh = np.linalg.svd((c @ flat).reshape(da, db), full_matrices=False)
+    def vag(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u_mat, sv, vh = np.linalg.svd(_m_stack(r_stack, c), full_matrices=False)
         # d sigma_j / d conj(c_k) direction: conj(u_j^H R_k v_j) = <R_k, u_j v_j^H>
-        return float(sv[index]), flat_c @ np.outer(u_mat[:, index], vh[index]).ravel()
+        x = u_mat[:, :, index, None] * vh[:, None, index, :]
+        return sv[:, index], (flat_c @ x.reshape(-1, flat_c.shape[1], 1))[:, :, 0]
 
     return vag
 
 
-def _entropy_vag(r_stack: np.ndarray) -> Callable[[np.ndarray], tuple[float, np.ndarray]]:
-    k, da, db = r_stack.shape
-    flat = r_stack.reshape(k, da * db)
-    flat_c = flat.conj()
+def _entropy_vag(r_stack: np.ndarray) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    flat_c = r_stack.reshape(len(r_stack), -1).conj()
 
-    def vag(c: np.ndarray) -> tuple[float, np.ndarray]:
-        u_mat, sv, vh = np.linalg.svd((c @ flat).reshape(da, db), full_matrices=False)
+    def vag(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u_mat, sv, vh = np.linalg.svd(_m_stack(r_stack, c), full_matrices=False)
         s2 = np.maximum(sv * sv, 1e-300)
         log_s2 = np.log(s2)
-        val = float(-(s2 * log_s2).sum())
+        val = -(s2 * log_s2).sum(axis=1)
         w = -2.0 * sv * (log_s2 + 1.0)
         # sum_j w_j conj(u_j^H R_k v_j) = <R_k, U diag(w) V^H>
-        return val, flat_c @ ((u_mat * w) @ vh).ravel()
+        x = (u_mat * w[:, None, :]) @ vh
+        return val, (flat_c @ x.reshape(-1, flat_c.shape[1], 1))[:, :, 0]
 
     return vag
 
 
-def _second_singular(r_stack: np.ndarray, c: np.ndarray) -> float:
-    sv = np.linalg.svd(np.tensordot(c, r_stack, axes=1), compute_uv=False)
-    return float(sv[1]) if sv.size > 1 else 0.0
+def _second_singular(r_stack: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sigma_2 of M(c) for every row of an (S, k) coefficient stack."""
+    return np.linalg.svd(_m_stack(r_stack, c), compute_uv=False)[:, 1]
+
+
+def _project(r_stack: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """Normalized coefficients of the projection of matrix x onto the span; None when it vanishes."""
+    c = np.einsum("kab,ab->k", r_stack.conj(), x)
+    n = float(np.linalg.norm(c))
+    return None if n < 1e-14 else c / n
 
 
 def _coeff_state(s: Subspace, c: np.ndarray, tol) -> PureState:
@@ -368,16 +398,9 @@ def find_product_state(
         return SubspaceVerdict(cut, SubspaceStatus.NO_PRODUCT_FOUND, Grade.NUMERICAL_EVIDENCE,
                                score=None, reason="search disabled (0 starts)")
     r_stack = _reshapes(s, cut)
-    vag = _impurity_vag(r_stack)
-    best_c: np.ndarray | None = None
-    best_f = math.inf
-    for idx in range(cfg.starts):
-        c0 = _random_unit(_rng(cfg.seed, _STREAM_PRODUCT, idx), s.dim)
-        c, neg = _sphere_ascent(vag, c0, cfg.max_iter, cfg.min_improvement)
-        f = -neg
-        if f < best_f:
-            best_c, best_f = c, f
-    assert best_c is not None
+    c0 = _random_starts(cfg.seed, _STREAM_PRODUCT, cfg.starts, s.dim)
+    cs, neg = _ascend(_impurity_vag(r_stack), c0, cfg.max_iter, cfg.min_improvement)
+    best_c = cs[np.argmin(-neg)]
     # the ascent objective is only trusted for ranking starts; re-measure the leader
     best_f = _impurity(r_stack, best_c)
     # alternating rank-1 truncation / projection polish
@@ -385,12 +408,9 @@ def find_product_state(
     for _ in range(100):
         m = np.tensordot(c, r_stack, axes=1)
         u_mat, _, vh = np.linalg.svd(m, full_matrices=False)
-        x = np.outer(u_mat[:, 0], vh[0])
-        c_next = np.einsum("kab,ab->k", r_stack.conj(), x)
-        n = float(np.linalg.norm(c_next))
-        if n < 1e-14:
+        c_next = _project(r_stack, np.outer(u_mat[:, 0], vh[0]))
+        if c_next is None:
             break
-        c_next /= n
         f_next = _impurity(r_stack, c_next)
         if f_next < best_f:
             best_c, best_f = c_next, f_next
@@ -470,15 +490,10 @@ def find_maximally_entangled(
         return SubspaceVerdict(cut, SubspaceStatus.NO_ME_FOUND, Grade.NUMERICAL_EVIDENCE, score=None,
                                reason="search disabled (0 starts)")
     r_stack = _reshapes(s, cut)
-    vag = _sigma_vag(r_stack, dmin - 1)
-    best_c: np.ndarray | None = None
-    best_v = -math.inf
-    for idx in range(cfg.starts):
-        c0 = _random_unit(_rng(cfg.seed, _STREAM_ME, idx), s.dim)
-        c, v = _sphere_ascent(vag, c0, cfg.max_iter, cfg.min_improvement)
-        if v > best_v:
-            best_c, best_v = c, v
-    assert best_c is not None
+    c0 = _random_starts(cfg.seed, _STREAM_ME, cfg.starts, s.dim)
+    cs, vals = _ascend(_sigma_vag(r_stack, dmin - 1), c0, cfg.max_iter, cfg.min_improvement)
+    best = int(np.argmax(vals))
+    best_c, best_v = cs[best], float(vals[best])
     # Polar polish: snap to the nearest maximally entangled matrix, project
     # back, repeat. The smallest singular value is flat to second order at
     # its maximizer, so the loop runs on coefficient movement, not value;
@@ -487,12 +502,9 @@ def find_maximally_entangled(
     for _ in range(500):
         m = np.tensordot(last, r_stack, axes=1)
         u_mat, _, vh = np.linalg.svd(m, full_matrices=False)
-        x = (u_mat @ vh) / math.sqrt(dmin)
-        nxt = np.einsum("kab,ab->k", r_stack.conj(), x)
-        n = float(np.linalg.norm(nxt))
-        if n < 1e-14:
+        nxt = _project(r_stack, (u_mat @ vh) / math.sqrt(dmin))
+        if nxt is None:
             break
-        nxt /= n
         ph = np.vdot(last, nxt)
         if abs(ph) > 0.0:
             nxt = nxt * (ph.conjugate() / abs(ph))  # align phase so movement is measurable
@@ -532,23 +544,15 @@ def max_schmidt_rank_in_subspace(
     cfg = cfg or SearchConfig()
     upper = schmidt_rank_upper_bound(s, cut, tol)
     r_stack = _reshapes(s, cut)
-    best = 0
-    best_c: np.ndarray | None = None
-    for idx in range(cfg.samples):
-        c = _random_unit(_rng(cfg.seed, _STREAM_RANK, idx), s.dim)
-        sv = np.linalg.svd(np.tensordot(c, r_stack, axes=1), compute_uv=False)
-        rank = int((sv > eps).sum())
-        if rank > best:
-            best, best_c = rank, c
-        if best == upper:
-            return best
-    while best < upper and best_c is not None:
-        c, val = _sphere_ascent(_sigma_vag(r_stack, best), best_c, cfg.max_iter, cfg.min_improvement)
-        if val > eps:
-            best += 1
-            best_c = c
-        else:
+    cs = _random_starts(cfg.seed, _STREAM_RANK, cfg.samples, s.dim)
+    ranks = (np.linalg.svd(_m_stack(r_stack, cs), compute_uv=False) > eps).sum(axis=1)
+    best = int(ranks.max())
+    best_c = cs[np.argmax(ranks), None]
+    while best < upper:
+        best_c, val = _ascend(_sigma_vag(r_stack, best), best_c, cfg.max_iter, cfg.min_improvement)
+        if val[0] <= eps:
             break
+        best += 1
     return best
 
 
@@ -561,8 +565,9 @@ def entangled_vector_search(
     """Seeded search for any Schmidt-rank >= 2 vector; None when nothing clears tol.
 
     The basis and pair-sum probe is tried first (it also supplies the exact
-    test's refutation witnesses), then entropy ascent from random starts with
-    early exit, which never consults the probe or the exact test.
+    test's refutation witnesses), then entropy ascent from random starts,
+    which never consults the probe or the exact test: the lowest start index
+    whose start or ascended start clears tol wins, the start first.
     """
     if s.dim == 0:
         raise ValueError("empty subspace")
@@ -572,15 +577,12 @@ def entangled_vector_search(
     probe = _entangled_probe(r_stack, eps)
     if probe is not None:
         return _coeff_state(s, probe, tol)
-    vag = _entropy_vag(r_stack)
-    for idx in range(cfg.starts):
-        c0 = _random_unit(_rng(cfg.seed, _STREAM_ORACLE, idx), s.dim)
-        if _second_singular(r_stack, c0) > eps:
-            return _coeff_state(s, c0, tol)
-        c, _ = _sphere_ascent(vag, c0, cfg.max_iter, cfg.min_improvement)
-        if _second_singular(r_stack, c) > eps:
-            return _coeff_state(s, c, tol)
-    return None
+    c0 = _random_starts(cfg.seed, _STREAM_ORACLE, cfg.starts, s.dim)
+    cs, _ = _ascend(_entropy_vag(r_stack), c0, cfg.max_iter, cfg.min_improvement)
+    # interleave (start, ascended start) per index so the lowest index wins, unascended first
+    both = np.stack([c0, cs], axis=1).reshape(-1, s.dim)
+    hit = np.flatnonzero(_second_singular(r_stack, both) > eps)
+    return _coeff_state(s, both[hit[0]], tol) if hit.size else None
 
 
 def _entropy_best(
@@ -591,15 +593,10 @@ def _entropy_best(
 ) -> np.ndarray | None:
     """Best entanglement-entropy local optimum with Schmidt rank >= 2."""
     r_stack = _reshapes(s, cut)
-    vag = _entropy_vag(r_stack)
-    best_c: np.ndarray | None = None
-    best_val = -math.inf
-    for idx in range(cfg.starts):
-        c0 = _random_unit(_rng(cfg.seed, _STREAM_ENTROPY, idx), s.dim)
-        c, val = _sphere_ascent(vag, c0, cfg.max_iter, cfg.min_improvement)
-        if val > best_val and _second_singular(r_stack, c) > eps:
-            best_c, best_val = c, val
-    return best_c
+    c0 = _random_starts(cfg.seed, _STREAM_ENTROPY, cfg.starts, s.dim)
+    cs, vals = _ascend(_entropy_vag(r_stack), c0, cfg.max_iter, cfg.min_improvement)
+    ok = _second_singular(r_stack, cs) > eps
+    return cs[np.argmax(np.where(ok, vals, -np.inf))] if ok.any() else None
 
 
 def _deflate(s: Subspace, amps: np.ndarray, eps: float) -> Subspace:
@@ -659,7 +656,7 @@ def max_orthogonal_set(
                 for _ in range(64):
                     rc = guard.standard_normal(current.dim) + 1j * guard.standard_normal(current.dim)
                     rc /= np.linalg.norm(rc)
-                    if _second_singular(r_stack, rc) <= eps:
+                    if _second_singular(r_stack, rc[None])[0] <= eps:
                         continue
                     alt = current.vector(rc)
                     rem2 = _deflate(current, alt, eps)

@@ -250,23 +250,32 @@ def test_cli_construct_then_verify_every_entry(tmp_path):
 
 def test_cli_construct_generators(tmp_path):
     out = tmp_path / "g.json"
-    assert cli("construct", "bell-meb", "--d", "3", "-o", str(out)).returncode == 0
-    doc = json.loads(out.read_text())
+
+    def construct(*args):
+        got = cli("construct", *args, "-o", str(out))
+        assert got.returncode == 0
+        report = json.loads(got.stdout)
+        return report, json.loads(out.read_text())
+
+    # the gate field names the outcome the generator's claim requires
+    report, doc = construct("bell-meb", "--d", "3")
+    assert (report["kind"], report["gate"]) == ("UMEB", "COMPLETE_BASIS")
     assert doc["dims"] == [3, 3] and len(doc["states"]) == 9
 
-    assert cli("construct", "embed-meb", "--d", "3", "--n", "2", "-o", str(out)).returncode == 0
-    doc = json.loads(out.read_text())
+    report, doc = construct("embed-meb", "--d", "3", "--n", "2")
+    assert (report["kind"], report["gate"]) == ("UMEB", "VERIFIED")
     assert doc["dims"] == [3, 5] and len(doc["states"]) == 9
 
-    assert cli("construct", "nqubit-ueb", "--n", "5", "-o", str(out)).returncode == 0
-    doc = json.loads(out.read_text())
+    report, doc = construct("nqubit-ueb", "--n", "5")
+    assert (report["kind"], report["gate"]) == ("UEB_ALL_CUTS", "VERIFIED")
     assert len(doc["states"]) == 31
 
-    got = cli("construct", "dft-superposition", "--dims", "2,2,2",
-              "--kets", "001,010,100", "-o", str(out))
-    assert got.returncode == 0
-    doc = json.loads(out.read_text())
+    report, doc = construct("dft-superposition", "--dims", "2,2,2", "--kets", "001,010,100")
+    assert (report["kind"], report["gate"]) == (None, "ORTHONORMAL")
     assert len(doc["states"]) == 3
+
+    report, _ = construct("prop2a-set")
+    assert (report["kind"], report["gate"]) == (None, "ORTHONORMAL")
 
     assert cli("construct", "nqubit-ueb", "--n", "5", "--variant", "hadamard").returncode == 3
     assert cli("construct", "no-such-thing").returncode == 3

@@ -1,5 +1,7 @@
 """Subspace analysis: exact product tests, searches, deflation, basis verdicts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,14 @@ from uebkit import (
     state_from_combination,
     tensor_product,
     verify_basis,
+)
+from uebkit.subspaces import (
+    _ascend,
+    _entropy_vag,
+    _impurity_vag,
+    _random_starts,
+    _reshapes,
+    _sigma_vag,
 )
 
 SP2 = QuditDims((2, 2))
@@ -135,10 +145,23 @@ def test_find_maximally_entangled_in_full_space():
 
 def test_zero_starts_reports_no_evidence():
     full = Subspace(SP2, tuple(basis_state(SP2, k) for k in range(4)))
-    got = find_maximally_entangled(full, single_cut(SP2), SearchConfig(starts=0, seed=1))
+    cfg = SearchConfig(starts=0, seed=1)
+    got = find_maximally_entangled(full, single_cut(SP2), cfg)
     assert got.status is SubspaceStatus.NO_ME_FOUND
     assert got.grade is Grade.NUMERICAL_EVIDENCE
     assert got.score is None
+
+    got = find_product_state(full, single_cut(SP2), cfg)
+    assert got.status is SubspaceStatus.NO_PRODUCT_FOUND
+    assert got.grade is Grade.NUMERICAL_EVIDENCE
+    assert got.reason == "search disabled (0 starts)"
+
+    # an empty stack of starts flows through the searches that have no exact route
+    assert entangled_vector_search(span_of(SP23, 2, 5), single_cut(SP23), cfg) is None
+    got = max_orthogonal_set(full, single_cut(SP2), SetMode.ENTANGLED, cfg)
+    assert len(got.states.states) == 0
+    assert not got.refusal_exact
+    assert got.reason == "entropy search found no entangled vector"
 
 
 def test_search_is_deterministic_for_fixed_seed():
@@ -356,3 +379,67 @@ def test_tolerance_boundary_applies_to_singular_values():
                 assert got.outcome is Outcome.REFUTED
                 assert v_cut.status is SubspaceStatus.CONTAINS_ENTANGLED
                 assert schmidt(v_cut.witness, cut, tol).rank == 2
+
+
+def _norm(v):
+    return math.sqrt(np.vdot(v, v).real)
+
+
+def _sphere_ascent(fun, c0, max_iter, min_improvement):
+    """Reference: the one-start ascent that _ascend runs for every row of a stack."""
+    c = np.asarray(c0, dtype=np.complex128)
+    c = c / _norm(c)
+    f, g = fun(c)
+    step = 1.0
+    for _ in range(max_iter):
+        d = g - np.vdot(c, g) * c
+        dn = _norm(d)
+        if dn < 1e-15:
+            break
+        eta = step
+        accepted = False
+        for _ in range(50):
+            trial = c + eta * d
+            trial /= _norm(trial)
+            ft, gt = fun(trial)
+            if ft > f + 1e-4 * eta * dn * dn:
+                accepted = True
+                break
+            eta *= 0.5
+        if not accepted:
+            break
+        gain = ft - f
+        c, f, g = trial, ft, gt
+        step = min(eta * 2.0, 1.0)
+        if gain < min_improvement:
+            break
+    return c, f
+
+
+def test_batched_ascent_matches_one_start_reference():
+    """Every row of a stacked ascent follows its one-start trajectory bit for bit."""
+    rng = np.random.default_rng(26)
+    for dims in ((2, 3), (3, 3), (2, 4)):
+        space = QuditDims(dims)
+        cut = single_cut(space)
+        # a product basis vector first: its coefficient start is a product point,
+        # where the entropy ascent stops at once while the random starts run on
+        vecs = [basis_state(space, 0).amps] + [random_state(space, rng).amps for _ in range(2)]
+        r_stack = _reshapes(orthonormalize(space, vecs), cut)
+        starts = np.vstack([np.eye(1, 3, dtype=np.complex128), _random_starts(7, 3, 4, 3)])
+        objectives = (_impurity_vag(r_stack), _sigma_vag(r_stack, min(dims) - 1), _entropy_vag(r_stack))
+        for name, vag in zip(("impurity", "sigma", "entropy"), objectives):
+            def one(c, vag=vag):
+                f, g = vag(c[None])
+                return f[0], g[0]
+
+            for max_iter in (100, 3, 0):
+                cs, fs = _ascend(vag, starts, max_iter, 1e-12)
+                for j, c0 in enumerate(starts):
+                    c_row, f_row = _ascend(vag, starts[j:j + 1], max_iter, 1e-12)
+                    c_ref, f_ref = _sphere_ascent(one, c0, max_iter, 1e-12)
+                    assert np.array_equal(cs[j], c_row[0]) and fs[j] == f_row[0], (dims, name, max_iter, j)
+                    assert np.array_equal(cs[j], c_ref) and fs[j] == f_ref, (dims, name, max_iter, j)
+                if name == "entropy" and max_iter:
+                    assert np.array_equal(cs[0], starts[0])
+                    assert not np.array_equal(cs[1:], starts[1:])
