@@ -413,6 +413,18 @@ def build_entry(
     tol: Tolerance | float | None = None,
 ) -> StateSet:
     """Build a registered family and run its verification gate."""
+    return build_entry_with_verdict(entry_id, cfg, tol)[0]
+
+
+def build_entry_with_verdict(
+    entry_id: str,
+    cfg: SearchConfig | None = None,
+    tol: Tolerance | float | None = None,
+) -> tuple[StateSet, BasisVerdict | None]:
+    """build_entry, also returning the gate's verdict (None for entries without a kind).
+
+    The verdict is verify_basis(set, entry.kind, cfg, tol) at the default cut.
+    """
     if entry_id not in CATALOG:
         raise KeyError(f"unknown catalog entry {entry_id!r}")
     entry = CATALOG[entry_id]
@@ -424,14 +436,15 @@ def build_entry(
         for i, psi in enumerate(st.states):
             if not is_maximally_entangled(psi, cut, tol):
                 raise ConstructionError(f"{entry_id}: member {i} is not maximally entangled")
-    if entry.kind is not None:
-        verdict = verify_basis(st, entry.kind, cfg, tol)
-        if verdict.outcome is not entry.expected:
-            raise ConstructionError(
-                f"{entry_id}: verifier returned {verdict.outcome.value}, registered claim is "
-                f"{entry.expected.value if entry.expected else None}"
-            )
-    return st
+    if entry.kind is None:
+        return st, None
+    verdict = verify_basis(st, entry.kind, cfg, tol)
+    if verdict.outcome is not entry.expected:
+        raise ConstructionError(
+            f"{entry_id}: verifier returned {verdict.outcome.value}, registered claim is "
+            f"{entry.expected.value if entry.expected else None}"
+        )
+    return st, verdict
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .catalog import (
     CoeffVariant,
     ConstructionError,
     build_entry,
+    build_entry_with_verdict,
     build_generator,
     extend_padded_square_meb,
     recognize_padded_square_meb,
@@ -86,20 +87,22 @@ def _config(args: argparse.Namespace) -> SearchConfig:
 def _resolve_input(args: argparse.Namespace, cfg: SearchConfig):
     """Load a state file, or fall back to a catalog entry id.
 
-    Returns (states, kind, planes, input block). An existing file always
-    wins over an identically named registry entry.
+    Returns (states, kind, planes, input block, gate verdict). An existing
+    file always wins over an identically named registry entry. The gate
+    verdict is the catalog gate's verify_basis result for a registry entry
+    with a kind (its kind, the default cut, cfg and tol), else None.
     """
     ref = args.file
     if Path(ref).exists():
         loaded = load_state_file(ref, tol=args.tol, gram_fix=args.gram_fix)
-        return loaded.states, loaded.kind, loaded.planes, input_payload(ref, loaded.states, loaded.name)
+        return loaded.states, loaded.kind, loaded.planes, input_payload(ref, loaded.states, loaded.name), None
     if ref in CATALOG:
         entry = CATALOG[ref]
-        st = build_entry(ref, cfg, args.tol)
-        return st, entry.kind, {}, catalog_input_payload(ref, st, entry.kind)
+        st, gate = build_entry_with_verdict(ref, cfg, args.tol)
+        return st, entry.kind, {}, catalog_input_payload(ref, st, entry.kind), gate
     if ref in GENERATORS:
         st = build_generator(ref, cfg, args.tol)  # parameterless generators only
-        return st, None, {}, catalog_input_payload(ref, st, None)
+        return st, None, {}, catalog_input_payload(ref, st, None), None
     raise StateFileError(f"no such file or catalog entry: {ref!r}")
 
 
@@ -172,12 +175,15 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    st, stored_kind, _planes, info = _resolve_input(args, cfg)
+    st, stored_kind, _planes, info, gate = _resolve_input(args, cfg)
     kind = _KINDS[args.kind] if args.kind else stored_kind
     if kind is None:
         raise ValueError("no kind given: pass --kind or store one in the state file")
     cut = _parse_cut(args, st.space, kind)
-    verdict = verify_basis(st, kind, cfg, args.tol, cut=cut)
+    if gate is not None and gate.kind is kind and args.cut is None:
+        verdict = gate  # the catalog gate already ran this exact check
+    else:
+        verdict = verify_basis(st, kind, cfg, args.tol, cut=cut)
     _emit(verify_report(info, kind, cfg, _eps(args.tol), verdict, st), args.format)
     if verdict.outcome in (Outcome.VERIFIED, Outcome.COMPLETE_BASIS):
         return EXIT_OK
@@ -188,7 +194,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    st, _kind, planes, info = _resolve_input(args, cfg)
+    st, _kind, planes, info, gate = _resolve_input(args, cfg)
     completion = None
     strong = None
     if args.completion is not None:
@@ -242,7 +248,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         except (VanishingProjectionError, ProjectionOrthogonalityError, ValueError) as exc:
             indist = {"status": "NOT_APPLICABLE", "reason": str(exc)}
     _emit(
-        analyze_report(info, cfg, _eps(args.tol), st, completion, strong, slocc, indist),
+        analyze_report(
+            info, cfg, _eps(args.tol), st, completion, strong, slocc, indist,
+            rank_table=gate.rank_table if gate is not None else None,
+        ),
         args.format,
     )
     return EXIT_OK

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -78,16 +80,21 @@ def single_cut(space: QuditDims) -> Bipartition:
     return Bipartition(space, 1)
 
 
-def reshape_rows(amps: np.ndarray, cut: Bipartition) -> np.ndarray:
+def reshape_rows(amps: np.ndarray, cut: Bipartition, out: np.ndarray | None = None) -> np.ndarray:
     """Row-batched reshape: a (k, D) amplitude array to a (k, dim_a, dim_b) stack.
 
     Row and column indices are lexicographic over the parties of each block,
-    preserving the original party order within the block.
+    preserving the original party order within the block. With out, a flat
+    complex buffer of k*D entries, the stack is written into out and
+    returned as a view of it, so no new array is allocated.
     """
     k = amps.shape[0]
     t = amps.reshape((k,) + cut.space.dims)
     perm = (0,) + tuple(i + 1 for i in cut.block_a + cut.block_b)
-    return np.ascontiguousarray(t.transpose(perm).reshape(k, cut.dim_a, cut.dim_b))
+    if out is None:
+        return np.ascontiguousarray(t.transpose(perm).reshape(k, cut.dim_a, cut.dim_b))
+    np.copyto(out.reshape(tuple(t.shape[i] for i in perm)), t.transpose(perm))
+    return out.reshape(k, cut.dim_a, cut.dim_b)
 
 
 def reshape(p: PureState, cut: Bipartition) -> np.ndarray:
@@ -123,17 +130,55 @@ def schmidt(p: PureState, cut: Bipartition, tol: Tolerance | float | None = None
     return SchmidtData(cut=cut, coefficients=sv, rank=int((sv > eps).sum()))
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def schmidt_rank_table(
     amps: np.ndarray,
     cuts: Sequence[Bipartition],
     tol: Tolerance | float | None = None,
 ) -> np.ndarray:
-    """(k, len(cuts)) Schmidt ranks of the k rows of amps, one batched SVD per cut."""
+    """(k, len(cuts)) Schmidt ranks of the k rows of amps, one batched SVD per cut.
+
+    The cuts are dealt round-robin to width = min(len(cuts), usable CPUs)
+    shares: share w takes the cuts j with j % width == w, the calling thread
+    runs share 0 and one thread runs each other share (numpy's SVD releases
+    the GIL). A one-cut table starts no thread. Each share owns one flat
+    k*D complex buffer, allocated here by the caller, copies every cut's
+    transpose into it and runs the SVD on that buffer, so the table costs
+    width*k*D*16 bytes beyond the input and each share writes only its own
+    columns of the result. Every SVD sees the same matrices as in a
+    one-thread loop over the cuts, so the table is identical to that loop's.
+    An exception raised in any share is re-raised here after every thread
+    has joined.
+    """
     eps = _eps(tol)
     ranks = np.empty((amps.shape[0], len(cuts)), dtype=int)
-    for j, cut in enumerate(cuts):
-        sv = np.linalg.svd(reshape_rows(amps, cut), compute_uv=False)
-        ranks[:, j] = (sv > eps).sum(axis=1)
+    width = max(1, min(len(cuts), _usable_cpus()))
+    buffers = [np.empty(amps.size, dtype=np.complex128) for _ in range(width)]
+    errors: list[BaseException | None] = [None] * width
+
+    def share(w: int) -> None:
+        try:
+            for j in range(w, len(cuts), width):
+                sv = np.linalg.svd(reshape_rows(amps, cuts[j], out=buffers[w]), compute_uv=False)
+                ranks[:, j] = (sv > eps).sum(axis=1)
+        except BaseException as exc:
+            errors[w] = exc
+
+    threads = [threading.Thread(target=share, args=(w,)) for w in range(1, width)]
+    for th in threads:
+        th.start()
+    share(0)
+    for th in threads:
+        th.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return ranks
 
 

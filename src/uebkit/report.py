@@ -12,6 +12,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .cuts import enumerate_cuts, schmidt_rank_table
 from .slocc import classify_three_qubit
 from .statefile import complex_vector, dumps_state_file
@@ -56,11 +58,22 @@ def catalog_input_payload(entry_id: str, st: StateSet, kind: BasisKind | None) -
     }
 
 
-def state_diagnostics(st: StateSet, tol: Tolerance | float | None = None) -> list[dict]:
-    """Per-state Schmidt ranks across every cut, genuine-entanglement flag, class label."""
+def state_diagnostics(
+    st: StateSet,
+    tol: Tolerance | float | None = None,
+    rank_table: np.ndarray | None = None,
+) -> list[dict]:
+    """Per-state Schmidt ranks across every cut, genuine-entanglement flag, class label.
+
+    rank_table, when given, is the set's schmidt_rank_table over
+    enumerate_cuts at the same tolerance (BasisVerdict.rank_table) and is
+    used instead of computing it again.
+    """
     cuts = enumerate_cuts(st.space)
     labels = [c.label for c in cuts]
-    ranks = schmidt_rank_table(st.matrix(), cuts, tol).tolist()
+    if rank_table is None:
+        rank_table = schmidt_rank_table(st.matrix(), cuts, tol)
+    ranks = rank_table.tolist()
     three_qubit = st.space.dims == (2, 2, 2)
     out: list[dict] = []
     for i, s in enumerate(st.states):
@@ -117,7 +130,7 @@ def verify_report(
         "complement_dim": verdict.complement_dim,
         "offending_state": verdict.offending_state,
         "per_cut": [cut_verdict_payload(v) for v in verdict.per_cut],
-        "states": state_diagnostics(st, eps),
+        "states": state_diagnostics(st, eps, verdict.rank_table),
         "complement": complement_payload(st, eps),
     }
 
@@ -152,6 +165,7 @@ def analyze_report(
     extended_space: dict | None = None,
     slocc: dict | None = None,
     local_indistinguishability: dict | None = None,
+    rank_table: np.ndarray | None = None,
 ) -> dict:
     report = {
         "command": "analyze",
@@ -159,7 +173,7 @@ def analyze_report(
         "tolerance": eps,
         "seed": cfg.seed,
         "starts": cfg.starts,
-        "states": state_diagnostics(st, eps),
+        "states": state_diagnostics(st, eps, rank_table),
         "complement": complement_payload(st, eps),
     }
     if completion is not None:

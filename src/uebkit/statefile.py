@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,19 @@ class LoadedStateFile:
 def _pair_vector(raw: object, length: int, what: str) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != length:
         raise StateFileError(f"{what} must be a list of {length} [re, im] pairs")
+    if (
+        set(map(type, raw)) == {list}
+        and set(map(len, raw)) == {2}
+        and set(map(type, chain.from_iterable(raw))) <= {int, float}
+    ):
+        try:
+            out = np.array(raw, dtype=np.float64).view(np.complex128).reshape(length)
+        except OverflowError:  # an integer literal beyond float range
+            pass
+        else:
+            if np.isfinite(out).all():
+                return out
+    # one component at a time, to name the first bad one
     out = np.empty(length, dtype=np.complex128)
     for i, pair in enumerate(raw):
         if (
@@ -52,7 +66,12 @@ def _pair_vector(raw: object, length: int, what: str) -> np.ndarray:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
         ):
             raise StateFileError(f"{what}, component {i}: expected an [re, im] number pair")
-        out[i] = complex(pair[0], pair[1])
+        try:
+            out[i] = complex(pair[0], pair[1])
+        except OverflowError:
+            out[i] = np.inf
+        if not np.isfinite(out[i]):
+            raise StateFileError(f"{what}, component {i}: amplitude is not a finite number")
     return out
 
 

@@ -136,12 +136,21 @@ class SubspaceVerdict:
 
 @dataclass(frozen=True, eq=False)
 class BasisVerdict:
+    """Verdict of verify_basis.
+
+    rank_table holds the (k, n_cuts) Schmidt ranks of the members over
+    enumerate_cuts(space) when the UEB gate computed them for every cut
+    (kind UEB_ALL_CUTS, or UEB on two parties), so reports can reuse it;
+    None otherwise.
+    """
+
     kind: BasisKind
     outcome: Outcome
     per_cut: tuple[SubspaceVerdict, ...]
     complement_dim: int
     offending_state: int | None = None
     grade: Grade = Grade.EXACT
+    rank_table: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -733,14 +742,19 @@ def verify_basis(
     else:
         cuts = enumerate_cuts(space)
     comp = orthogonal_complement(st.subspace(), tol)
+    table = None
     if kind is BasisKind.UMEB:
         weak = [i for i, psi in enumerate(st.states) if not is_maximally_entangled(psi, cuts[0], tol)]
     else:
-        weak = np.flatnonzero(schmidt_rank_table(st.matrix(), cuts, tol).min(axis=1) < 2).tolist()
+        ranks = schmidt_rank_table(st.matrix(), cuts, tol)
+        weak = np.flatnonzero(ranks.min(axis=1) < 2).tolist()
+        if kind is BasisKind.UEB_ALL_CUTS or space.parties == 2:
+            ranks.setflags(write=False)
+            table = ranks
     if weak:
-        return BasisVerdict(kind, Outcome.REFUTED, (), comp.dim, offending_state=weak[0])
+        return BasisVerdict(kind, Outcome.REFUTED, (), comp.dim, offending_state=weak[0], rank_table=table)
     if comp.dim == 0:
-        return BasisVerdict(kind, Outcome.COMPLETE_BASIS, (), 0)
+        return BasisVerdict(kind, Outcome.COMPLETE_BASIS, (), 0, rank_table=table)
     if kind is BasisKind.UMEB:
         v = find_maximally_entangled(comp, cuts[0], cfg, tol)
         if v.status is SubspaceStatus.ME_FOUND:
@@ -765,7 +779,7 @@ def verify_basis(
             witness = None  # borderline probe: keep the refutation, drop the witness
         per_cut.append(SubspaceVerdict(c, SubspaceStatus.CONTAINS_ENTANGLED, Grade.EXACT, witness=witness))
     outcome = Outcome.VERIFIED if all_only else Outcome.REFUTED
-    return BasisVerdict(kind, outcome, tuple(per_cut), comp.dim)
+    return BasisVerdict(kind, outcome, tuple(per_cut), comp.dim, rank_table=table)
 
 
 def completion_search(

@@ -1,13 +1,17 @@
 """Bipartitions and Schmidt data: canonical masks, decomposition, invariances."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import uebkit.cuts
 from uebkit import (
     BasisKind,
     Bipartition,
+    PureState,
     QuditDims,
     StateSet,
     Tolerance,
@@ -187,6 +191,12 @@ def test_cut_dims_multiply_to_total():
                          random_state(sp, np.random.default_rng(0))) - 1.0) < 1e-12
 
 
+def _rotated_family(n: int, seed: int) -> StateSet:
+    rng = np.random.default_rng(seed)
+    us = [haar_unitary(2, rng) for _ in range(n)]
+    return StateSet(QuditDims((2,) * n), tuple(apply_local_unitaries(s, us) for s in n_qubit_ueb(n).states))
+
+
 def test_rank_table_matches_per_state_passes():
     """The shared rank table reproduces per-state Schmidt ranks, flags and gate refutations."""
     r = 1 / math.sqrt(2)
@@ -195,7 +205,7 @@ def test_rank_table_matches_per_state_passes():
         state_from_combination(SP3, {"000": 1, "111": 1}),
         tensor_product(state_from_combination(SP2, {"01": r, "10": r}), basis_state(QuditDims((2,)), 1)),
     ))
-    for st in (n_qubit_ueb(5), three_qubit_w_ueb(), three_qubit_mixed_ueb(), bisep):
+    for st in (n_qubit_ueb(5), three_qubit_w_ueb(), three_qubit_mixed_ueb(), bisep, _rotated_family(6, 61)):
         cuts = enumerate_cuts(st.space)
         table = schmidt_rank_table(st.matrix(), cuts, TOL)
         rows = state_diagnostics(st, TOL)
@@ -213,3 +223,80 @@ def test_rank_table_matches_per_state_passes():
     assert verify_basis(bisep, BasisKind.UEB_ALL_CUTS, tol=TOL).offending_state == 2
     assert [verify_basis(bisep, BasisKind.UEB, tol=TOL, cut=c).offending_state
             for c in enumerate_cuts(SP3)] == [None, 2, None]
+
+
+def test_rank_table_is_the_same_for_every_thread_count(monkeypatch):
+    """Shares of the cuts run in threads; the table equals the one-thread loop's."""
+    st = _rotated_family(5, 62)
+    amps = st.matrix()
+    amps[3] = 0.0
+    amps[3, 8] = amps[3, 16] = 1 / math.sqrt(2)  # (|01> + |10>)|000>: rank 1 wherever parties 1, 2 stay together
+    cuts = enumerate_cuts(st.space)
+    loop = [[schmidt(PureState(st.space, row), c, TOL).rank for c in cuts] for row in amps]
+    assert min(loop[3]) == 1 and max(loop[3]) == 2
+    seen: set[threading.Thread] = set()
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        seen.add(threading.current_thread())  # held here, so no two threads compare equal
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    for width in (1, 2, 3, 64):
+        monkeypatch.setattr(uebkit.cuts, "_usable_cpus", lambda: width)
+        seen.clear()
+        table = schmidt_rank_table(amps, cuts, TOL)
+        assert table.tolist() == loop
+        assert len(seen) == min(width, len(cuts))
+    # a one-cut table starts no thread, whatever the CPU count
+    seen.clear()
+    schmidt_rank_table(amps, cuts[:1], TOL)
+    assert seen == {threading.current_thread()}
+
+
+def test_rank_table_threads_under_fast_switching(monkeypatch):
+    """More shares than cores and a tiny switch interval: no column is lost or mixed up."""
+    st = _rotated_family(6, 64)
+    cuts = enumerate_cuts(st.space)
+    want = schmidt_rank_table(st.matrix(), cuts, TOL).tolist()
+    amps = st.matrix()
+    amps[:, ::7] *= 1e-12  # ranks now differ from cut to cut
+    monkeypatch.setattr(uebkit.cuts, "_usable_cpus", lambda: 1)
+    skewed = schmidt_rank_table(amps, cuts, TOL).tolist()
+    assert skewed != want
+    monkeypatch.setattr(uebkit.cuts, "_usable_cpus", lambda: 8)
+    got = []
+
+    def repeat() -> None:
+        for _ in range(10):
+            got.append(schmidt_rank_table(st.matrix(), cuts, TOL).tolist())
+            got.append(schmidt_rank_table(amps, cuts, TOL).tolist())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=repeat, daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert got == [want, skewed] * 10
+
+
+def test_rank_table_reraises_a_worker_failure(monkeypatch):
+    st = _rotated_family(4, 63)
+    cuts = enumerate_cuts(st.space)
+    svd = np.linalg.svd
+
+    def failing_svd(a, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(uebkit.cuts, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    baseline = threading.active_count()
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        schmidt_rank_table(st.matrix(), cuts, TOL)
+    assert threading.active_count() == baseline

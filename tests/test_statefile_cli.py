@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import uebkit
+import uebkit.cli
 from uebkit import (
     BasisKind,
     CATALOG,
@@ -98,6 +99,35 @@ def test_parse_rejects_malformed_documents():
     for text in cases:
         with pytest.raises(StateFileError):
             parse_state_file(text)
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["1" + "0" * 400, "-1" + "0" * 400, "1e400", "NaN", "Infinity", "-Infinity"],
+    ids=["huge-int", "huge-negative-int", "1e400", "NaN", "Infinity", "-Infinity"],
+)
+def test_parse_refuses_non_finite_amplitudes(literal, tmp_path):
+    text = '{"dims": [2, 2], "states": [[[1, 0], [0, 0], [0, %s], [0, 0]]]}' % literal
+    with pytest.raises(StateFileError, match=r"^state 0, component 2: amplitude is not a finite number$"):
+        parse_state_file(text)
+    plane = ('{"dims": [2, 2, 2], "states": [[[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0], [0, 0]]],'
+             ' "planes": {"1": [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [%s, 0], [0, 0], [0, 0]]]}}' % literal)
+    with pytest.raises(StateFileError, match=r"^plane 1 row 1, component 1: amplitude is not a finite number$"):
+        parse_state_file(plane)
+    if literal in ("1" + "0" * 400, "NaN"):  # through the CLI: input error, not a verdict
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        got = cli("verify", str(path), "--kind", "ueb")
+        assert got.returncode == 3
+        assert got.stderr == "error: state 0, component 2: amplitude is not a finite number\n"
+
+
+def test_parse_mixed_int_and_float_pairs_exactly():
+    big = 2**70 + 1  # not a float: rounds to the nearest one, as complex() does
+    doc = {"dims": [2, 2], "states": [[[big, 0.25], [-3, 1e-300], [0, 0], [1.5, -2]]]}
+    amps = uebkit.statefile._pair_vector(doc["states"][0], 4, "state 0")
+    want = np.array([complex(big, 0.25), complex(-3, 1e-300), 0j, complex(1.5, -2)])
+    assert amps.tobytes() == want.tobytes()
 
 
 def test_parse_renormalizes_small_drift():
@@ -289,3 +319,51 @@ def test_cli_catalog_listing():
     assert set(CATALOG) <= ids
     assert all(row["kind"] is not None for row in doc["entries"])
     assert "prop2a-set" in {g["name"] for g in doc["generators"]}
+
+
+def test_verify_and_analyze_compute_one_rank_table(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "ueb5.json"
+    save_state_file(path, uebkit.n_qubit_ueb(5), kind=BasisKind.UEB_ALL_CUTS)
+    calls = []
+    table = uebkit.cuts.schmidt_rank_table
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return table(*args, **kwargs)
+
+    for mod in (uebkit.subspaces, uebkit.report):
+        monkeypatch.setattr(mod, "schmidt_rank_table", counting)
+    for argv in (["verify", str(path)], ["analyze", str(path)], ["verify", "eq6-mixed-ueb"],
+                 ["analyze", "eq6-mixed-ueb"]):
+        calls.clear()
+        assert uebkit.cli.main(argv) == 0
+        assert [len(cuts) for cuts in calls] == [15 if argv[1] == str(path) else 3], argv
+    # a one-cut gate leaves the all-cuts table to the report
+    calls.clear()
+    assert uebkit.cli.main(["verify", str(path), "--kind", "ueb", "--cut", "3"]) == 0
+    assert [len(cuts) for cuts in calls] == [1, 15]
+    capsys.readouterr()
+
+
+def test_catalog_verify_reuses_the_gate_verdict(monkeypatch, capsys):
+    calls = []
+    verify = uebkit.subspaces.verify_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return verify(*args, **kwargs)
+
+    for mod in (uebkit.catalog, uebkit.cli):
+        monkeypatch.setattr(mod, "verify_basis", counting)
+    assert uebkit.cli.main(["verify", "eq6-mixed-ueb"]) == 0
+    assert calls == [BasisKind.UEB_ALL_CUTS]
+    reused = capsys.readouterr().out
+    # another kind or an explicit cut is a different check, run after the gate
+    calls.clear()
+    assert uebkit.cli.main(["verify", "eq6-mixed-ueb", "--kind", "ueb-all-cuts", "--cut", "all"]) == 0
+    assert calls == [BasisKind.UEB_ALL_CUTS, BasisKind.UEB_ALL_CUTS]
+    assert capsys.readouterr().out == reused
+    calls.clear()
+    assert uebkit.cli.main(["verify", "eq1-ueb", "--kind", "umeb"]) == 1
+    assert calls == [BasisKind.UEB, BasisKind.UMEB]
+    capsys.readouterr()
