@@ -25,7 +25,7 @@ from .catalog import (
     extend_padded_square_meb,
     recognize_padded_square_meb,
 )
-from .cuts import Bipartition, single_cut
+from .cuts import Bipartition, enumerate_cuts, schmidt_rank_table, single_cut
 from .locc import (
     ProjectionOrthogonalityError,
     VanishingProjectionError,
@@ -42,7 +42,7 @@ from .report import (
     render_text,
     verify_report,
 )
-from .slocc import classify_three_qubit, resource_dimension_flag
+from .slocc import classify_from_ranks, resource_dimension_flag
 from .statefile import StateFileError, load_state_file, save_state_file
 from .states import _eps
 from .subspaces import (
@@ -195,6 +195,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _config(args)
     st, _kind, planes, info, gate = _resolve_input(args, cfg)
+    rank_table = gate.rank_table if gate is not None else None
     completion = None
     strong = None
     if args.completion is not None:
@@ -224,7 +225,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     slocc = None
     indist = None
     if st.space.dims == (2, 2, 2):
-        verdicts = [classify_three_qubit(s, args.tol) for s in st.states]
+        if rank_table is None:
+            rank_table = schmidt_rank_table(st.matrix(), enumerate_cuts(st.space), args.tol)
+        verdicts = [classify_from_ranks(s, r) for s, r in zip(st.states, rank_table)]
         slocc = {
             "labels": [v.label for v in verdicts],
             "tangles": [v.tangle for v in verdicts],
@@ -249,8 +252,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             indist = {"status": "NOT_APPLICABLE", "reason": str(exc)}
     _emit(
         analyze_report(
-            info, cfg, _eps(args.tol), st, completion, strong, slocc, indist,
-            rank_table=gate.rank_table if gate is not None else None,
+            info, cfg, _eps(args.tol), st, completion, strong, slocc, indist, rank_table=rank_table,
         ),
         args.format,
     )

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .cuts import enumerate_cuts, schmidt_rank_table
-from .slocc import classify_three_qubit
+from .slocc import classify_from_ranks
 from .statefile import complex_vector, dumps_state_file
 from .states import StateSet, Tolerance, canonical_phase, orthogonal_complement
 from .subspaces import (
@@ -83,7 +83,7 @@ def state_diagnostics(
             "genuinely_entangled": min(ranks[i]) >= 2,
         }
         if three_qubit:
-            v = classify_three_qubit(s, tol)
+            v = classify_from_ranks(s, ranks[i])
             entry["slocc"] = v.label
             entry["tangle"] = v.tangle
         out.append(entry)

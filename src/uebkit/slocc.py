@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cuts import Bipartition, enumerate_cuts, is_product
+from .cuts import Bipartition, enumerate_cuts, schmidt_rank_table
 from .states import (
     PureState,
     QuditDims,
@@ -84,8 +84,19 @@ def classify_three_qubit(
     """SEP / BISEP(cut) / GHZ / W assignment for a three-qubit pure state."""
     if p.space.dims != (2, 2, 2):
         raise ValueError(f"classification is defined for three qubits, got {p.space}")
+    return classify_from_ranks(p, schmidt_rank_table(p.amps[None], enumerate_cuts(p.space), tol)[0], tol_tangle)
+
+
+def classify_from_ranks(
+    p: PureState,
+    ranks: Sequence[int],
+    tol_tangle: float = DEFAULT_TANGLE_EPS,
+) -> SloccVerdict:
+    """classify_three_qubit for a state whose Schmidt ranks over
+    enumerate_cuts(p.space) are given, such as its row of a set's shared
+    schmidt_rank_table: rank 1 at a cut means product there."""
     tau = three_tangle(p)
-    product_cuts = [cut for cut in enumerate_cuts(p.space) if is_product(p, cut, tol)]
+    product_cuts = [cut for cut, rank in zip(enumerate_cuts(p.space), ranks) if rank == 1]
     if len(product_cuts) == 3:
         return SloccVerdict(SloccClass.FULLY_SEPARABLE, "SEP", tau)
     if product_cuts:
@@ -168,5 +179,6 @@ def resource_dimension_flag(
     comp = orthogonal_complement(st.subspace(), tol)
     if comp.dim == 1:
         members.append(comp.basis[0])
-    cats = {classify_three_qubit(m, tol, tol_tangle).category for m in members}
+    ranks = schmidt_rank_table(np.array([m.amps for m in members]), enumerate_cuts(st.space), tol)
+    cats = {classify_from_ranks(m, r, tol_tangle).category for m, r in zip(members, ranks)}
     return SloccClass.GHZ_CLASS in cats and SloccClass.W_CLASS in cats

@@ -84,6 +84,8 @@ class PureState:
 
     def __post_init__(self) -> None:
         amps = _as_amps(self.space, self.amps)
+        if not np.isfinite(amps).all():
+            raise ValueError("amplitudes must be finite numbers")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > _NORM_SLACK:
             raise ValueError(f"state norm {norm} deviates from 1 by more than {_NORM_SLACK}")

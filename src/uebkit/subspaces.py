@@ -48,6 +48,7 @@ from .states import (
     Tolerance,
     _eps,
     canonical_phase,
+    haar_unitary,
     orthogonal_complement,
     orthonormalize,
 )
@@ -155,7 +156,7 @@ class BasisVerdict:
 
 @dataclass(frozen=True, eq=False)
 class DeflationResult:
-    """Greedy deflation output; refusal_exact marks an exact terminating refusal."""
+    """Output of max_orthogonal_set; refusal_exact marks an exact terminating refusal."""
 
     states: StateSet
     refusal_exact: bool
@@ -172,10 +173,11 @@ class CompletionResult:
 
 _STREAM_PRODUCT = 1
 _STREAM_ME = 2
-_STREAM_ENTROPY = 3
+_STREAM_ROTATION = 3
 _STREAM_RANK = 4
-_STREAM_GUARD = 5
-_STREAM_ORACLE = 6
+# Haar draws tried before ENTANGLED completion gives up; each draw misses
+# only when some rotated vector has sigma_2 <= eps.
+_ROTATION_DRAWS = 4
 
 
 def _random_starts(seed: int, stream: int, count: int, k: int) -> np.ndarray:
@@ -353,27 +355,6 @@ def _sigma_vag(r_stack: np.ndarray, index: int) -> Callable[[np.ndarray], tuple[
         return sv[:, index], (flat_c @ x.reshape(-1, flat_c.shape[1], 1))[:, :, 0]
 
     return vag
-
-
-def _entropy_vag(r_stack: np.ndarray) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    flat_c = r_stack.reshape(len(r_stack), -1).conj()
-
-    def vag(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u_mat, sv, vh = np.linalg.svd(_m_stack(r_stack, c), full_matrices=False)
-        s2 = np.maximum(sv * sv, 1e-300)
-        log_s2 = np.log(s2)
-        val = -(s2 * log_s2).sum(axis=1)
-        w = -2.0 * sv * (log_s2 + 1.0)
-        # sum_j w_j conj(u_j^H R_k v_j) = <R_k, U diag(w) V^H>
-        x = (u_mat * w[:, None, :]) @ vh
-        return val, (flat_c @ x.reshape(-1, flat_c.shape[1], 1))[:, :, 0]
-
-    return vag
-
-
-def _second_singular(r_stack: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """sigma_2 of M(c) for every row of an (S, k) coefficient stack."""
-    return np.linalg.svd(_m_stack(r_stack, c), compute_uv=False)[:, 1]
 
 
 def _project(r_stack: np.ndarray, x: np.ndarray) -> np.ndarray | None:
@@ -568,50 +549,43 @@ def max_schmidt_rank_in_subspace(
 def entangled_vector_search(
     s: Subspace,
     cut: Bipartition,
-    cfg: SearchConfig | None = None,
     tol: Tolerance | float | None = None,
 ) -> PureState | None:
-    """Seeded search for any Schmidt-rank >= 2 vector; None when nothing clears tol.
+    """A Schmidt-rank >= 2 vector of the subspace; None exactly when it is only-product.
 
-    The basis and pair-sum probe is tried first (it also supplies the exact
-    test's refutation witnesses), then entropy ascent from random starts,
-    which never consults the probe or the exact test: the lowest start index
-    whose start or ascended start clears tol wins, the start first.
+    The vector is the first basis vector with sigma_2 > eps, else the first
+    normalized sum of two basis vectors with sigma_2 > eps. By the lemma
+    above, when every basis vector is product but the span is not, some such
+    pair sum is entangled, so None means the span is only-product; the
+    returned vector's own sigma_2 > eps is its certificate.
     """
     if s.dim == 0:
         raise ValueError("empty subspace")
-    eps = _eps(tol)
-    cfg = cfg or SearchConfig()
-    r_stack = _reshapes(s, cut)
-    probe = _entangled_probe(r_stack, eps)
-    if probe is not None:
-        return _coeff_state(s, probe, tol)
-    c0 = _random_starts(cfg.seed, _STREAM_ORACLE, cfg.starts, s.dim)
-    cs, _ = _ascend(_entropy_vag(r_stack), c0, cfg.max_iter, cfg.min_improvement)
-    # interleave (start, ascended start) per index so the lowest index wins, unascended first
-    both = np.stack([c0, cs], axis=1).reshape(-1, s.dim)
-    hit = np.flatnonzero(_second_singular(r_stack, both) > eps)
-    return _coeff_state(s, both[hit[0]], tol) if hit.size else None
-
-
-def _entropy_best(
-    s: Subspace,
-    cut: Bipartition,
-    cfg: SearchConfig,
-    eps: float,
-) -> np.ndarray | None:
-    """Best entanglement-entropy local optimum with Schmidt rank >= 2."""
-    r_stack = _reshapes(s, cut)
-    c0 = _random_starts(cfg.seed, _STREAM_ENTROPY, cfg.starts, s.dim)
-    cs, vals = _ascend(_entropy_vag(r_stack), c0, cfg.max_iter, cfg.min_improvement)
-    ok = _second_singular(r_stack, cs) > eps
-    return cs[np.argmax(np.where(ok, vals, -np.inf))] if ok.any() else None
+    c = _entangled_probe(_reshapes(s, cut), _eps(tol))
+    return None if c is None else _coeff_state(s, c, tol)
 
 
 def _deflate(s: Subspace, amps: np.ndarray, eps: float) -> Subspace:
     """Orthogonal complement of one vector within the subspace."""
     residue = [b.amps - np.vdot(amps, b.amps) * amps for b in s.basis]
     return orthonormalize(s.space, residue, eps)
+
+
+def _rotated_basis(s: Subspace, cut: Bipartition, seed: int, tol: Tolerance | float | None) -> StateSet | None:
+    """A Haar-rotated orthonormal basis of s whose every member has Schmidt
+    rank >= 2 at the cut; None when all _ROTATION_DRAWS draws miss.
+
+    Draw i rotates s.matrix() by a Haar unitary from the sub-seed
+    (seed, _STREAM_ROTATION, i) and keeps the phase-fixed rows only when one
+    schmidt_rank_table call grades every one of them entangled.
+    """
+    basis = s.matrix()
+    for i in range(_ROTATION_DRAWS):
+        u = haar_unitary(s.dim, np.random.default_rng([seed, _STREAM_ROTATION, i]))
+        found = StateSet(s.space, tuple(canonical_phase(PureState(s.space, row), tol) for row in u @ basis))
+        if schmidt_rank_table(found.matrix(), [cut], tol).min() >= 2:
+            return found
+    return None
 
 
 def max_orthogonal_set(
@@ -621,58 +595,49 @@ def max_orthogonal_set(
     cfg: SearchConfig | None = None,
     tol: Tolerance | float | None = None,
 ) -> DeflationResult:
-    """Greedy deflation: pick a vector of the requested kind, restrict to its
-    orthocomplement, repeat. The result size is a lower bound in general;
-    refusal_exact records whether the terminating refusal was exact.
+    """Largest orthonormal set of the requested kind found inside the subspace.
 
-    In ENTANGLED mode the entropy-best candidate gets a one-step lookahead:
-    if removing it would strand a nonzero only-product remainder, seeded
-    random entangled candidates are tried first, because a single dominant
-    vector can otherwise absorb all entangled directions at once.
+    ENTANGLED is decided exactly. An only-product subspace holds no
+    entangled vector (exact refusal, nothing found). Otherwise its product
+    vectors form a proper real-algebraic subset of its unit sphere, so each
+    member of a Haar-rotated orthonormal basis is entangled with probability
+    1, and the whole rotated basis is returned. Its certificate is the one
+    the UEB gate grades EXACT: every member's Schmidt rank, from
+    schmidt_rank_table, is at least 2. A draw with a member at sigma_2 <=
+    eps is redrawn from the next seeded rotation; only a subspace within
+    tolerance of only-product misses on every draw, and then nothing is
+    found and the refusal is not exact. cfg.starts plays no part here.
+
+    MAX_ENTANGLED is greedy deflation: take an EXACT maximally entangled
+    witness, restrict to its orthocomplement, repeat. The result size is a
+    lower bound; refusal_exact records whether the terminating refusal was
+    exact.
     """
     if s.dim == 0:
         raise ValueError("empty subspace")
     eps = _eps(tol)
     cfg = cfg or SearchConfig()
-    guard = np.random.default_rng([cfg.seed, _STREAM_GUARD])
+    if mode is SetMode.ENTANGLED:
+        if only_product_across_cut(s, cut, tol):
+            return DeflationResult(StateSet(s.space, ()), True, "remaining subspace holds only product vectors")
+        rotated = _rotated_basis(s, cut, cfg.seed, tol)
+        if rotated is None:
+            return DeflationResult(StateSet(s.space, ()), False,
+                                   f"each of {_ROTATION_DRAWS} rotated bases had a member with Schmidt rank < 2:"
+                                   " the subspace is within tolerance of only-product")
+        return DeflationResult(rotated, False, "subspace exhausted")
     current = s
     found: list[PureState] = []
     refusal_exact = False
     reason = "subspace exhausted"
     while current.dim >= 1:
-        if mode is SetMode.MAX_ENTANGLED:
-            v = find_maximally_entangled(current, cut, cfg, tol)
-            if v.status is SubspaceStatus.ME_FOUND and v.grade is Grade.EXACT:
-                assert v.witness is not None
-                cand = v.witness.amps
-            else:
-                refusal_exact = v.status is SubspaceStatus.NO_ME_FOUND and v.grade is Grade.EXACT
-                reason = v.reason or "no maximally entangled vector found"
-                break
-        else:
-            if only_product_across_cut(current, cut, tol):
-                refusal_exact = True
-                reason = "remaining subspace holds only product vectors"
-                break
-            c = _entropy_best(current, cut, cfg, eps)
-            if c is None:
-                reason = "entropy search found no entangled vector"
-                break
-            cand = current.vector(c)
-            rem = _deflate(current, cand, eps)
-            if rem.dim >= 1 and only_product_across_cut(rem, cut, tol):
-                r_stack = _reshapes(current, cut)
-                for _ in range(64):
-                    rc = guard.standard_normal(current.dim) + 1j * guard.standard_normal(current.dim)
-                    rc /= np.linalg.norm(rc)
-                    if _second_singular(r_stack, rc[None])[0] <= eps:
-                        continue
-                    alt = current.vector(rc)
-                    rem2 = _deflate(current, alt, eps)
-                    if rem2.dim == 0 or not only_product_across_cut(rem2, cut, tol):
-                        cand = alt
-                        break
-        st = canonical_phase(PureState(s.space, cand), tol)
+        v = find_maximally_entangled(current, cut, cfg, tol)
+        if v.status is not SubspaceStatus.ME_FOUND or v.grade is not Grade.EXACT:
+            refusal_exact = v.status is SubspaceStatus.NO_ME_FOUND and v.grade is Grade.EXACT
+            reason = v.reason or "no maximally entangled vector found"
+            break
+        assert v.witness is not None
+        st = canonical_phase(v.witness, tol)
         found.append(st)
         current = _deflate(current, st.amps, eps)
     return DeflationResult(StateSet(s.space, tuple(found)), refusal_exact, reason)
@@ -730,7 +695,6 @@ def verify_basis(
     """
     if len(st) == 0:
         raise ValueError("empty state set")
-    eps = _eps(tol)
     cfg = cfg or SearchConfig()
     space = st.space
     if kind is BasisKind.COMPLETE:
@@ -773,8 +737,7 @@ def verify_basis(
             per_cut.append(SubspaceVerdict(c, SubspaceStatus.ONLY_PRODUCT, Grade.EXACT))
             continue
         all_only = False
-        probe = _entangled_probe(_reshapes(comp, c), eps)
-        witness = None if probe is None else _coeff_state(comp, probe, tol)
+        witness = entangled_vector_search(comp, c, tol)
         if witness is not None and schmidt(witness, c, tol).rank < 2:
             witness = None  # borderline probe: keep the refutation, drop the witness
         per_cut.append(SubspaceVerdict(c, SubspaceStatus.CONTAINS_ENTANGLED, Grade.EXACT, witness=witness))
@@ -791,8 +754,14 @@ def completion_search(
 ) -> CompletionResult:
     """Try to extend the set to a full orthogonal basis of the requested kind.
 
-    completable is YES only when the greedy set fills the whole complement;
-    otherwise refusal exactness decides between NO_EXACT and NO_EVIDENCE.
+    completable is YES only when max_orthogonal_set fills the whole
+    complement; otherwise refusal exactness decides between NO_EXACT and
+    NO_EVIDENCE. ENTANGLED is decided exactly, also with cfg.starts = 0: NO_EXACT
+    when the complement is only-product at the cut, else YES with a
+    Haar-rotated basis of the complement whose members all have Schmidt rank
+    >= 2 (schmidt_rank_table, the UEB gate's certificate); NO_EVIDENCE only
+    when the complement is within tolerance of only-product, so every seeded
+    rotation had a member at sigma_2 <= eps.
     """
     comp = orthogonal_complement(st.subspace(), tol)
     if comp.dim == 0:

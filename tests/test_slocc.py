@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import uebkit
 from uebkit import (
     ProductCount,
     PureState,
@@ -17,17 +18,20 @@ from uebkit import (
     basis_state,
     build_entry,
     classify_three_qubit,
+    enumerate_cuts,
     ghz_state,
     ghz_w_range_witness,
     haar_unitary,
     partial_trace,
     random_state,
     resource_dimension_flag,
+    schmidt_rank_table,
     state_from_combination,
     tensor_product,
     three_tangle,
     w_state,
 )
+from uebkit.report import state_diagnostics
 
 SP3 = QuditDims((2, 2, 2))
 TOL = Tolerance()
@@ -109,6 +113,23 @@ def test_shipped_family_labels():
     labels = [classify_three_qubit(p).category for p in build_entry("eq6-mixed-ueb").states]
     assert labels[:4] == [SloccClass.GHZ_CLASS] * 4
     assert labels[4:] == [SloccClass.W_CLASS] * 3
+
+
+def test_report_labels_come_from_the_shared_rank_table(monkeypatch):
+    """state_diagnostics classifies from its rank table: no per-state Schmidt pass."""
+    st = build_entry("eq6-mixed-ueb")
+    want = [classify_three_qubit(s, TOL) for s in st.states]
+    table = schmidt_rank_table(st.matrix(), enumerate_cuts(SP3), TOL)
+    calls = []
+    for mod, name in ((uebkit.cuts, "schmidt"), (uebkit.slocc, "schmidt_rank_table")):
+        def counting(*args, fn=getattr(mod, name), **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counting)
+    got = state_diagnostics(st, TOL, table)
+    assert calls == []
+    assert [(e["slocc"], e["tangle"]) for e in got] == [(v.label, v.tangle) for v in want]
 
 
 def test_partial_trace_basics():

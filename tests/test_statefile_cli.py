@@ -225,6 +225,11 @@ def test_cli_analyze_completion_modes():
     block = json.loads(got.stdout)["completion"]
     assert (block["found"], block["complement_dim"]) == (3, 3)
     assert block["completable"] == "YES"
+    # the entangled completion is decided exactly, so it needs no search starts
+    got = cli("analyze", "prop2a-set", "--completion", "entangled", "--starts", "0")
+    assert got.returncode == 0
+    block = json.loads(got.stdout)["completion"]
+    assert (block["found"], block["completable"]) == (3, "YES")
 
     # three parties: a completion request needs a cut to work across
     assert cli("analyze", "eq6-mixed-ueb", "--completion", "entangled").returncode == 3

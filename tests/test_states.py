@@ -60,6 +60,14 @@ def test_large_norm_error_rejected():
         PureState(SP2, np.ones(3) / math.sqrt(3))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+def test_non_finite_amplitudes_rejected(bad):
+    # a NaN norm compares false against every slack, so finiteness is checked first
+    amps = np.array([1.0, 0.0, bad, 0.0], dtype=np.complex128)
+    with pytest.raises(ValueError, match="finite"):
+        PureState(SP2, amps)
+
+
 def test_tolerance_bounds_are_exclusive():
     assert Tolerance().eps == DEFAULT_EPS == 1e-9
     assert Tolerance(5e-4).eps == 5e-4

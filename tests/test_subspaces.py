@@ -19,6 +19,7 @@ from uebkit import (
     Subspace,
     SubspaceStatus,
     Tolerance,
+    apply_local_unitaries,
     basis_state,
     bell_meb,
     build_entry,
@@ -47,7 +48,6 @@ from uebkit import (
 )
 from uebkit.subspaces import (
     _ascend,
-    _entropy_vag,
     _impurity_vag,
     _random_starts,
     _reshapes,
@@ -156,12 +156,15 @@ def test_zero_starts_reports_no_evidence():
     assert got.grade is Grade.NUMERICAL_EVIDENCE
     assert got.reason == "search disabled (0 starts)"
 
-    # an empty stack of starts flows through the searches that have no exact route
-    assert entangled_vector_search(span_of(SP23, 2, 5), single_cut(SP23), cfg) is None
+    # the exact routes need no starts: the probe refuses an only-product plane,
+    # and a rotated basis completes the full space with entangled states
+    assert entangled_vector_search(span_of(SP23, 2, 5), single_cut(SP23)) is None
     got = max_orthogonal_set(full, single_cut(SP2), SetMode.ENTANGLED, cfg)
-    assert len(got.states.states) == 0
+    assert len(got.states.states) == 4
     assert not got.refusal_exact
-    assert got.reason == "entropy search found no entangled vector"
+    assert got.reason == "subspace exhausted"
+    for st in got.states.states:
+        assert schmidt(st, single_cut(SP2), TOL).rank == 2
 
 
 def test_search_is_deterministic_for_fixed_seed():
@@ -204,7 +207,7 @@ def test_entangled_vector_search_finds_rank_two():
     for trial in range(50):
         vecs = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(2)]
         sub = orthonormalize(SP23, vecs)
-        w = entangled_vector_search(sub, single_cut(SP23), SearchConfig(starts=16, seed=trial))
+        w = entangled_vector_search(sub, single_cut(SP23))
         assert w is not None
         assert schmidt(w, single_cut(SP23), TOL).rank >= 2
 
@@ -300,6 +303,59 @@ def test_completion_search_refuses_unextendible_families():
     assert got.complement_dim == 1
 
 
+def test_entangled_completion_of_a_product_block_plus_one_direction():
+    """The complement is an only-product block, optionally plus one random
+    direction: the block alone is refused exactly, with the direction it is
+    completed by entangled states, and neither answer moves under local unitaries."""
+    for trial in range(40):
+        rng = np.random.default_rng([27, trial])
+        dims = ((2, 3), (3, 3), (2, 4), (3, 4))[trial % 4]
+        space = QuditDims(dims)
+        cut = single_cut(space)
+        # a common factor on one side, spread over up to d - 1 directions of the other
+        side = int(rng.integers(0, 2))
+        fixed = haar_unitary(dims[side], rng)[:, 0]
+        spread = haar_unitary(dims[1 - side], rng)[:, :int(rng.integers(1, dims[1 - side]))].T
+        block = [np.kron(fixed, b) if side == 0 else np.kron(b, fixed) for b in spread]
+        for extra, want in (([], Completable.NO_EXACT), ([random_state(space, rng).amps], Completable.YES)):
+            comp = orthonormalize(space, block + extra)
+            st = StateSet(space, orthogonal_complement(comp, TOL).basis)
+            cfg = SearchConfig(starts=0, seed=trial)
+            got = completion_search(st, SetMode.ENTANGLED, cfg, TOL)
+            assert (got.completable, got.complement_dim) == (want, comp.dim), (dims, trial)
+            added = got.found.matrix()
+            assert len(added) == (comp.dim if want is Completable.YES else 0)
+            assert np.allclose(added.conj() @ added.T, np.eye(len(added)), rtol=0.0, atol=1e-9)
+            for amps in added:
+                assert _in_span(comp, amps)
+            for w in got.found.states:
+                assert schmidt(w, cut, TOL).rank >= 2
+
+            us = [haar_unitary(d, rng) for d in dims]
+            moved = StateSet(space, tuple(apply_local_unitaries(p, us) for p in st.states))
+            again = completion_search(moved, SetMode.ENTANGLED, cfg, TOL)
+            assert (again.completable, again.complement_dim, len(again.found)) == (want, comp.dim, len(added))
+
+
+def test_entangled_completion_near_the_tolerance():
+    """Complement span{|00>, |01> + delta |10>}: a member a|00> + b(...) has
+    sigma_2 near |b|^2 delta, and |b|^2 sums to 1 over any orthonormal basis,
+    so below eps the span is only-product, up to 2 eps no basis is all-entangled,
+    and well above it the rotated basis is."""
+    cut = single_cut(SP2)
+    for scale, want, found in ((0.5, Completable.NO_EXACT, 0), (2.0, Completable.NO_EVIDENCE, 0),
+                               (100.0, Completable.YES, 2)):
+        delta = scale * TOL.eps
+        comp = orthonormalize(SP2, [basis_state(SP2, 0).amps, np.array([0.0, 1.0, delta, 0.0])])
+        st = StateSet(SP2, orthogonal_complement(comp, TOL).basis)
+        got = completion_search(st, SetMode.ENTANGLED, SearchConfig(starts=0), TOL)
+        assert (got.completable, len(got.found)) == (want, found), scale
+        if want is Completable.NO_EVIDENCE:
+            assert "within tolerance of only-product" in got.reason
+        for w in got.found.states:
+            assert schmidt(w, cut, TOL).rank == 2
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(starts=-1)
@@ -340,7 +396,7 @@ def test_pair_step_of_the_lemma():
         cut = single_cut(sub.space)
         assert all(is_product(x, cut, TOL) for x in sub.basis)
         assert not only_product_across_cut(sub, cut, TOL)
-        w = entangled_vector_search(sub, cut, SearchConfig(starts=0), TOL)
+        w = entangled_vector_search(sub, cut, TOL)
         assert w is not None
         assert schmidt(w, cut, TOL).rank == 2
         assert _in_span(sub, w.amps)
@@ -423,12 +479,13 @@ def test_batched_ascent_matches_one_start_reference():
         space = QuditDims(dims)
         cut = single_cut(space)
         # a product basis vector first: its coefficient start is a product point,
-        # where the entropy ascent stops at once while the random starts run on
+        # where the impurity and its gradient vanish, so that row stops at once
+        # while the random starts run on
         vecs = [basis_state(space, 0).amps] + [random_state(space, rng).amps for _ in range(2)]
         r_stack = _reshapes(orthonormalize(space, vecs), cut)
         starts = np.vstack([np.eye(1, 3, dtype=np.complex128), _random_starts(7, 3, 4, 3)])
-        objectives = (_impurity_vag(r_stack), _sigma_vag(r_stack, min(dims) - 1), _entropy_vag(r_stack))
-        for name, vag in zip(("impurity", "sigma", "entropy"), objectives):
+        objectives = (_impurity_vag(r_stack), _sigma_vag(r_stack, min(dims) - 1))
+        for name, vag in zip(("impurity", "sigma"), objectives):
             def one(c, vag=vag):
                 f, g = vag(c[None])
                 return f[0], g[0]
@@ -440,6 +497,6 @@ def test_batched_ascent_matches_one_start_reference():
                     c_ref, f_ref = _sphere_ascent(one, c0, max_iter, 1e-12)
                     assert np.array_equal(cs[j], c_row[0]) and fs[j] == f_row[0], (dims, name, max_iter, j)
                     assert np.array_equal(cs[j], c_ref) and fs[j] == f_ref, (dims, name, max_iter, j)
-                if name == "entropy" and max_iter:
+                if name == "impurity" and max_iter:
                     assert np.array_equal(cs[0], starts[0])
                     assert not np.array_equal(cs[1:], starts[1:])
