@@ -147,7 +147,8 @@ def schmidt_rank_table(
     The cuts are dealt round-robin to width = min(len(cuts), usable CPUs)
     shares: share w takes the cuts j with j % width == w, the calling thread
     runs share 0 and one thread runs each other share (numpy's SVD releases
-    the GIL). A one-cut table starts no thread. Each share owns one flat
+    the GIL). A one-cut or one-row table starts no thread: there a thread
+    start costs more than the SVDs it would spread. Each share owns one flat
     k*D complex buffer, allocated here by the caller, copies every cut's
     transpose into it and runs the SVD on that buffer, so the table costs
     width*k*D*16 bytes beyond the input and each share writes only its own
@@ -158,7 +159,7 @@ def schmidt_rank_table(
     """
     eps = _eps(tol)
     ranks = np.empty((amps.shape[0], len(cuts)), dtype=int)
-    width = max(1, min(len(cuts), _usable_cpus()))
+    width = 1 if amps.shape[0] <= 1 else max(1, min(len(cuts), _usable_cpus()))
     buffers = [np.empty(amps.size, dtype=np.complex128) for _ in range(width)]
     errors: list[BaseException | None] = [None] * width
 

@@ -20,6 +20,16 @@ follows the same trajectory alone or stacked. Starts come from per-start
 sub-seeds derived from (seed, stream, start index), and results are reduced
 in a fixed order (the lowest start index wins ties), so they are
 reproducible and independent of batching.
+
+The maximally entangled search runs in two stages. Every start first climbs
+the linear entropy e2 = ((tr h)^2 - ||h||^2) / 2, h = M M^H, for at most
+_SMOOTH_STEPS steps; e2 is smooth, costs matmuls only, and on the unit
+sphere peaks exactly at maximally entangled matrices. The start with the
+largest smallest singular value then climbs sigma_min alone. Smooth
+functions of h cannot finish the search: where a maximally entangled vector
+meets a product block tangentially (dM M^H = 0 along the block, as in the
+Prop. 2a complement span{|phi+>} + {|x>|2>}), each of them is flat to fourth
+order, while sigma_min still rises at first order along the block.
 """
 
 from __future__ import annotations
@@ -105,10 +115,11 @@ class Completable(Enum):
 class SearchConfig:
     """Knobs for the randomized searches; defaults favor reliability over speed.
 
-    tol_me is the acceptance band for maximal entanglement, looser than the
-    base tolerance because the smallest singular value is reached by
-    optimization rather than construction. starts = 0 disables searching so
-    only exact certificates remain.
+    tol_me is the acceptance band for maximal entanglement: every Schmidt
+    coefficient must lie within it of 1/sqrt(d). It is looser than the base
+    tolerance because the coefficients are reached by optimization rather
+    than construction. starts = 0 disables searching so only exact
+    certificates remain.
     """
 
     starts: int = 64
@@ -178,6 +189,9 @@ _STREAM_RANK = 4
 # Haar draws tried before ENTANGLED completion gives up; each draw misses
 # only when some rotated vector has sigma_2 <= eps.
 _ROTATION_DRAWS = 4
+# Linear-entropy steps every start of the maximally entangled search takes
+# before the sigma_min leader is picked.
+_SMOOTH_STEPS = 200
 
 
 def _random_starts(seed: int, stream: int, count: int, k: int) -> np.ndarray:
@@ -330,7 +344,13 @@ def _m_stack(r_stack: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (c[:, None, :] @ r_stack.reshape(k, da * db)).reshape(-1, da, db)
 
 
-def _impurity_vag(r_stack: np.ndarray) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+def _impurity_vag(r_stack: np.ndarray, sign: float = -1.0) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Value/direction of sign * e2, where e2 = ((tr h)^2 - ||h||^2) / 2 with
+    h = M M^H is the linear entropy (the summed squared 2x2 minors of M).
+
+    The default sign descends e2 toward product vectors; sign = +1 ascends it
+    toward maximally entangled ones, where it peaks on the unit sphere.
+    """
     rc = r_stack.conj()
 
     def vag(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,7 +359,7 @@ def _impurity_vag(r_stack: np.ndarray) -> Callable[[np.ndarray], tuple[np.ndarra
         trh = np.trace(h, axis1=1, axis2=2).real
         f = (trh * trh - (np.abs(h) ** 2).sum(axis=(1, 2))) / 2.0
         grad = np.einsum("kab,sab->sk", rc, trh[:, None, None] * m - h @ m)
-        return -f, -grad  # descent phrased as ascent
+        return sign * f, sign * grad
 
     return vag
 
@@ -414,6 +434,11 @@ def find_product_state(
     return SubspaceVerdict(cut, SubspaceStatus.NO_PRODUCT_FOUND, Grade.NUMERICAL_EVIDENCE, score=best_f)
 
 
+def _in_me_band(sv: np.ndarray, tol_me: float) -> bool:
+    """Whether every Schmidt coefficient in sv lies within tol_me of 1/sqrt(len(sv))."""
+    return bool(np.all(np.abs(sv - 1.0 / math.sqrt(len(sv))) <= tol_me))
+
+
 def _lattice_snap(s: Subspace, cut: Bipartition, amps: np.ndarray) -> PureState | None:
     """Replace a converged witness by a nearby exact lattice vector, if one verifies.
 
@@ -455,20 +480,29 @@ def find_maximally_entangled(
     cfg: SearchConfig | None = None,
     tol: Tolerance | float | None = None,
 ) -> SubspaceVerdict:
-    """Search for a maximally entangled vector by ascending the smallest singular value.
+    """Search for a maximally entangled vector of the subspace.
 
     Exact refusals come first: an only-product subspace cannot contain one,
     and neither can a subspace whose Schmidt rank is capped below min(dA,dB).
-    Acceptance uses cfg.tol_me on lambda_min; the witness is polished by
-    alternating polar projection, and the claim is graded EXACT only when the
-    witness itself verifies at the base tolerance.
+    Otherwise the search runs in two stages (see the module docstring):
+    every start climbs the linear entropy for at most _SMOOTH_STEPS steps,
+    then the start with the largest smallest singular value, the lowest
+    index winning ties, climbs sigma_min alone for cfg.max_iter steps. The
+    second stage is what finds a vector that meets a product block
+    tangentially, where the entropy is flat to fourth order. The leader is
+    polished by alternating polar projection and, when it is a lattice
+    vector, snapped to it.
+
+    ME_FOUND requires every Schmidt coefficient of the witness to lie within
+    cfg.tol_me of 1/sqrt(min(dA,dB)); score is the smallest one. The grade
+    is EXACT only when the witness itself passes is_maximally_entangled at
+    the base tolerance, that is, full Schmidt rank with largest minus
+    smallest coefficient below eps; otherwise it is NUMERICAL_EVIDENCE.
     """
     if s.dim == 0:
         raise ValueError("empty subspace")
-    eps = _eps(tol)
     cfg = cfg or SearchConfig()
     dmin = min(cut.dim_a, cut.dim_b)
-    target = 1.0 / math.sqrt(dmin)
     bound = schmidt_rank_upper_bound(s, cut, tol)
     if bound <= 1:
         return SubspaceVerdict(cut, SubspaceStatus.NO_ME_FOUND, Grade.EXACT, score=0.0,
@@ -481,9 +515,12 @@ def find_maximally_entangled(
                                reason="search disabled (0 starts)")
     r_stack = _reshapes(s, cut)
     c0 = _random_starts(cfg.seed, _STREAM_ME, cfg.starts, s.dim)
-    cs, vals = _ascend(_sigma_vag(r_stack, dmin - 1), c0, cfg.max_iter, cfg.min_improvement)
-    best = int(np.argmax(vals))
-    best_c, best_v = cs[best], float(vals[best])
+    # smooth stage: every start climbs the linear entropy
+    cs, _ = _ascend(_impurity_vag(r_stack, 1.0), c0, min(cfg.max_iter, _SMOOTH_STEPS), cfg.min_improvement)
+    # sigma_min stage: only the leader by sigma_min climbs the singular value itself
+    lead = int(np.argmax(np.linalg.svd(_m_stack(r_stack, cs), compute_uv=False)[:, dmin - 1]))
+    cs, vals = _ascend(_sigma_vag(r_stack, dmin - 1), cs[lead, None], cfg.max_iter, cfg.min_improvement)
+    best_c, best_v = cs[0], float(vals[0])
     # Polar polish: snap to the nearest maximally entangled matrix, project
     # back, repeat. The smallest singular value is flat to second order at
     # its maximizer, so the loop runs on coefficient movement, not value;
@@ -505,15 +542,16 @@ def find_maximally_entangled(
     v_last = float(np.linalg.svd(np.tensordot(last, r_stack, axes=1), compute_uv=False)[dmin - 1])
     if v_last >= best_v - 1e-10:  # a value tie goes to the fixed point; its direction is sharper
         best_c, best_v = last, v_last
-    if best_v >= target - cfg.tol_me:
-        witness = _coeff_state(s, best_c, tol)
-        snapped = _lattice_snap(s, cut, witness.amps)
-        if snapped is not None:
-            witness = canonical_phase(snapped, tol)
-            best_v = float(np.linalg.svd(reshape(witness, cut), compute_uv=False)[dmin - 1])
-        grade = Grade.EXACT if is_maximally_entangled(witness, cut, tol) else Grade.NUMERICAL_EVIDENCE
-        return SubspaceVerdict(cut, SubspaceStatus.ME_FOUND, grade, witness=witness, score=best_v)
-    return SubspaceVerdict(cut, SubspaceStatus.NO_ME_FOUND, Grade.NUMERICAL_EVIDENCE, score=best_v)
+    witness = _coeff_state(s, best_c, tol)
+    if not _in_me_band(np.linalg.svd(reshape(witness, cut), compute_uv=False), cfg.tol_me):
+        return SubspaceVerdict(cut, SubspaceStatus.NO_ME_FOUND, Grade.NUMERICAL_EVIDENCE, score=best_v)
+    snapped = _lattice_snap(s, cut, witness.amps)
+    if snapped is not None:
+        # exact zeros of the lattice vector print without a path-dependent sign
+        witness = PureState(s.space, canonical_phase(snapped, tol).amps + 0.0)
+        best_v = float(np.linalg.svd(reshape(witness, cut), compute_uv=False)[dmin - 1])
+    grade = Grade.EXACT if is_maximally_entangled(witness, cut, tol) else Grade.NUMERICAL_EVIDENCE
+    return SubspaceVerdict(cut, SubspaceStatus.ME_FOUND, grade, witness=witness, score=best_v)
 
 
 def max_schmidt_rank_in_subspace(

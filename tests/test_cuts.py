@@ -18,6 +18,7 @@ from uebkit import (
     apply_local_unitaries,
     basis_state,
     bell_meb,
+    classify_three_qubit,
     enumerate_cuts,
     ghz_state,
     haar_unitary,
@@ -252,6 +253,28 @@ def test_rank_table_is_the_same_for_every_thread_count(monkeypatch):
     seen.clear()
     schmidt_rank_table(amps, cuts[:1], TOL)
     assert seen == {threading.current_thread()}
+
+
+def test_one_row_tables_start_no_thread(monkeypatch):
+    """A one-row table runs inline; the three-qubit classifier builds one per state."""
+    starts = []
+    start = threading.Thread.start
+
+    def counting_start(self):
+        starts.append(self)
+        return start(self)
+
+    monkeypatch.setattr(uebkit.cuts, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    family = three_qubit_mixed_ueb()
+    cuts = enumerate_cuts(family.space)
+    labels = [classify_three_qubit(p, TOL).label for p in family.states]
+    assert len(labels) == 7 and not starts
+    assert schmidt_rank_table(family.matrix()[:1], cuts, TOL).tolist() == [[2, 2, 2]]
+    assert not starts
+    # a table of two rows still spreads its cuts over the usable CPUs
+    schmidt_rank_table(family.matrix()[:2], cuts, TOL)
+    assert len(starts) == 2
 
 
 def test_rank_table_threads_under_fast_switching(monkeypatch):

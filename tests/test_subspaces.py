@@ -46,9 +46,11 @@ from uebkit import (
     tensor_product,
     verify_basis,
 )
+from uebkit import subspaces
 from uebkit.subspaces import (
     _ascend,
     _impurity_vag,
+    _in_me_band,
     _random_starts,
     _reshapes,
     _sigma_vag,
@@ -141,6 +143,86 @@ def test_find_maximally_entangled_in_full_space():
     assert got.status is SubspaceStatus.ME_FOUND
     assert is_maximally_entangled(got.witness, single_cut(SP2), TOL)
     assert got.score is not None and got.score > 0.7
+
+
+def test_me_band_checks_every_coefficient():
+    tol_me = SearchConfig().tol_me
+    t = 1.0 / math.sqrt(3.0)
+    assert _in_me_band(np.array([t, t, t]), tol_me)
+    assert _in_me_band(np.array([t + 0.5 * tol_me, t, t - tol_me]), tol_me)
+    # the smallest coefficient is inside the band, the largest is 1.5 tol_me off
+    assert not _in_me_band(np.array([t + 1.5 * tol_me, t, t - 0.5 * tol_me]), tol_me)
+    assert not _in_me_band(np.array([t, t, t - 1.5 * tol_me]), tol_me)
+
+
+def _me_plus_product_block(dims, rng):
+    """span{sum_j |jj>/sqrt(dA)} + span{|x>|j> : j >= dA} under random local unitaries,
+    with the rotated maximally entangled vector."""
+    da, db = dims
+    rows = [np.eye(da, db).reshape(-1) / math.sqrt(da)]
+    for x in range(da):
+        for j in range(da, db):
+            rows.append(np.outer(np.eye(da)[x], np.eye(db)[j]).reshape(-1))
+    ua, ub = haar_unitary(da, rng), haar_unitary(db, rng)
+    rows = [(ua @ r.reshape(dims) @ ub.T).reshape(-1) for r in rows]
+    return orthonormalize(QuditDims(dims), rows), rows[0]
+
+
+def test_me_search_meets_a_tangential_product_block():
+    """The maximally entangled vector meets the product block tangentially
+    (dM M^H = 0 along the block), where every smooth function of M M^H is flat
+    to fourth order; the sigma_min stage still finds it, graded EXACT, under
+    every draw of local unitaries."""
+    for trial in range(21):
+        dims = ((2, 3), (2, 4), (3, 4))[trial % 3]
+        rng = np.random.default_rng([28, trial])
+        sub, me = _me_plus_product_block(dims, rng)
+        cut = single_cut(sub.space)
+        got = find_maximally_entangled(sub, cut, SearchConfig(seed=trial), TOL)
+        assert (got.status, got.grade) == (SubspaceStatus.ME_FOUND, Grade.EXACT), (dims, trial)
+        assert is_maximally_entangled(got.witness, cut, TOL)
+        assert _in_span(sub, got.witness.amps)
+        if dims[1] - dims[0] < dims[0]:
+            # the product block has too few columns to carry a maximally
+            # entangled part, so the rotated ray is the only one in the span
+            assert abs(np.vdot(me, got.witness.amps)) > 1 - 1e-9
+
+
+def test_sigma_ascent_runs_on_the_leader_only(monkeypatch):
+    heights = []
+    sigma_vag = subspaces._sigma_vag
+
+    def counting(r_stack, index):
+        vag = sigma_vag(r_stack, index)
+
+        def counted(c):
+            heights.append(len(c))
+            return vag(c)
+
+        return counted
+
+    monkeypatch.setattr(subspaces, "_sigma_vag", counting)
+    rng = np.random.default_rng(29)
+    for dims, k in (((3, 3), 5), ((2, 4), 3)):
+        space = QuditDims(dims)
+        sub = orthonormalize(space, [random_state(space, rng).amps for _ in range(k)])
+        heights.clear()
+        find_maximally_entangled(sub, single_cut(space), SearchConfig(starts=16, seed=3), TOL)
+        assert heights and set(heights) == {1}, dims
+
+
+def test_snapped_witness_has_no_negative_zeros():
+    """Exact zeros of the lattice-snapped |phi+> print as 0.0 on every seed."""
+    st = build_generator("prop2a-set")
+    comp = orthogonal_complement(st.subspace(), TOL)
+    cut = single_cut(comp.space)
+    for seed in range(8):
+        got = find_maximally_entangled(comp, cut, SearchConfig(seed=seed), TOL)
+        assert (got.status, got.grade) == (SubspaceStatus.ME_FOUND, Grade.EXACT)
+        w = got.witness.amps
+        zero = w == 0
+        assert zero.sum() == 4, seed
+        assert not np.signbit(w.real[zero]).any() and not np.signbit(w.imag).any(), seed
 
 
 def test_zero_starts_reports_no_evidence():
