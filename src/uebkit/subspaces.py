@@ -29,7 +29,10 @@ largest smallest singular value then climbs sigma_min alone. Smooth
 functions of h cannot finish the search: where a maximally entangled vector
 meets a product block tangentially (dM M^H = 0 along the block, as in the
 Prop. 2a complement span{|phi+>} + {|x>|2>}), each of them is flat to fourth
-order, while sigma_min still rises at first order along the block.
+order, while sigma_min still rises at first order along the block. Where
+the span meets the maximally entangled set in a continuum, the single ascent
+and the polar polish can stall just short of it; Gauss-Newton steps on
+M M^H = I/d converge quadratically there and finish the witness.
 """
 
 from __future__ import annotations
@@ -192,6 +195,12 @@ _ROTATION_DRAWS = 4
 # Linear-entropy steps every start of the maximally entangled search takes
 # before the sigma_min leader is picked.
 _SMOOTH_STEPS = 200
+# Gauss-Newton steps that tighten the polar-polish witness: quadratic
+# convergence takes a few where the span meets the maximally entangled set
+# transversally; near-tangential meetings converge linearly, and rotated
+# Bell deflations in 2x4 needed up to 20.
+_NEWTON_STEPS = 20
+_OUTSIDE_BAND = "witness near maximal entanglement but outside the tol_me band"
 
 
 def _random_starts(seed: int, stream: int, count: int, k: int) -> np.ndarray:
@@ -474,6 +483,44 @@ def _lattice_snap(s: Subspace, cut: Bipartition, amps: np.ndarray) -> PureState 
     return None
 
 
+def _newton_polish(r_stack: np.ndarray, c: np.ndarray, dmin: int) -> np.ndarray:
+    """Gauss-Newton steps on h(c) = I/dmin from c, h the dmin x dmin Gram of M(c).
+
+    Each step solves the linearization dM M^H + M dM^H = I/dmin - h for the
+    minimum-norm real pair (Re dc, Im dc) and returns to the unit sphere, so
+    the iterate moves straight onto the maximally entangled set and
+    converges quadratically where the span meets that set transversally;
+    there alternating polar projection can crawl at a linear rate near 1.
+    Where the meeting is tangential the Jacobian is singular, so the caller
+    keeps the result only if it verifies.
+    """
+    k = len(r_stack)
+    r = r_stack if r_stack.shape[1] <= r_stack.shape[2] else r_stack.transpose(0, 2, 1)
+    target = np.eye(dmin) / dmin
+    best, best_res = c, math.inf
+    for _ in range(_NEWTON_STEPS):
+        m = np.tensordot(c, r, axes=1)
+        f = m @ m.conj().T - target
+        res = float(np.abs(f).max())
+        # past convergence a step divides rounding error by a near-zero singular value
+        if not res < best_res:
+            break
+        best, best_res = c, res
+        dh = r @ m.conj().T  # R_k M^H
+        cols = np.concatenate([dh + dh.conj().transpose(0, 2, 1), 1j * (dh - dh.conj().transpose(0, 2, 1))])
+        jac = cols.reshape(2 * k, -1).T
+        jac = np.vstack([jac.real, jac.imag]).astype(np.complex128)
+        rhs = -np.concatenate([f.real.ravel(), f.imag.ravel()])
+        # Minimum-norm solve through the complex SVD the searches already run:
+        # np.linalg.lstsq maps in another LAPACK driver, about 0.4 MB of peak memory.
+        u_mat, sv, vh = np.linalg.svd(jac, full_matrices=False)
+        keep = sv > sv[0] * 1e-14
+        x = (vh[keep].conj().T @ ((u_mat[:, keep].conj().T @ rhs) / sv[keep])).real
+        c = c + x[:k] + 1j * x[k:]
+        c = c / np.linalg.norm(c)
+    return best
+
+
 def find_maximally_entangled(
     s: Subspace,
     cut: Bipartition,
@@ -490,14 +537,18 @@ def find_maximally_entangled(
     index winning ties, climbs sigma_min alone for cfg.max_iter steps. The
     second stage is what finds a vector that meets a product block
     tangentially, where the entropy is flat to fourth order. The leader is
-    polished by alternating polar projection and, when it is a lattice
-    vector, snapped to it.
+    polished by alternating polar projection, then by Gauss-Newton steps on
+    M M^H = I/d inside the subspace (kept when the result verifies with a
+    narrower Schmidt spectrum), and a lattice vector is snapped to.
 
     ME_FOUND requires every Schmidt coefficient of the witness to lie within
     cfg.tol_me of 1/sqrt(min(dA,dB)); score is the smallest one. The grade
     is EXACT only when the witness itself passes is_maximally_entangled at
     the base tolerance, that is, full Schmidt rank with largest minus
     smallest coefficient below eps; otherwise it is NUMERICAL_EVIDENCE.
+    A witness outside the band gives NO_ME_FOUND; its reason is
+    _OUTSIDE_BAND when the smallest coefficient is within tol_me of
+    1/sqrt(d), so the miss is near rather than far.
     """
     if s.dim == 0:
         raise ValueError("empty subspace")
@@ -543,8 +594,17 @@ def find_maximally_entangled(
     if v_last >= best_v - 1e-10:  # a value tie goes to the fixed point; its direction is sharper
         best_c, best_v = last, v_last
     witness = _coeff_state(s, best_c, tol)
-    if not _in_me_band(np.linalg.svd(reshape(witness, cut), compute_uv=False), cfg.tol_me):
-        return SubspaceVerdict(cut, SubspaceStatus.NO_ME_FOUND, Grade.NUMERICAL_EVIDENCE, score=best_v)
+    sv = np.linalg.svd(reshape(witness, cut), compute_uv=False)
+    # Newton also tightens a witness that already verifies: deflation carries
+    # its error into the rest of the subspace, where it can hide the next one.
+    polished = _coeff_state(s, _newton_polish(r_stack, best_c, dmin), tol)
+    sv_p = np.linalg.svd(reshape(polished, cut), compute_uv=False)
+    if np.ptp(sv_p) < np.ptp(sv) and is_maximally_entangled(polished, cut, tol):
+        witness, sv, best_v = polished, sv_p, float(sv_p[dmin - 1])
+    if not _in_me_band(sv, cfg.tol_me):
+        near = best_v >= 1.0 / math.sqrt(dmin) - cfg.tol_me
+        return SubspaceVerdict(cut, SubspaceStatus.NO_ME_FOUND, Grade.NUMERICAL_EVIDENCE, score=best_v,
+                               reason=_OUTSIDE_BAND if near else None)
     snapped = _lattice_snap(s, cut, witness.amps)
     if snapped is not None:
         # exact zeros of the lattice vector print without a path-dependent sign
@@ -727,9 +787,10 @@ def verify_basis(
     analyzed per cut. UEB kinds are decided exactly either way. UMEB verdicts
     are exact when an exact refusal route fires or the found witness verifies;
     otherwise the search's evidence is graded numerical, and INCONCLUSIVE is
-    returned when no usable evidence exists at all. Kind COMPLETE is the
-    cut-free spanning check: COMPLETE_BASIS when the orthonormal set fills the
-    whole space, REFUTED otherwise, always exact.
+    returned when no usable evidence exists at all or when the search came
+    within tol_me of maximal entanglement without a witness in the band.
+    Kind COMPLETE is the cut-free spanning check: COMPLETE_BASIS when the
+    orthonormal set fills the whole space, REFUTED otherwise, always exact.
     """
     if len(st) == 0:
         raise ValueError("empty state set")
@@ -765,7 +826,8 @@ def verify_basis(
             return BasisVerdict(kind, Outcome.INCONCLUSIVE, (v,), comp.dim, grade=Grade.NUMERICAL_EVIDENCE)
         if v.grade is Grade.EXACT:
             return BasisVerdict(kind, Outcome.VERIFIED, (v,), comp.dim)
-        if v.score is None:
+        # a search that came within tol_me of maximal entanglement is no evidence of unextendibility
+        if v.score is None or v.reason == _OUTSIDE_BAND:
             return BasisVerdict(kind, Outcome.INCONCLUSIVE, (v,), comp.dim, grade=Grade.NUMERICAL_EVIDENCE)
         return BasisVerdict(kind, Outcome.VERIFIED, (v,), comp.dim, grade=Grade.NUMERICAL_EVIDENCE)
     per_cut: list[SubspaceVerdict] = []

@@ -225,6 +225,63 @@ def test_snapped_witness_has_no_negative_zeros():
         assert not np.signbit(w.real[zero]).any() and not np.signbit(w.imag).any(), seed
 
 
+def test_newton_polish_lands_on_a_maximally_entangled_vector():
+    """From 1e-5 off a planted maximally entangled vector of a 2x4 span, a
+    start the polar polish would crawl from, the Gauss-Newton steps verify."""
+    space = QuditDims((2, 4))
+    cut = single_cut(space)
+    rng = np.random.default_rng(33)
+    ua, ub = haar_unitary(2, rng), haar_unitary(4, rng)
+    me = (ua @ np.eye(2, 4) @ ub.T).reshape(-1) / math.sqrt(2.0)
+    sub = orthonormalize(space, [me, *(random_state(space, rng).amps for _ in range(2))])
+    c = sub.matrix().conj() @ me
+    c = c + 1e-5 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    got = PureState(space, sub.vector(subspaces._newton_polish(_reshapes(sub, cut), c / np.linalg.norm(c), 2)))
+    assert not is_maximally_entangled(PureState(space, sub.vector(c / np.linalg.norm(c))), cut, TOL)
+    assert is_maximally_entangled(got, cut, TOL)
+
+
+def _rotated_bell_states_in_2x4(k, rng):
+    """The first k Bell states of a 2x2 block of 2x4, under random local unitaries."""
+    space = QuditDims((2, 4))
+    ua, ub = haar_unitary(2, rng), haar_unitary(4, rng)
+    rows = []
+    for m in bell_meb(2).states[:k]:
+        block = np.hstack([m.amps.reshape(2, 2), np.zeros((2, 2))])
+        rows.append(PureState(space, (ua @ block @ ub.T).reshape(-1)))
+    return StateSet(space, tuple(rows))
+
+
+def test_max_entangled_completion_of_rotated_bell_states_in_2x4():
+    """Greedy deflation in 2x4 meets the maximally entangled set in a
+    continuum, where the one sigma_min ascent stalls short of eps; the
+    Gauss-Newton polish still grades every step EXACT."""
+    for draw in range(3):
+        rng = np.random.default_rng([34, draw])
+        res = completion_search(_rotated_bell_states_in_2x4(3, rng), SetMode.MAX_ENTANGLED,
+                                SearchConfig(seed=draw), TOL)
+        assert (res.completable, len(res.found)) == (Completable.YES, 5), draw
+        res = completion_search(_rotated_bell_states_in_2x4(2, rng), SetMode.MAX_ENTANGLED,
+                                SearchConfig(seed=draw), TOL)
+        assert res.complement_dim == 6 and len(res.found) >= 4, draw
+
+
+def test_umeb_witness_outside_the_band_is_inconclusive(monkeypatch):
+    """A search that ends within tol_me of maximal entanglement but outside
+    the band is no evidence that the basis is unextendible."""
+    monkeypatch.setattr(subspaces, "_in_me_band", lambda sv, tol_me: False)
+    st = build_generator("prop2a-set")
+    got = verify_basis(st, BasisKind.UMEB, SearchConfig(seed=0), TOL)
+    assert got.outcome is Outcome.INCONCLUSIVE
+    assert got.grade is Grade.NUMERICAL_EVIDENCE
+    (v,) = got.per_cut
+    assert v.status is SubspaceStatus.NO_ME_FOUND
+    assert v.reason == subspaces._OUTSIDE_BAND
+    res = completion_search(st, SetMode.MAX_ENTANGLED, SearchConfig(seed=0), TOL)
+    assert res.completable is Completable.NO_EVIDENCE
+    assert res.reason == subspaces._OUTSIDE_BAND
+
+
 def test_zero_starts_reports_no_evidence():
     full = Subspace(SP2, tuple(basis_state(SP2, k) for k in range(4)))
     cfg = SearchConfig(starts=0, seed=1)
