@@ -12,27 +12,34 @@ The same argument shows that when all basis vectors are product but the span
 is not, some sum of two basis vectors is entangled. The support ranks are
 singular-value counts, checked against the tolerance as in the Schmidt rank.
 
-Randomized searches share one optimizer: projected gradient ascent on the
-complex unit sphere of coefficient vectors, with backtracking line search.
-All starts of a search are stepped together as one stack, but rows never
-interact: each keeps its own step size and stopping state, so a start
-follows the same trajectory alone or stacked. Starts come from per-start
-sub-seeds derived from (seed, stream, start index), and results are reduced
-in a fixed order (the lowest start index wins ties), so they are
-reproducible and independent of batching.
+Randomized searches share two batched drivers. The first is projected
+gradient ascent on the complex unit sphere of coefficient vectors, with
+backtracking line search; the second is Gauss-Newton on a residual that
+vanishes exactly at a wanted vector, with minimum-norm steps. Both step all
+starts of a search together as one stack, but rows never interact: each
+keeps its own step size and stopping state, so a start follows the same
+trajectory alone or stacked. Starts come from per-start sub-seeds derived
+from (seed, stream, start index), and results are reduced in a fixed order
+(the lowest start index wins ties), so they are reproducible and independent
+of batching.
 
-The maximally entangled search runs in two stages. Every start first climbs
-the linear entropy e2 = ((tr h)^2 - ||h||^2) / 2, h = M M^H, for at most
-_SMOOTH_STEPS steps; e2 is smooth, costs matmuls only, and on the unit
-sphere peaks exactly at maximally entangled matrices. The start with the
-largest smallest singular value then climbs sigma_min alone. Smooth
-functions of h cannot finish the search: where a maximally entangled vector
-meets a product block tangentially (dM M^H = 0 along the block, as in the
-Prop. 2a complement span{|phi+>} + {|x>|2>}), each of them is flat to fourth
-order, while sigma_min still rises at first order along the block. Where
-the span meets the maximally entangled set in a continuum, the single ascent
-and the polar polish can stall just short of it; Gauss-Newton steps on
-M M^H = I/d converge quadratically there and finish the witness.
+Both witness searches first take _SHORT_STEPS first-order steps from every
+start on the linear entropy e2 = ((tr h)^2 - ||h||^2) / 2, h = M M^H, the
+summed squared 2x2 minors of M: descending it toward product vectors, or
+ascending it toward maximally entangled ones, where it peaks on the unit
+sphere. Gauss-Newton then polishes every endpoint, on M(c) = a b^T over
+(c, a, b) or on M M^H = I/d over c; it converges quadratically where the
+span meets the wanted set transversally, also where first-order steps crawl.
+The lowest-index polished endpoint that verifies at the base tolerance is
+the witness. Only when none verifies does the first-order stage continue
+from those endpoints: to cfg.max_iter steps for a product vector, with the
+leader polished alone; to _SMOOTH_STEPS steps for a maximally entangled one,
+after which the start with the largest smallest singular value climbs
+sigma_min alone. Smooth functions of h cannot finish that search: where a
+maximally entangled vector meets a product block tangentially (dM M^H = 0
+along the block, as in the Prop. 2a complement span{|phi+>} + {|x>|2>}),
+each of them is flat to fourth order and the Gauss-Newton Jacobian is
+singular, while sigma_min still rises at first order along the block.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from .cuts import (
     Bipartition,
     enumerate_cuts,
     is_maximally_entangled,
+    is_product,
     reshape,
     reshape_rows,
     schmidt,
@@ -192,13 +200,14 @@ _STREAM_RANK = 4
 # Haar draws tried before ENTANGLED completion gives up; each draw misses
 # only when some rotated vector has sigma_2 <= eps.
 _ROTATION_DRAWS = 4
-# Linear-entropy steps every start of the maximally entangled search takes
-# before the sigma_min leader is picked.
+# Linear-entropy steps every start of both searches takes before Gauss-Newton
+# polishes every endpoint.
+_SHORT_STEPS = 30
+# Linear-entropy steps every start of the maximally entangled search takes,
+# when no polished endpoint verified, before the sigma_min leader is picked.
 _SMOOTH_STEPS = 200
-# Gauss-Newton steps that tighten the polar-polish witness: quadratic
-# convergence takes a few where the span meets the maximally entangled set
-# transversally; near-tangential meetings converge linearly, and rotated
-# Bell deflations in 2x4 needed up to 20.
+# Cap on the Gauss-Newton steps of one row: quadratic convergence takes a few
+# where the solution set is met transversally.
 _NEWTON_STEPS = 20
 _OUTSIDE_BAND = "witness near maximal entanglement but outside the tol_me band"
 
@@ -329,24 +338,6 @@ def _ascend(
         new = a[live[a]]
 
 
-def _impurity(r_stack: np.ndarray, c: np.ndarray) -> float:
-    """Sum of squared 2x2 minors of M(c), summed term by term.
-
-    The trace identity (tr H)^2 - ||H||^2 is cheaper but cancels catastrophically
-    once the sum drops toward machine epsilon, and the accept gate compares
-    against tol^2 = 1e-18; the direct sum keeps absolute error near f * 1e-16.
-    """
-    m = np.tensordot(c, r_stack, axes=1)
-    rows, cols = m.shape
-    total = 0.0
-    iu = np.triu_indices(cols, 1)
-    for i in range(rows - 1):
-        for j in range(i + 1, rows):
-            cross = np.outer(m[i], m[j]) - np.outer(m[j], m[i])
-            total += float((np.abs(cross[iu]) ** 2).sum())
-    return total
-
-
 def _m_stack(r_stack: np.ndarray, c: np.ndarray) -> np.ndarray:
     """M(c) for every row of an (S, k) coefficient stack."""
     k, da, db = r_stack.shape
@@ -386,6 +377,119 @@ def _sigma_vag(r_stack: np.ndarray, index: int) -> Callable[[np.ndarray], tuple[
     return vag
 
 
+def _gauss_newton(
+    lin: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    retract: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    x0: np.ndarray,
+) -> np.ndarray:
+    """Gauss-Newton steps on a residual, run independently for every row of an (S, n) stack.
+
+    lin maps a stack of points to their residuals F (S, m) and Jacobians
+    J (S, m, p). A step is the minimum-norm solution of J dx = -F, with
+    singular values below 1e-14 of the largest dropped, and retract(x, dx)
+    maps it back onto the unknowns' manifold. The solve goes through the
+    complex SVD the searches already run: np.linalg.lstsq maps in another
+    LAPACK driver, about 0.4 MB of peak memory. Every row keeps the iterate
+    of least residual max|F| and stops at the first step that does not halve
+    it, or after _NEWTON_STEPS steps: past convergence a step divides
+    rounding error by a near-zero singular value. Only live rows are
+    evaluated, so a row follows the same iterates alone or stacked. Returns
+    the best iterate of every row.
+    """
+    x = x0.copy()
+    best = x0.copy()
+    best_res = np.full(len(x), np.inf)
+    live = np.arange(len(x))
+    for step in range(_NEWTON_STEPS + 1):
+        f, jac = lin(x[live])
+        res = np.abs(f).max(axis=1)
+        better = res < best_res[live]
+        halved = res < 0.5 * best_res[live]
+        best[live[better]] = x[live[better]]
+        best_res[live[better]] = res[better]
+        live, f, jac = live[halved], f[halved], jac[halved]
+        if not live.size or step == _NEWTON_STEPS:
+            break
+        u_mat, sv, vh = np.linalg.svd(jac, full_matrices=False)
+        inv = np.zeros_like(sv)
+        np.divide(1.0, sv, out=inv, where=sv > sv[:, :1] * 1e-14)
+        coef = inv * (u_mat.conj().transpose(0, 2, 1) @ -f[:, :, None])[:, :, 0]
+        x[live] = retract(x[live], (vh.conj().transpose(0, 2, 1) @ coef[:, :, None])[:, :, 0])
+    return best
+
+
+def _rank_one_newton(r_stack: np.ndarray) -> tuple[Callable, Callable]:
+    """lin and retract for M(c) - a b^T = 0 over x = (c, a, b), an (S, k + dA + dB) stack.
+
+    The residual is complex-analytic in x, so the complex Jacobian serves.
+    Its c-block is taken on the tangent space of the unit sphere, R (I - c c^H):
+    otherwise the minimum-norm step shrinks c and a toward zero together.
+    After a step c is renormalized and a divided by the same factor.
+    """
+    k, da, db = r_stack.shape
+    flat = r_stack.reshape(k, da * db).T
+
+    def lin(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        c, a, b = x[:, :k], x[:, k:k + da], x[:, k + da:]
+        m = _m_stack(r_stack, c).reshape(len(x), -1)
+        f = m - (a[:, :, None] * b[:, None, :]).reshape(len(x), -1)
+        jc = flat - m[:, :, None] * c.conj()[:, None, :]
+        ja = -(np.eye(da)[None, :, None, :] * b[:, None, :, None]).reshape(len(x), da * db, da)
+        jb = -(a[:, :, None, None] * np.eye(db)[None, None]).reshape(len(x), da * db, db)
+        return f, np.concatenate([jc, ja, jb], axis=2)
+
+    def retract(x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        x = x + dx
+        n = _norms(x[:, :k])[:, None]
+        x[:, :k + da] /= n
+        return x
+
+    return lin, retract
+
+
+def _rank_one_start(r_stack: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(c, a, b) with a b^T the best rank-1 approximation of M(c), for every row of c."""
+    u_mat, sv, vh = np.linalg.svd(_m_stack(r_stack, c), full_matrices=False)
+    return np.concatenate([c, sv[:, :1] * u_mat[:, :, 0], vh[:, 0]], axis=1)
+
+
+def _me_newton(r_stack: np.ndarray, dmin: int) -> tuple[Callable, Callable]:
+    """lin and retract for M M^H - I/dmin = 0 over the unit coefficients c, an (S, k) stack.
+
+    M is oriented dmin x dmax, so M M^H is the dmin x dmin Gram. The residual
+    is not complex-analytic in c, so the Jacobian is that of the real pair
+    (Re c, Im c) on the real and imaginary parts of the residual, stored
+    complex so that the solve runs the complex SVD. After a step c returns
+    to the unit sphere.
+    """
+    k = len(r_stack)
+    r = r_stack if r_stack.shape[1] <= r_stack.shape[2] else r_stack.transpose(0, 2, 1)
+    target = np.eye(dmin) / dmin
+
+    def lin(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m = _m_stack(r, c)
+        mh = m.conj().transpose(0, 2, 1)
+        f = (m @ mh - target).reshape(len(c), -1)
+        dh = r[None] @ mh[:, None]  # R_k M^H
+        dhh = dh.conj().transpose(0, 1, 3, 2)
+        cols = np.concatenate([dh + dhh, 1j * (dh - dhh)], axis=1).reshape(len(c), 2 * k, -1)
+        jac = cols.transpose(0, 2, 1)
+        return (np.concatenate([f.real, f.imag], axis=1).astype(np.complex128),
+                np.concatenate([jac.real, jac.imag], axis=1).astype(np.complex128))
+
+    def retract(c: np.ndarray, dx: np.ndarray) -> np.ndarray:
+        c = c + dx[:, :k].real + 1j * dx[:, k:].real
+        return c / _norms(c)[:, None]
+
+    return lin, retract
+
+
+def _minor_sum(sv: np.ndarray) -> float:
+    """Sum over i < j of sv_i^2 sv_j^2, the summed squared 2x2 minors, without cancellation."""
+    s2 = sv * sv
+    return float(np.dot(s2[1:], np.cumsum(s2)[:-1]))
+
+
 def _project(r_stack: np.ndarray, x: np.ndarray) -> np.ndarray | None:
     """Normalized coefficients of the projection of matrix x onto the span; None when it vanishes."""
     c = np.einsum("kab,ab->k", r_stack.conj(), x)
@@ -397,17 +501,44 @@ def _coeff_state(s: Subspace, c: np.ndarray, tol) -> PureState:
     return canonical_phase(PureState(s.space, s.vector(c)), tol)
 
 
+def _first_witness(
+    s: Subspace,
+    cut: Bipartition,
+    cs: np.ndarray,
+    candidates: np.ndarray,
+    check: Callable[[PureState, Bipartition, Tolerance | float | None], bool],
+    tol: Tolerance | float | None,
+) -> PureState | None:
+    """Phase-fixed state of the lowest-index candidate row of cs that passes check at tol."""
+    for i in np.flatnonzero(candidates):
+        witness = _coeff_state(s, cs[i], tol)
+        if check(witness, cut, tol):
+            return witness
+    return None
+
+
 def find_product_state(
     s: Subspace,
     cut: Bipartition,
     cfg: SearchConfig | None = None,
     tol: Tolerance | float | None = None,
 ) -> SubspaceVerdict:
-    """Multi-start descent of the summed squared minors; never an exact refusal.
+    """Multi-start search for a product vector of the subspace; never an exact refusal.
 
-    PRODUCT_FOUND requires the best objective to undercut tol^2, and the
-    witness is polished by alternating rank-1 truncation with projection back
-    into the subspace.
+    Every start descends the summed squared 2x2 minors of M(c) (the linear
+    entropy e2) for _SHORT_STEPS steps, then Gauss-Newton steps on
+    M(c) = a b^T over (c, a, b) polish every endpoint. Only when no polished
+    endpoint verifies does the descent continue to cfg.max_iter steps, and
+    then the leader, the lowest e2 with the lowest index winning ties, is
+    polished alone.
+
+    PRODUCT_FOUND (EXACT) goes to the lowest-index start, first round before
+    second, whose witness passes is_product at tol; score is then the
+    witness's sum over i < j of sigma_i^2 sigma_j^2 (its summed squared 2x2
+    minors). A miss is NO_PRODUCT_FOUND (NUMERICAL_EVIDENCE) with the
+    polished leader's score; above the dimension (dA-1)(dB-1), where every
+    subspace holds a product vector (Parthasarathy 2004), its reason names
+    that bound.
     """
     if s.dim == 0:
         raise ValueError("empty subspace")
@@ -417,30 +548,29 @@ def find_product_state(
         return SubspaceVerdict(cut, SubspaceStatus.NO_PRODUCT_FOUND, Grade.NUMERICAL_EVIDENCE,
                                score=None, reason="search disabled (0 starts)")
     r_stack = _reshapes(s, cut)
-    c0 = _random_starts(cfg.seed, _STREAM_PRODUCT, cfg.starts, s.dim)
-    cs, neg = _ascend(_impurity_vag(r_stack), c0, cfg.max_iter, cfg.min_improvement)
-    best_c = cs[np.argmin(-neg)]
-    # the ascent objective is only trusted for ranking starts; re-measure the leader
-    best_f = _impurity(r_stack, best_c)
-    # alternating rank-1 truncation / projection polish
-    c = best_c
-    for _ in range(100):
-        m = np.tensordot(c, r_stack, axes=1)
-        u_mat, _, vh = np.linalg.svd(m, full_matrices=False)
-        c_next = _project(r_stack, np.outer(u_mat[:, 0], vh[0]))
-        if c_next is None:
-            break
-        f_next = _impurity(r_stack, c_next)
-        if f_next < best_f:
-            best_c, best_f = c_next, f_next
-        if f_next > best_f or f_next < 1e-30:
-            break
-        c = c_next
-    if best_f < eps * eps:
-        witness = _coeff_state(s, best_c, tol)
-        return SubspaceVerdict(cut, SubspaceStatus.PRODUCT_FOUND, Grade.EXACT,
-                               witness=witness, score=best_f)
-    return SubspaceVerdict(cut, SubspaceStatus.NO_PRODUCT_FOUND, Grade.NUMERICAL_EVIDENCE, score=best_f)
+    descent = _impurity_vag(r_stack)
+    lin, retract = _rank_one_newton(r_stack)
+
+    def polish(cs: np.ndarray) -> tuple[PureState | None, np.ndarray]:
+        polished = _gauss_newton(lin, retract, _rank_one_start(r_stack, cs))[:, :s.dim]
+        sv = np.linalg.svd(_m_stack(r_stack, polished), compute_uv=False)
+        return _first_witness(s, cut, polished, sv[:, 1] <= 2.0 * eps, is_product, tol), sv
+
+    short = min(cfg.max_iter, _SHORT_STEPS)
+    cs, _ = _ascend(descent, _random_starts(cfg.seed, _STREAM_PRODUCT, cfg.starts, s.dim), short,
+                    cfg.min_improvement)
+    witness, _ = polish(cs)
+    if witness is None:
+        cs, neg = _ascend(descent, cs, cfg.max_iter - short, cfg.min_improvement)
+        witness, sv = polish(cs[np.argmax(neg), None])
+    if witness is not None:
+        return SubspaceVerdict(cut, SubspaceStatus.PRODUCT_FOUND, Grade.EXACT, witness=witness,
+                               score=_minor_sum(schmidt(witness, cut, tol).coefficients))
+    bound = (cut.dim_a - 1) * (cut.dim_b - 1)
+    reason = (f"no product vector found, though every subspace of dimension > (dA-1)(dB-1) = {bound}"
+              " holds one") if s.dim > bound else None
+    return SubspaceVerdict(cut, SubspaceStatus.NO_PRODUCT_FOUND, Grade.NUMERICAL_EVIDENCE,
+                           score=_minor_sum(sv[0]), reason=reason)
 
 
 def _in_me_band(sv: np.ndarray, tol_me: float) -> bool:
@@ -483,42 +613,59 @@ def _lattice_snap(s: Subspace, cut: Bipartition, amps: np.ndarray) -> PureState 
     return None
 
 
-def _newton_polish(r_stack: np.ndarray, c: np.ndarray, dmin: int) -> np.ndarray:
-    """Gauss-Newton steps on h(c) = I/dmin from c, h the dmin x dmin Gram of M(c).
+def _leader_witness(
+    s: Subspace,
+    cut: Bipartition,
+    r_stack: np.ndarray,
+    cs: np.ndarray,
+    cfg: SearchConfig,
+    tol: Tolerance | float | None,
+) -> tuple[PureState, np.ndarray, float]:
+    """Witness, its Schmidt coefficients and score from the sigma_min leader of cs.
 
-    Each step solves the linearization dM M^H + M dM^H = I/dmin - h for the
-    minimum-norm real pair (Re dc, Im dc) and returns to the unit sphere, so
-    the iterate moves straight onto the maximally entangled set and
-    converges quadratically where the span meets that set transversally;
-    there alternating polar projection can crawl at a linear rate near 1.
-    Where the meeting is tangential the Jacobian is singular, so the caller
-    keeps the result only if it verifies.
+    Only the row with the largest smallest singular value, the lowest index
+    winning ties, climbs sigma_min. When it ends within sqrt(tol_me) of
+    1/sqrt(d) it is finished by alternating polar projection, and then by
+    Gauss-Newton steps on M M^H = I/d, kept when they verify with a narrower
+    Schmidt spectrum; a leader further off is a local maximum that neither
+    polish can lift.
     """
-    k = len(r_stack)
-    r = r_stack if r_stack.shape[1] <= r_stack.shape[2] else r_stack.transpose(0, 2, 1)
-    target = np.eye(dmin) / dmin
-    best, best_res = c, math.inf
-    for _ in range(_NEWTON_STEPS):
-        m = np.tensordot(c, r, axes=1)
-        f = m @ m.conj().T - target
-        res = float(np.abs(f).max())
-        # past convergence a step divides rounding error by a near-zero singular value
-        if not res < best_res:
-            break
-        best, best_res = c, res
-        dh = r @ m.conj().T  # R_k M^H
-        cols = np.concatenate([dh + dh.conj().transpose(0, 2, 1), 1j * (dh - dh.conj().transpose(0, 2, 1))])
-        jac = cols.reshape(2 * k, -1).T
-        jac = np.vstack([jac.real, jac.imag]).astype(np.complex128)
-        rhs = -np.concatenate([f.real.ravel(), f.imag.ravel()])
-        # Minimum-norm solve through the complex SVD the searches already run:
-        # np.linalg.lstsq maps in another LAPACK driver, about 0.4 MB of peak memory.
-        u_mat, sv, vh = np.linalg.svd(jac, full_matrices=False)
-        keep = sv > sv[0] * 1e-14
-        x = (vh[keep].conj().T @ ((u_mat[:, keep].conj().T @ rhs) / sv[keep])).real
-        c = c + x[:k] + 1j * x[k:]
-        c = c / np.linalg.norm(c)
-    return best
+    dmin = min(cut.dim_a, cut.dim_b)
+    lead = int(np.argmax(np.linalg.svd(_m_stack(r_stack, cs), compute_uv=False)[:, dmin - 1]))
+    cs, vals = _ascend(_sigma_vag(r_stack, dmin - 1), cs[lead, None], cfg.max_iter, cfg.min_improvement)
+    best_c, best_v = cs[0], float(vals[0])
+    if best_v >= 1.0 / math.sqrt(dmin) - math.sqrt(cfg.tol_me):
+        # Polar polish: snap to the nearest maximally entangled matrix,
+        # project back, repeat. The smallest singular value is flat to second
+        # order at its maximizer, so the loop runs on coefficient movement,
+        # not value; otherwise the witness direction stalls around
+        # sqrt(value error).
+        last = best_c
+        for _ in range(500):
+            m = np.tensordot(last, r_stack, axes=1)
+            u_mat, _, vh = np.linalg.svd(m, full_matrices=False)
+            nxt = _project(r_stack, (u_mat @ vh) / math.sqrt(dmin))
+            if nxt is None:
+                break
+            ph = np.vdot(last, nxt)
+            if abs(ph) > 0.0:
+                nxt = nxt * (ph.conjugate() / abs(ph))  # align phase so movement is measurable
+            delta = float(np.linalg.norm(nxt - last))
+            last = nxt
+            if delta < 1e-14:
+                break
+        v_last = float(np.linalg.svd(np.tensordot(last, r_stack, axes=1), compute_uv=False)[dmin - 1])
+        if v_last >= best_v - 1e-10:  # a value tie goes to the fixed point; its direction is sharper
+            best_c, best_v = last, v_last
+    witness = _coeff_state(s, best_c, tol)
+    sv = np.linalg.svd(reshape(witness, cut), compute_uv=False)
+    # Newton also tightens a witness that already verifies: deflation carries
+    # its error into the rest of the subspace, where it can hide the next one.
+    polished = _coeff_state(s, _gauss_newton(*_me_newton(r_stack, dmin), best_c[None])[0], tol)
+    sv_p = np.linalg.svd(reshape(polished, cut), compute_uv=False)
+    if np.ptp(sv_p) < np.ptp(sv) and is_maximally_entangled(polished, cut, tol):
+        witness, sv, best_v = polished, sv_p, float(sv_p[dmin - 1])
+    return witness, sv, best_v
 
 
 def find_maximally_entangled(
@@ -531,15 +678,17 @@ def find_maximally_entangled(
 
     Exact refusals come first: an only-product subspace cannot contain one,
     and neither can a subspace whose Schmidt rank is capped below min(dA,dB).
-    Otherwise the search runs in two stages (see the module docstring):
-    every start climbs the linear entropy for at most _SMOOTH_STEPS steps,
-    then the start with the largest smallest singular value, the lowest
-    index winning ties, climbs sigma_min alone for cfg.max_iter steps. The
-    second stage is what finds a vector that meets a product block
-    tangentially, where the entropy is flat to fourth order. The leader is
-    polished by alternating polar projection, then by Gauss-Newton steps on
-    M M^H = I/d inside the subspace (kept when the result verifies with a
-    narrower Schmidt spectrum), and a lattice vector is snapped to.
+    Otherwise every start climbs the linear entropy for _SHORT_STEPS steps
+    and Gauss-Newton steps on M M^H = I/d polish every endpoint; the witness
+    is the lowest-index polished endpoint that passes is_maximally_entangled
+    at tol. When none does, the climb continues to _SMOOTH_STEPS steps and
+    the start with the largest smallest singular value, the lowest index
+    winning ties, climbs sigma_min alone for cfg.max_iter steps (see the
+    module docstring); that stage is what finds a vector that meets a
+    product block tangentially, where the entropy is flat to fourth order
+    and the Gauss-Newton Jacobian is singular. Its leader is polished as
+    _leader_witness describes. Either witness is then snapped to a nearby
+    lattice vector when one verifies.
 
     ME_FOUND requires every Schmidt coefficient of the witness to lie within
     cfg.tol_me of 1/sqrt(min(dA,dB)); score is the smallest one. The grade
@@ -565,42 +714,18 @@ def find_maximally_entangled(
         return SubspaceVerdict(cut, SubspaceStatus.NO_ME_FOUND, Grade.NUMERICAL_EVIDENCE, score=None,
                                reason="search disabled (0 starts)")
     r_stack = _reshapes(s, cut)
-    c0 = _random_starts(cfg.seed, _STREAM_ME, cfg.starts, s.dim)
-    # smooth stage: every start climbs the linear entropy
-    cs, _ = _ascend(_impurity_vag(r_stack, 1.0), c0, min(cfg.max_iter, _SMOOTH_STEPS), cfg.min_improvement)
-    # sigma_min stage: only the leader by sigma_min climbs the singular value itself
-    lead = int(np.argmax(np.linalg.svd(_m_stack(r_stack, cs), compute_uv=False)[:, dmin - 1]))
-    cs, vals = _ascend(_sigma_vag(r_stack, dmin - 1), cs[lead, None], cfg.max_iter, cfg.min_improvement)
-    best_c, best_v = cs[0], float(vals[0])
-    # Polar polish: snap to the nearest maximally entangled matrix, project
-    # back, repeat. The smallest singular value is flat to second order at
-    # its maximizer, so the loop runs on coefficient movement, not value;
-    # otherwise the witness direction stalls around sqrt(value error).
-    last = best_c
-    for _ in range(500):
-        m = np.tensordot(last, r_stack, axes=1)
-        u_mat, _, vh = np.linalg.svd(m, full_matrices=False)
-        nxt = _project(r_stack, (u_mat @ vh) / math.sqrt(dmin))
-        if nxt is None:
-            break
-        ph = np.vdot(last, nxt)
-        if abs(ph) > 0.0:
-            nxt = nxt * (ph.conjugate() / abs(ph))  # align phase so movement is measurable
-        delta = float(np.linalg.norm(nxt - last))
-        last = nxt
-        if delta < 1e-14:
-            break
-    v_last = float(np.linalg.svd(np.tensordot(last, r_stack, axes=1), compute_uv=False)[dmin - 1])
-    if v_last >= best_v - 1e-10:  # a value tie goes to the fixed point; its direction is sharper
-        best_c, best_v = last, v_last
-    witness = _coeff_state(s, best_c, tol)
-    sv = np.linalg.svd(reshape(witness, cut), compute_uv=False)
-    # Newton also tightens a witness that already verifies: deflation carries
-    # its error into the rest of the subspace, where it can hide the next one.
-    polished = _coeff_state(s, _newton_polish(r_stack, best_c, dmin), tol)
-    sv_p = np.linalg.svd(reshape(polished, cut), compute_uv=False)
-    if np.ptp(sv_p) < np.ptp(sv) and is_maximally_entangled(polished, cut, tol):
-        witness, sv, best_v = polished, sv_p, float(sv_p[dmin - 1])
+    ascent = _impurity_vag(r_stack, 1.0)
+    short = min(cfg.max_iter, _SHORT_STEPS)
+    cs, _ = _ascend(ascent, _random_starts(cfg.seed, _STREAM_ME, cfg.starts, s.dim), short, cfg.min_improvement)
+    polished = _gauss_newton(*_me_newton(r_stack, dmin), cs)
+    sv = np.linalg.svd(_m_stack(r_stack, polished), compute_uv=False)
+    witness = _first_witness(s, cut, polished, np.ptp(sv, axis=1) < 2.0 * _eps(tol), is_maximally_entangled, tol)
+    if witness is not None:
+        sv = np.linalg.svd(reshape(witness, cut), compute_uv=False)
+        best_v = float(sv[dmin - 1])
+    else:
+        cs, _ = _ascend(ascent, cs, min(cfg.max_iter, _SMOOTH_STEPS) - short, cfg.min_improvement)
+        witness, sv, best_v = _leader_witness(s, cut, r_stack, cs, cfg, tol)
     if not _in_me_band(sv, cfg.tol_me):
         near = best_v >= 1.0 / math.sqrt(dmin) - cfg.tol_me
         return SubspaceVerdict(cut, SubspaceStatus.NO_ME_FOUND, Grade.NUMERICAL_EVIDENCE, score=best_v,

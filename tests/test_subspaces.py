@@ -123,6 +123,69 @@ def test_find_product_state_verdicts():
     assert np.abs(back - got.witness.amps).max() < 1e-9
 
 
+def _haar_rows(total, k, rng):
+    """(k, total) orthonormal rows spanning a Haar-random k-dimensional subspace."""
+    z = rng.standard_normal((total, k)) + 1j * rng.standard_normal((total, k))
+    return np.linalg.qr(z)[0].T.copy()
+
+
+def _subspace_of(space, rows):
+    return Subspace(space, tuple(PureState(space, r) for r in rows))
+
+
+def test_product_search_finds_the_above_bound_near_misses():
+    """Haar 2x4 spans of dimension 4 > (dA-1)(dB-1) = 3 hold a product vector;
+    on these two draws the descent alone stopped just short of it."""
+    space = QuditDims((2, 4))
+    cut = single_cut(space)
+    for seed, key in ((15, [15, 1, 0, 3, 0]), (16, [16, 1, 0, 3, 2])):
+        sub = _subspace_of(space, _haar_rows(8, 4, np.random.default_rng(key)))
+        got = find_product_state(sub, cut, SearchConfig(seed=seed), TOL)
+        assert (got.status, got.grade) == (SubspaceStatus.PRODUCT_FOUND, Grade.EXACT), seed
+        assert is_product(got.witness, cut, TOL) and _in_span(sub, got.witness.amps), seed
+        assert got.score == subspaces._minor_sum(schmidt(got.witness, cut, TOL).coefficients)
+
+
+def test_product_search_finds_a_planted_product_vector():
+    """At the bound (dA-1)(dB-1) a Haar span holds no product vector, so the
+    planted one is the target, in every draw."""
+    for dims, k in (((3, 3), 4), ((2, 4), 3)):
+        space = QuditDims(dims)
+        cut = single_cut(space)
+        for draw in range(10):
+            rng = np.random.default_rng([35, draw])
+            a, b = (haar_unitary(d, rng)[:, 0] for d in dims)
+            sub = orthonormalize(space, [np.kron(a, b), *(random_state(space, rng).amps for _ in range(k - 1))])
+            got = find_product_state(sub, cut, SearchConfig(seed=draw), TOL)
+            assert (got.status, got.grade) == (SubspaceStatus.PRODUCT_FOUND, Grade.EXACT), (dims, draw)
+            assert is_product(got.witness, cut, TOL) and _in_span(sub, got.witness.amps), (dims, draw)
+            assert abs(np.vdot(np.kron(a, b), got.witness.amps)) > 1 - 1e-9, (dims, draw)
+
+
+def test_product_search_second_round_finds_what_the_first_missed(monkeypatch):
+    """On this planted 3x5 span of dimension 8 = (dA-1)(dB-1) no polished
+    endpoint of the short descent is product; the polished leader of the
+    full descent is."""
+    heights = []
+    newton = subspaces._gauss_newton
+
+    def counting(lin, retract, x0):
+        heights.append(len(x0))
+        return newton(lin, retract, x0)
+
+    monkeypatch.setattr(subspaces, "_gauss_newton", counting)
+    space = QuditDims((3, 5))
+    cut = single_cut(space)
+    rng = np.random.default_rng([42, 3, 5, 8, 24])
+    a, b = haar_unitary(3, rng)[:, 0], haar_unitary(5, rng)[:, 0]
+    sub = orthonormalize(space, [np.kron(a, b)] + [rng.standard_normal(15) + 1j * rng.standard_normal(15)
+                                                   for _ in range(7)])
+    got = find_product_state(sub, cut, SearchConfig(seed=24), TOL)
+    assert (got.status, got.grade) == (SubspaceStatus.PRODUCT_FOUND, Grade.EXACT)
+    assert is_product(got.witness, cut, TOL) and _in_span(sub, got.witness.amps)
+    assert heights == [64, 1]
+
+
 def test_find_maximally_entangled_exact_refusals():
     cut = single_cut(SP23)
     sub = span_of(SP23, 2, 5)
@@ -203,12 +266,14 @@ def test_sigma_ascent_runs_on_the_leader_only(monkeypatch):
 
     monkeypatch.setattr(subspaces, "_sigma_vag", counting)
     rng = np.random.default_rng(29)
-    for dims, k in (((3, 3), 5), ((2, 4), 3)):
-        space = QuditDims(dims)
-        sub = orthonormalize(space, [random_state(space, rng).amps for _ in range(k)])
+    # Haar 3x3 k=4 spans hold no maximally entangled vector, so no polished
+    # endpoint verifies and the search reaches the sigma_min stage
+    space = QuditDims((3, 3))
+    for trial in range(2):
+        sub = orthonormalize(space, [random_state(space, rng).amps for _ in range(4)])
         heights.clear()
         find_maximally_entangled(sub, single_cut(space), SearchConfig(starts=16, seed=3), TOL)
-        assert heights and set(heights) == {1}, dims
+        assert heights and set(heights) == {1}, trial
 
 
 def test_snapped_witness_has_no_negative_zeros():
@@ -236,7 +301,8 @@ def test_newton_polish_lands_on_a_maximally_entangled_vector():
     sub = orthonormalize(space, [me, *(random_state(space, rng).amps for _ in range(2))])
     c = sub.matrix().conj() @ me
     c = c + 1e-5 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
-    got = PureState(space, sub.vector(subspaces._newton_polish(_reshapes(sub, cut), c / np.linalg.norm(c), 2)))
+    lin, retract = subspaces._me_newton(_reshapes(sub, cut), 2)
+    got = PureState(space, sub.vector(subspaces._gauss_newton(lin, retract, c[None] / np.linalg.norm(c))[0]))
     assert not is_maximally_entangled(PureState(space, sub.vector(c / np.linalg.norm(c))), cut, TOL)
     assert is_maximally_entangled(got, cut, TOL)
 
@@ -264,6 +330,30 @@ def test_max_entangled_completion_of_rotated_bell_states_in_2x4():
         res = completion_search(_rotated_bell_states_in_2x4(2, rng), SetMode.MAX_ENTANGLED,
                                 SearchConfig(seed=draw), TOL)
         assert res.complement_dim == 6 and len(res.found) >= 4, draw
+
+
+def test_max_entangled_completion_passes_a_local_maximum_of_sigma_min():
+    """On the 3-dim deflation remainder of this draw the sigma_min leader stops
+    at a local maximum (0.70623) that is not maximally entangled; the polished
+    endpoints of the other starts still supply the fourth state."""
+    st = _rotated_bell_states_in_2x4(2, np.random.default_rng([31, 2, 6]))
+    res = completion_search(st, SetMode.MAX_ENTANGLED, SearchConfig(seed=1), TOL)
+    assert len(res.found) == 4
+
+
+def test_verify_basis_is_invariant_under_local_unitaries():
+    """Outcome, grade and complement dimension do not move under seeded local unitaries."""
+    cases = ((build_entry("eq1-ueb"), BasisKind.UEB), (build_entry("eq6-mixed-ueb"), BasisKind.UEB_ALL_CUTS),
+             (build_entry("eq3-in-2x3"), BasisKind.UMEB), (build_generator("prop2a-set"), BasisKind.UMEB))
+    for st, kind in cases:
+        want = verify_basis(st, kind, SearchConfig(seed=0), TOL)
+        for trial in range(8):
+            rng = np.random.default_rng([36, trial])
+            us = [haar_unitary(d, rng) for d in st.space.dims]
+            moved = StateSet(st.space, tuple(apply_local_unitaries(p, us) for p in st.states))
+            got = verify_basis(moved, kind, SearchConfig(seed=trial), TOL)
+            assert (got.outcome, got.grade, got.complement_dim) == (want.outcome, want.grade, want.complement_dim), \
+                (kind, trial)
 
 
 def test_umeb_witness_outside_the_band_is_inconclusive(monkeypatch):
@@ -639,3 +729,25 @@ def test_batched_ascent_matches_one_start_reference():
                 if name == "impurity" and max_iter:
                     assert np.array_equal(cs[0], starts[0])
                     assert not np.array_equal(cs[1:], starts[1:])
+
+
+def test_batched_newton_matches_one_row_runs():
+    """Every row of a stacked Gauss-Newton run follows its one-row iterates bit for bit."""
+    rng = np.random.default_rng(37)
+    for dims, k in (((3, 3), 5), ((2, 4), 4), ((2, 4), 3)):
+        space = QuditDims(dims)
+        cut = single_cut(space)
+        # a product basis vector first: at its coefficient start both residuals
+        # of the product polish vanish, so that row stops at once
+        r_stack = _reshapes(orthonormalize(space, [basis_state(space, 0).amps]
+                                           + [random_state(space, rng).amps for _ in range(k - 1)]), cut)
+        starts = np.vstack([np.eye(1, k, dtype=np.complex128), _random_starts(8, 3, 5, k)])
+        for name, (lin, retract), x0 in (
+                ("product", subspaces._rank_one_newton(r_stack), subspaces._rank_one_start(r_stack, starts)),
+                ("me", subspaces._me_newton(r_stack, min(dims)), starts)):
+            xs = subspaces._gauss_newton(lin, retract, x0)
+            for j in range(len(x0)):
+                assert np.array_equal(xs[j], subspaces._gauss_newton(lin, retract, x0[j:j + 1])[0]), (dims, name, j)
+            if name == "product":
+                assert np.array_equal(xs[0], x0[0])
+            assert not np.array_equal(xs[1:], x0[1:]), (dims, name)
