@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .catalog import (
     CATALOG,
@@ -44,7 +45,7 @@ from .report import (
 )
 from .slocc import classify_from_ranks, resource_dimension_flag
 from .statefile import StateFileError, load_state_file, save_state_file
-from .states import _eps
+from .states import _eps, check_complement_size
 from .subspaces import (
     BasisKind,
     Outcome,
@@ -143,6 +144,19 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _generator_dims(name: str, d: int | None, n: int | None, dims: tuple[int, ...] | None) -> Iterable[int]:
+    """Local dimensions the generator would build, lazily; none when a parameter is missing."""
+    if name == "bell-meb" and d is not None:
+        return (d, d)
+    if name == "embed-meb" and d is not None and n is not None:
+        return (d, d + n)
+    if name == "nqubit-ueb" and n is not None:
+        return repeat(2, n)
+    if name == "dft-superposition" and dims is not None:
+        return dims
+    return ()
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     cfg = _config(args)
     name = args.name
@@ -151,6 +165,8 @@ def cmd_construct(args: argparse.Namespace) -> int:
         st = build_entry(name, cfg, args.tol)
     elif name in GENERATORS:
         entry = GENERATORS[name]
+        dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else None
+        check_complement_size(_generator_dims(name, args.d, args.n, dims))
         st = build_generator(
             name,
             cfg,
@@ -158,7 +174,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             d=args.d,
             n=args.n,
             variant=_VARIANTS[args.variant],
-            dims=tuple(int(x) for x in args.dims.split(",")) if args.dims else None,
+            dims=dims,
             kets=args.kets.split(",") if args.kets else None,
         )
     else:

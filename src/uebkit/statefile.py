@@ -13,7 +13,9 @@ Schema (one object per file):
 Amplitudes are [re, im] pairs. Floats pass through Python's shortest
 round-trip repr, so a save/load cycle reproduces the stored amplitudes
 bit-exactly. States whose norm drifts from 1 by more than 1e-6 are rejected;
-smaller drift is renormalized on load.
+smaller drift is renormalized on load. A space over the complement cap
+(states.MAX_COMPLEMENT_BYTES, dimension above 8192) is refused before any
+amplitude is read.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .cuts import Bipartition
-from .states import PureState, QuditDims, StateSet, Tolerance, orthonormalize
+from .states import PureState, QuditDims, StateSet, Tolerance, check_complement_size, orthonormalize
 from .subspaces import BasisKind
 
 
@@ -112,6 +114,7 @@ def parse_state_file(
         raise StateFileError("dims must be a nonempty list of integers")
     try:
         space = QuditDims(tuple(dims_raw))
+        check_complement_size(space.dims)
     except ValueError as exc:
         raise StateFileError(str(exc)) from exc
     kind_raw = doc.get("kind")

@@ -252,6 +252,30 @@ def orthonormalize(
     return Subspace(space, tuple(PureState(space, u) for u in kept))
 
 
+# orthogonal_complement builds a D x D complex128 array (16 D^2 bytes) for a
+# space of dimension D. Inputs from outside, state files and generator
+# parameters, are refused above this cap, 1 GiB, that is D > 8192.
+MAX_COMPLEMENT_BYTES = 1 << 30
+
+
+def check_complement_size(dims: Iterable[int]) -> None:
+    """Raise ValueError when a space of these local dimensions is over MAX_COMPLEMENT_BYTES.
+
+    dims may be lazy: the product stops at the first factor that crosses the
+    cap, so even a huge party count is refused at once. A dimension below 2
+    ends the check, and is left to the caller's own validation.
+    """
+    total = 1
+    for d in dims:
+        if d < 2:
+            return
+        total *= d
+        if 16 * total * total > MAX_COMPLEMENT_BYTES:
+            raise ValueError(f"space dimension above {math.isqrt(MAX_COMPLEMENT_BYTES // 16)} refused:"
+                             f" its complement needs a D x D complex array over the"
+                             f" MAX_COMPLEMENT_BYTES cap of {MAX_COMPLEMENT_BYTES} bytes (1 GiB)")
+
+
 def orthogonal_complement(s: Subspace, tol: Tolerance | float | None = None) -> Subspace:
     """Orthogonal complement within the full space."""
     eps = _eps(tol)

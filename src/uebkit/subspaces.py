@@ -23,23 +23,21 @@ from (seed, stream, start index), and results are reduced in a fixed order
 (the lowest start index wins ties), so they are reproducible and independent
 of batching.
 
-Both witness searches first take _SHORT_STEPS first-order steps from every
-start on the linear entropy e2 = ((tr h)^2 - ||h||^2) / 2, h = M M^H, the
-summed squared 2x2 minors of M: descending it toward product vectors, or
-ascending it toward maximally entangled ones, where it peaks on the unit
-sphere. Gauss-Newton then polishes every endpoint, on M(c) = a b^T over
-(c, a, b) or on M M^H = I/d over c; it converges quadratically where the
-span meets the wanted set transversally, also where first-order steps crawl.
-The lowest-index polished endpoint that verifies at the base tolerance is
-the witness. Only when none verifies does the first-order stage continue
-from those endpoints: to cfg.max_iter steps for a product vector, with the
-leader polished alone; to _SMOOTH_STEPS steps for a maximally entangled one,
-after which the start with the largest smallest singular value climbs
-sigma_min alone. Smooth functions of h cannot finish that search: where a
-maximally entangled vector meets a product block tangentially (dM M^H = 0
-along the block, as in the Prop. 2a complement span{|phi+>} + {|x>|2>}),
-each of them is flat to fourth order and the Gauss-Newton Jacobian is
-singular, while sigma_min still rises at first order along the block.
+Both witness searches run one two-round driver, _two_rounds. Every start
+first takes _SHORT_STEPS first-order steps on the linear entropy
+e2 = ((tr h)^2 - ||h||^2) / 2, h = M M^H, the summed squared 2x2 minors of
+M: descending it toward product vectors, or ascending it toward maximally
+entangled ones, where it peaks on the unit sphere. Gauss-Newton then
+polishes every endpoint, on M(c) = a b^T over (c, a, b) or on M M^H = I/d
+over c; it converges quadratically where the span meets the wanted set
+transversally, also where first-order steps crawl. The lowest-index
+polished endpoint that verifies at the base tolerance is the witness. Only
+when none verifies do the same starts continue, to _MAX_ITER steps for a
+product vector or _SMOOTH_STEPS for a maximally entangled one, and every
+endpoint is polished again. That also covers a maximally entangled vector
+that meets a product block tangentially (dM M^H = 0 along the block, as in
+the Prop. 2a complement span{|phi+>} + {|x>|2>}): the entropy is flat to
+fourth order there, yet with every endpoint polished some of them verify.
 """
 
 from __future__ import annotations
@@ -124,25 +122,19 @@ class Completable(Enum):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the randomized searches; defaults favor reliability over speed.
+    """Settings of the randomized searches: how many starts, and the seed
+    their per-start sub-seeds derive from.
 
-    tol_me is the acceptance band for maximal entanglement: every Schmidt
-    coefficient must lie within it of 1/sqrt(d). It is looser than the base
-    tolerance because the coefficients are reached by optimization rather
-    than construction. starts = 0 disables searching so only exact
-    certificates remain.
+    starts = 0 disables searching so only exact certificates remain. Step
+    caps and the maximal entanglement band are module constants.
     """
 
     starts: int = 64
     seed: int = 0
-    samples: int = 64
-    max_iter: int = 500
-    min_improvement: float = 1e-12
-    tol_me: float = 1e-7
 
     def __post_init__(self) -> None:
-        if self.starts < 0 or self.samples < 1:
-            raise ValueError("starts must be >= 0 and samples >= 1")
+        if self.starts < 0:
+            raise ValueError("starts must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,9 +195,19 @@ _ROTATION_DRAWS = 4
 # Linear-entropy steps every start of both searches takes before Gauss-Newton
 # polishes every endpoint.
 _SHORT_STEPS = 30
-# Linear-entropy steps every start of the maximally entangled search takes,
-# when no polished endpoint verified, before the sigma_min leader is picked.
+# Linear-entropy steps every start of the maximally entangled search takes
+# before its second polish, when no endpoint of the first verified.
 _SMOOTH_STEPS = 200
+# Step cap of a first-order ascent, and the gain below which a row stops;
+# the product search's second round runs to the cap.
+_MAX_ITER = 500
+_MIN_IMPROVEMENT = 1e-12
+# Coefficient vectors max_schmidt_rank_in_subspace samples before refining.
+_SAMPLES = 64
+# Acceptance band for maximal entanglement: every Schmidt coefficient must lie
+# within it of 1/sqrt(d). It is looser than the base tolerance because the
+# coefficients are reached by optimization rather than construction.
+_TOL_ME = 1e-7
 # Cap on the Gauss-Newton steps of one row: quadratic convergence takes a few
 # where the solution set is met transversally.
 _NEWTON_STEPS = 20
@@ -490,31 +492,43 @@ def _minor_sum(sv: np.ndarray) -> float:
     return float(np.dot(s2[1:], np.cumsum(s2)[:-1]))
 
 
-def _project(r_stack: np.ndarray, x: np.ndarray) -> np.ndarray | None:
-    """Normalized coefficients of the projection of matrix x onto the span; None when it vanishes."""
-    c = np.einsum("kab,ab->k", r_stack.conj(), x)
-    n = float(np.linalg.norm(c))
-    return None if n < 1e-14 else c / n
-
-
 def _coeff_state(s: Subspace, c: np.ndarray, tol) -> PureState:
     return canonical_phase(PureState(s.space, s.vector(c)), tol)
 
 
-def _first_witness(
+def _two_rounds(
     s: Subspace,
     cut: Bipartition,
-    cs: np.ndarray,
-    candidates: np.ndarray,
+    r_stack: np.ndarray,
+    vag: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    polish: Callable[[np.ndarray], np.ndarray],
+    accept: Callable[[np.ndarray], np.ndarray],
     check: Callable[[PureState, Bipartition, Tolerance | float | None], bool],
+    starts: np.ndarray,
+    long_steps: int,
     tol: Tolerance | float | None,
-) -> PureState | None:
-    """Phase-fixed state of the lowest-index candidate row of cs that passes check at tol."""
-    for i in np.flatnonzero(candidates):
-        witness = _coeff_state(s, cs[i], tol)
-        if check(witness, cut, tol):
-            return witness
-    return None
+) -> tuple[PureState | None, np.ndarray, np.ndarray]:
+    """The multi-start driver of both witness searches.
+
+    Every start takes _SHORT_STEPS ascent steps on vag, and polish maps every
+    endpoint to coefficients. The witness is the phase-fixed state of the
+    lowest-index polished row that accept admits, given the (S, dmin)
+    singular values of its M, and that passes check at tol. When no row
+    does, the same starts continue to long_steps steps and every endpoint is
+    polished and tested again. Returns the witness (None on a miss) with the
+    polished coefficients of the last round and their singular values.
+    """
+    cs, done = starts, 0
+    for steps in (_SHORT_STEPS, long_steps):
+        cs, _ = _ascend(vag, cs, steps - done, _MIN_IMPROVEMENT)
+        done = steps
+        polished = polish(cs)
+        sv = np.linalg.svd(_m_stack(r_stack, polished), compute_uv=False)
+        for i in np.flatnonzero(accept(sv)):
+            witness = _coeff_state(s, polished[i], tol)
+            if check(witness, cut, tol):
+                return witness, polished, sv
+    return None, polished, sv
 
 
 def find_product_state(
@@ -525,20 +539,18 @@ def find_product_state(
 ) -> SubspaceVerdict:
     """Multi-start search for a product vector of the subspace; never an exact refusal.
 
-    Every start descends the summed squared 2x2 minors of M(c) (the linear
-    entropy e2) for _SHORT_STEPS steps, then Gauss-Newton steps on
-    M(c) = a b^T over (c, a, b) polish every endpoint. Only when no polished
-    endpoint verifies does the descent continue to cfg.max_iter steps, and
-    then the leader, the lowest e2 with the lowest index winning ties, is
-    polished alone.
+    _two_rounds runs the search: every start descends the summed squared 2x2
+    minors of M(c) (the linear entropy e2), for _SHORT_STEPS steps and, when
+    no polished endpoint verifies, on to _MAX_ITER steps; after each round
+    Gauss-Newton steps on M(c) = a b^T over (c, a, b) polish every endpoint.
 
     PRODUCT_FOUND (EXACT) goes to the lowest-index start, first round before
     second, whose witness passes is_product at tol; score is then the
     witness's sum over i < j of sigma_i^2 sigma_j^2 (its summed squared 2x2
     minors). A miss is NO_PRODUCT_FOUND (NUMERICAL_EVIDENCE) with the
-    polished leader's score; above the dimension (dA-1)(dB-1), where every
-    subspace holds a product vector (Parthasarathy 2004), its reason names
-    that bound.
+    smallest such sum over the polished endpoints of the second round;
+    above the dimension (dA-1)(dB-1), where every subspace holds a product
+    vector (Parthasarathy 2004), its reason names that bound.
     """
     if s.dim == 0:
         raise ValueError("empty subspace")
@@ -548,21 +560,12 @@ def find_product_state(
         return SubspaceVerdict(cut, SubspaceStatus.NO_PRODUCT_FOUND, Grade.NUMERICAL_EVIDENCE,
                                score=None, reason="search disabled (0 starts)")
     r_stack = _reshapes(s, cut)
-    descent = _impurity_vag(r_stack)
     lin, retract = _rank_one_newton(r_stack)
-
-    def polish(cs: np.ndarray) -> tuple[PureState | None, np.ndarray]:
-        polished = _gauss_newton(lin, retract, _rank_one_start(r_stack, cs))[:, :s.dim]
-        sv = np.linalg.svd(_m_stack(r_stack, polished), compute_uv=False)
-        return _first_witness(s, cut, polished, sv[:, 1] <= 2.0 * eps, is_product, tol), sv
-
-    short = min(cfg.max_iter, _SHORT_STEPS)
-    cs, _ = _ascend(descent, _random_starts(cfg.seed, _STREAM_PRODUCT, cfg.starts, s.dim), short,
-                    cfg.min_improvement)
-    witness, _ = polish(cs)
-    if witness is None:
-        cs, neg = _ascend(descent, cs, cfg.max_iter - short, cfg.min_improvement)
-        witness, sv = polish(cs[np.argmax(neg), None])
+    witness, _, sv = _two_rounds(
+        s, cut, r_stack, _impurity_vag(r_stack),
+        lambda cs: _gauss_newton(lin, retract, _rank_one_start(r_stack, cs))[:, :s.dim],
+        lambda sv: sv[:, 1] <= 2.0 * eps, is_product,
+        _random_starts(cfg.seed, _STREAM_PRODUCT, cfg.starts, s.dim), _MAX_ITER, tol)
     if witness is not None:
         return SubspaceVerdict(cut, SubspaceStatus.PRODUCT_FOUND, Grade.EXACT, witness=witness,
                                score=_minor_sum(schmidt(witness, cut, tol).coefficients))
@@ -570,7 +573,7 @@ def find_product_state(
     reason = (f"no product vector found, though every subspace of dimension > (dA-1)(dB-1) = {bound}"
               " holds one") if s.dim > bound else None
     return SubspaceVerdict(cut, SubspaceStatus.NO_PRODUCT_FOUND, Grade.NUMERICAL_EVIDENCE,
-                           score=_minor_sum(sv[0]), reason=reason)
+                           score=min(_minor_sum(row) for row in sv), reason=reason)
 
 
 def _in_me_band(sv: np.ndarray, tol_me: float) -> bool:
@@ -613,61 +616,6 @@ def _lattice_snap(s: Subspace, cut: Bipartition, amps: np.ndarray) -> PureState 
     return None
 
 
-def _leader_witness(
-    s: Subspace,
-    cut: Bipartition,
-    r_stack: np.ndarray,
-    cs: np.ndarray,
-    cfg: SearchConfig,
-    tol: Tolerance | float | None,
-) -> tuple[PureState, np.ndarray, float]:
-    """Witness, its Schmidt coefficients and score from the sigma_min leader of cs.
-
-    Only the row with the largest smallest singular value, the lowest index
-    winning ties, climbs sigma_min. When it ends within sqrt(tol_me) of
-    1/sqrt(d) it is finished by alternating polar projection, and then by
-    Gauss-Newton steps on M M^H = I/d, kept when they verify with a narrower
-    Schmidt spectrum; a leader further off is a local maximum that neither
-    polish can lift.
-    """
-    dmin = min(cut.dim_a, cut.dim_b)
-    lead = int(np.argmax(np.linalg.svd(_m_stack(r_stack, cs), compute_uv=False)[:, dmin - 1]))
-    cs, vals = _ascend(_sigma_vag(r_stack, dmin - 1), cs[lead, None], cfg.max_iter, cfg.min_improvement)
-    best_c, best_v = cs[0], float(vals[0])
-    if best_v >= 1.0 / math.sqrt(dmin) - math.sqrt(cfg.tol_me):
-        # Polar polish: snap to the nearest maximally entangled matrix,
-        # project back, repeat. The smallest singular value is flat to second
-        # order at its maximizer, so the loop runs on coefficient movement,
-        # not value; otherwise the witness direction stalls around
-        # sqrt(value error).
-        last = best_c
-        for _ in range(500):
-            m = np.tensordot(last, r_stack, axes=1)
-            u_mat, _, vh = np.linalg.svd(m, full_matrices=False)
-            nxt = _project(r_stack, (u_mat @ vh) / math.sqrt(dmin))
-            if nxt is None:
-                break
-            ph = np.vdot(last, nxt)
-            if abs(ph) > 0.0:
-                nxt = nxt * (ph.conjugate() / abs(ph))  # align phase so movement is measurable
-            delta = float(np.linalg.norm(nxt - last))
-            last = nxt
-            if delta < 1e-14:
-                break
-        v_last = float(np.linalg.svd(np.tensordot(last, r_stack, axes=1), compute_uv=False)[dmin - 1])
-        if v_last >= best_v - 1e-10:  # a value tie goes to the fixed point; its direction is sharper
-            best_c, best_v = last, v_last
-    witness = _coeff_state(s, best_c, tol)
-    sv = np.linalg.svd(reshape(witness, cut), compute_uv=False)
-    # Newton also tightens a witness that already verifies: deflation carries
-    # its error into the rest of the subspace, where it can hide the next one.
-    polished = _coeff_state(s, _gauss_newton(*_me_newton(r_stack, dmin), best_c[None])[0], tol)
-    sv_p = np.linalg.svd(reshape(polished, cut), compute_uv=False)
-    if np.ptp(sv_p) < np.ptp(sv) and is_maximally_entangled(polished, cut, tol):
-        witness, sv, best_v = polished, sv_p, float(sv_p[dmin - 1])
-    return witness, sv, best_v
-
-
 def find_maximally_entangled(
     s: Subspace,
     cut: Bipartition,
@@ -678,25 +626,23 @@ def find_maximally_entangled(
 
     Exact refusals come first: an only-product subspace cannot contain one,
     and neither can a subspace whose Schmidt rank is capped below min(dA,dB).
-    Otherwise every start climbs the linear entropy for _SHORT_STEPS steps
-    and Gauss-Newton steps on M M^H = I/d polish every endpoint; the witness
-    is the lowest-index polished endpoint that passes is_maximally_entangled
-    at tol. When none does, the climb continues to _SMOOTH_STEPS steps and
-    the start with the largest smallest singular value, the lowest index
-    winning ties, climbs sigma_min alone for cfg.max_iter steps (see the
-    module docstring); that stage is what finds a vector that meets a
-    product block tangentially, where the entropy is flat to fourth order
-    and the Gauss-Newton Jacobian is singular. Its leader is polished as
-    _leader_witness describes. Either witness is then snapped to a nearby
-    lattice vector when one verifies.
+    Otherwise _two_rounds runs the search: every start climbs the linear
+    entropy, for _SHORT_STEPS steps and, when no polished endpoint verifies,
+    on to _SMOOTH_STEPS steps; after each round Gauss-Newton steps on
+    M M^H = I/d polish every endpoint. The witness is the lowest-index
+    polished endpoint that passes is_maximally_entangled at tol; on a miss
+    it is the polished endpoint of the second round with the largest
+    smallest singular value, the lowest index winning ties. Either witness
+    is then graded, and snapped to a nearby lattice vector when one
+    verifies.
 
     ME_FOUND requires every Schmidt coefficient of the witness to lie within
-    cfg.tol_me of 1/sqrt(min(dA,dB)); score is the smallest one. The grade
+    _TOL_ME of 1/sqrt(min(dA,dB)); score is the smallest one. The grade
     is EXACT only when the witness itself passes is_maximally_entangled at
     the base tolerance, that is, full Schmidt rank with largest minus
     smallest coefficient below eps; otherwise it is NUMERICAL_EVIDENCE.
     A witness outside the band gives NO_ME_FOUND; its reason is
-    _OUTSIDE_BAND when the smallest coefficient is within tol_me of
+    _OUTSIDE_BAND when the smallest coefficient is within _TOL_ME of
     1/sqrt(d), so the miss is near rather than far.
     """
     if s.dim == 0:
@@ -714,20 +660,18 @@ def find_maximally_entangled(
         return SubspaceVerdict(cut, SubspaceStatus.NO_ME_FOUND, Grade.NUMERICAL_EVIDENCE, score=None,
                                reason="search disabled (0 starts)")
     r_stack = _reshapes(s, cut)
-    ascent = _impurity_vag(r_stack, 1.0)
-    short = min(cfg.max_iter, _SHORT_STEPS)
-    cs, _ = _ascend(ascent, _random_starts(cfg.seed, _STREAM_ME, cfg.starts, s.dim), short, cfg.min_improvement)
-    polished = _gauss_newton(*_me_newton(r_stack, dmin), cs)
-    sv = np.linalg.svd(_m_stack(r_stack, polished), compute_uv=False)
-    witness = _first_witness(s, cut, polished, np.ptp(sv, axis=1) < 2.0 * _eps(tol), is_maximally_entangled, tol)
-    if witness is not None:
-        sv = np.linalg.svd(reshape(witness, cut), compute_uv=False)
-        best_v = float(sv[dmin - 1])
-    else:
-        cs, _ = _ascend(ascent, cs, min(cfg.max_iter, _SMOOTH_STEPS) - short, cfg.min_improvement)
-        witness, sv, best_v = _leader_witness(s, cut, r_stack, cs, cfg, tol)
-    if not _in_me_band(sv, cfg.tol_me):
-        near = best_v >= 1.0 / math.sqrt(dmin) - cfg.tol_me
+    eps = _eps(tol)
+    lin, retract = _me_newton(r_stack, dmin)
+    witness, polished, sv = _two_rounds(
+        s, cut, r_stack, _impurity_vag(r_stack, 1.0), lambda cs: _gauss_newton(lin, retract, cs),
+        lambda sv: np.ptp(sv, axis=1) < 2.0 * eps, is_maximally_entangled,
+        _random_starts(cfg.seed, _STREAM_ME, cfg.starts, s.dim), _SMOOTH_STEPS, tol)
+    if witness is None:
+        witness = _coeff_state(s, polished[np.argmax(sv[:, dmin - 1])], tol)
+    sv = np.linalg.svd(reshape(witness, cut), compute_uv=False)
+    best_v = float(sv[dmin - 1])
+    if not _in_me_band(sv, _TOL_ME):
+        near = best_v >= 1.0 / math.sqrt(dmin) - _TOL_ME
         return SubspaceVerdict(cut, SubspaceStatus.NO_ME_FOUND, Grade.NUMERICAL_EVIDENCE, score=best_v,
                                reason=_OUTSIDE_BAND if near else None)
     snapped = _lattice_snap(s, cut, witness.amps)
@@ -757,12 +701,12 @@ def max_schmidt_rank_in_subspace(
     cfg = cfg or SearchConfig()
     upper = schmidt_rank_upper_bound(s, cut, tol)
     r_stack = _reshapes(s, cut)
-    cs = _random_starts(cfg.seed, _STREAM_RANK, cfg.samples, s.dim)
+    cs = _random_starts(cfg.seed, _STREAM_RANK, _SAMPLES, s.dim)
     ranks = (np.linalg.svd(_m_stack(r_stack, cs), compute_uv=False) > eps).sum(axis=1)
     best = int(ranks.max())
     best_c = cs[np.argmax(ranks), None]
     while best < upper:
-        best_c, val = _ascend(_sigma_vag(r_stack, best), best_c, cfg.max_iter, cfg.min_improvement)
+        best_c, val = _ascend(_sigma_vag(r_stack, best), best_c, _MAX_ITER, _MIN_IMPROVEMENT)
         if val[0] <= eps:
             break
         best += 1
@@ -913,7 +857,7 @@ def verify_basis(
     are exact when an exact refusal route fires or the found witness verifies;
     otherwise the search's evidence is graded numerical, and INCONCLUSIVE is
     returned when no usable evidence exists at all or when the search came
-    within tol_me of maximal entanglement without a witness in the band.
+    within _TOL_ME of maximal entanglement without a witness in the band.
     Kind COMPLETE is the cut-free spanning check: COMPLETE_BASIS when the
     orthonormal set fills the whole space, REFUTED otherwise, always exact.
     """
@@ -951,7 +895,7 @@ def verify_basis(
             return BasisVerdict(kind, Outcome.INCONCLUSIVE, (v,), comp.dim, grade=Grade.NUMERICAL_EVIDENCE)
         if v.grade is Grade.EXACT:
             return BasisVerdict(kind, Outcome.VERIFIED, (v,), comp.dim)
-        # a search that came within tol_me of maximal entanglement is no evidence of unextendibility
+        # a search that came within _TOL_ME of maximal entanglement is no evidence of unextendibility
         if v.score is None or v.reason == _OUTSIDE_BAND:
             return BasisVerdict(kind, Outcome.INCONCLUSIVE, (v,), comp.dim, grade=Grade.NUMERICAL_EVIDENCE)
         return BasisVerdict(kind, Outcome.VERIFIED, (v,), comp.dim, grade=Grade.NUMERICAL_EVIDENCE)

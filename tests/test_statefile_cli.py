@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,25 @@ def test_cli_construct_generators(tmp_path):
 
     assert cli("construct", "nqubit-ueb", "--n", "5", "--variant", "hadamard").returncode == 3
     assert cli("construct", "no-such-thing").returncode == 3
+
+
+def test_cli_refuses_oversized_spaces_before_building(tmp_path, capsys):
+    """A space whose D x D complement array would pass 1 GiB (D > 8192) exits 3
+    at once, from generator parameters or state-file dims, before any
+    amplitude array exists."""
+    path = tmp_path / "qubits14.json"
+    path.write_text(json.dumps({"dims": [2] * 14, "states": [[[1.0, 0.0]] + [[0.0, 0.0]] * (2 ** 14 - 1)]}))
+    for argv in (["construct", "nqubit-ueb", "--n", "20"], ["construct", "bell-meb", "--d", "100"],
+                 ["verify", str(path), "--kind", "ueb-all-cuts"]):
+        start = time.perf_counter()
+        assert uebkit.cli.main(argv) == 3, argv
+        assert time.perf_counter() - start < 1.0, argv
+        err = capsys.readouterr().err
+        assert "space dimension above 8192 refused" in err and "MAX_COMPLEMENT_BYTES" in err, argv
+    uebkit.states.check_complement_size((2,) * 13)
+    uebkit.states.check_complement_size((8192,))
+    with pytest.raises(ValueError):
+        uebkit.states.check_complement_size((8193,))
 
 
 def test_cli_catalog_listing():

@@ -1,5 +1,6 @@
 """Subspace analysis: exact product tests, searches, deflation, basis verdicts."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from uebkit import (
     BasisKind,
+    Bipartition,
     Completable,
     Grade,
     Outcome,
@@ -164,8 +166,8 @@ def test_product_search_finds_a_planted_product_vector():
 
 def test_product_search_second_round_finds_what_the_first_missed(monkeypatch):
     """On this planted 3x5 span of dimension 8 = (dA-1)(dB-1) no polished
-    endpoint of the short descent is product; the polished leader of the
-    full descent is."""
+    endpoint of the short descent is product; after the full descent every
+    endpoint is polished again, and one is."""
     heights = []
     newton = subspaces._gauss_newton
 
@@ -183,7 +185,7 @@ def test_product_search_second_round_finds_what_the_first_missed(monkeypatch):
     got = find_product_state(sub, cut, SearchConfig(seed=24), TOL)
     assert (got.status, got.grade) == (SubspaceStatus.PRODUCT_FOUND, Grade.EXACT)
     assert is_product(got.witness, cut, TOL) and _in_span(sub, got.witness.amps)
-    assert heights == [64, 1]
+    assert heights == [64, 64]
 
 
 def test_find_maximally_entangled_exact_refusals():
@@ -209,7 +211,7 @@ def test_find_maximally_entangled_in_full_space():
 
 
 def test_me_band_checks_every_coefficient():
-    tol_me = SearchConfig().tol_me
+    tol_me = subspaces._TOL_ME
     t = 1.0 / math.sqrt(3.0)
     assert _in_me_band(np.array([t, t, t]), tol_me)
     assert _in_me_band(np.array([t + 0.5 * tol_me, t, t - tol_me]), tol_me)
@@ -234,8 +236,8 @@ def _me_plus_product_block(dims, rng):
 def test_me_search_meets_a_tangential_product_block():
     """The maximally entangled vector meets the product block tangentially
     (dM M^H = 0 along the block), where every smooth function of M M^H is flat
-    to fourth order; the sigma_min stage still finds it, graded EXACT, under
-    every draw of local unitaries."""
+    to fourth order; the search still finds it, graded EXACT, under every
+    draw of local unitaries."""
     for trial in range(21):
         dims = ((2, 3), (2, 4), (3, 4))[trial % 3]
         rng = np.random.default_rng([28, trial])
@@ -251,29 +253,26 @@ def test_me_search_meets_a_tangential_product_block():
             assert abs(np.vdot(me, got.witness.amps)) > 1 - 1e-9
 
 
-def test_sigma_ascent_runs_on_the_leader_only(monkeypatch):
+def test_me_search_second_round_finds_what_the_first_missed(monkeypatch):
+    """On this Haar 3x3 span of dimension 5 no polished endpoint of the short
+    ascent is maximally entangled; after the longer ascent every endpoint is
+    polished again, and one is."""
     heights = []
-    sigma_vag = subspaces._sigma_vag
+    newton = subspaces._gauss_newton
 
-    def counting(r_stack, index):
-        vag = sigma_vag(r_stack, index)
+    def counting(lin, retract, x0):
+        heights.append(len(x0))
+        return newton(lin, retract, x0)
 
-        def counted(c):
-            heights.append(len(c))
-            return vag(c)
-
-        return counted
-
-    monkeypatch.setattr(subspaces, "_sigma_vag", counting)
-    rng = np.random.default_rng(29)
-    # Haar 3x3 k=4 spans hold no maximally entangled vector, so no polished
-    # endpoint verifies and the search reaches the sigma_min stage
+    monkeypatch.setattr(subspaces, "_gauss_newton", counting)
     space = QuditDims((3, 3))
-    for trial in range(2):
-        sub = orthonormalize(space, [random_state(space, rng).amps for _ in range(4)])
-        heights.clear()
-        find_maximally_entangled(sub, single_cut(space), SearchConfig(starts=16, seed=3), TOL)
-        assert heights and set(heights) == {1}, trial
+    cut = single_cut(space)
+    rng = np.random.default_rng([9, 3, 3, 5, 4])
+    sub = orthonormalize(space, [random_state(space, rng).amps for _ in range(5)])
+    got = find_maximally_entangled(sub, cut, SearchConfig(seed=4), TOL)
+    assert (got.status, got.grade) == (SubspaceStatus.ME_FOUND, Grade.EXACT)
+    assert is_maximally_entangled(got.witness, cut, TOL) and _in_span(sub, got.witness.amps)
+    assert heights == [64, 64]
 
 
 def test_snapped_witness_has_no_negative_zeros():
@@ -292,7 +291,7 @@ def test_snapped_witness_has_no_negative_zeros():
 
 def test_newton_polish_lands_on_a_maximally_entangled_vector():
     """From 1e-5 off a planted maximally entangled vector of a 2x4 span, a
-    start the polar polish would crawl from, the Gauss-Newton steps verify."""
+    start first-order steps would crawl from, the Gauss-Newton steps verify."""
     space = QuditDims((2, 4))
     cut = single_cut(space)
     rng = np.random.default_rng(33)
@@ -354,6 +353,36 @@ def test_verify_basis_is_invariant_under_local_unitaries():
             got = verify_basis(moved, kind, SearchConfig(seed=trial), TOL)
             assert (got.outcome, got.grade, got.complement_dim) == (want.outcome, want.grade, want.complement_dim), \
                 (kind, trial)
+
+
+def test_verify_basis_is_invariant_under_party_permutations():
+    """Outcome, grade and complement dimension do not move when the parties are
+    relabelled, and each cut's status moves with its relabelled mask. Two
+    refuted sets add CONTAINS_ENTANGLED cuts: the W-class basis without its
+    last member, and a rotated basis of the complement of span{|000>, |011>},
+    which is only-product at the cut 1|23 alone."""
+    w = build_entry("eq5-w-ueb")
+    block = orthogonal_complement(span_of(SP3, 0b000, 0b011), TOL)
+    rotated = haar_unitary(6, np.random.default_rng(38)) @ block.matrix()
+    mixed = StateSet(SP3, tuple(PureState(SP3, row) for row in rotated))
+    assert [v.status for v in verify_basis(mixed, BasisKind.UEB_ALL_CUTS).per_cut] == [
+        SubspaceStatus.ONLY_PRODUCT, SubspaceStatus.CONTAINS_ENTANGLED, SubspaceStatus.CONTAINS_ENTANGLED]
+    cases = (w, build_entry("eq6-mixed-ueb"), build_entry("appendix-4qubit"), StateSet(w.space, w.states[:-1]), mixed)
+    for st in cases:
+        want = verify_basis(st, BasisKind.UEB_ALL_CUTS, SearchConfig(seed=0), TOL)
+        status = {v.cut.mask: v.status for v in want.per_cut}
+        parties = st.space.parties
+        for perm in itertools.permutations(range(parties)):
+            # new party j is old party perm[j]
+            space = QuditDims(tuple(st.space.dims[p] for p in perm))
+            moved = StateSet(space, tuple(PureState(space, s.amps.reshape(st.space.dims).transpose(perm).reshape(-1))
+                                          for s in st.states))
+            got = verify_basis(moved, BasisKind.UEB_ALL_CUTS, SearchConfig(seed=0), TOL)
+            assert (got.outcome, got.grade, got.complement_dim) == (want.outcome, want.grade, want.complement_dim), perm
+            assert len(got.per_cut) == len(want.per_cut), perm
+            for v in got.per_cut:
+                old = Bipartition(st.space, sum(1 << perm[j] for j in range(parties) if v.cut.mask >> j & 1))
+                assert v.status is status[old.mask], (perm, v.cut.mask)
 
 
 def test_umeb_witness_outside_the_band_is_inconclusive(monkeypatch):
@@ -588,8 +617,6 @@ def test_entangled_completion_near_the_tolerance():
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(starts=-1)
-    with pytest.raises(ValueError):
-        SearchConfig(samples=-2)
 
 
 def test_empty_subspace_rejected():
