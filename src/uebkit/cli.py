@@ -212,6 +212,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _config(args)
     st, _kind, planes, info, gate = _resolve_input(args, cfg)
     rank_table = gate.rank_table if gate is not None else None
+    complement = gate.complement if gate is not None else None
     completion = None
     strong = None
     if args.completion is not None:
@@ -225,6 +226,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             elif st.space.parties > 2:
                 raise ValueError("completion on more than two parties needs --cut <mask>")
             result = completion_search(st, mode, cfg, args.tol, cut=cut)
+            complement = result.complement
         completion = completion_payload(mode, result)
         d = recognize_padded_square_meb(st, args.tol) if st.space.parties == 2 else None
         if d is not None:
@@ -269,6 +271,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     _emit(
         analyze_report(
             info, cfg, _eps(args.tol), st, completion, strong, slocc, indist, rank_table=rank_table,
+            complement=complement,
         ),
         args.format,
     )

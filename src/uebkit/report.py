@@ -17,7 +17,7 @@ import numpy as np
 from .cuts import enumerate_cuts, schmidt_rank_table
 from .slocc import classify_from_ranks
 from .statefile import complex_vector, dumps_state_file
-from .states import StateSet, Tolerance, canonical_phase, orthogonal_complement
+from .states import StateSet, Subspace, Tolerance, canonical_phase, orthogonal_complement
 from .subspaces import (
     BasisKind,
     BasisVerdict,
@@ -90,8 +90,10 @@ def state_diagnostics(
     return out
 
 
-def complement_payload(st: StateSet, tol: Tolerance | float | None = None) -> dict:
-    comp = orthogonal_complement(st.subspace(), tol)
+def complement_payload(st: StateSet, tol: Tolerance | float | None = None, comp: Subspace | None = None) -> dict:
+    """Dimension and phase-fixed basis of the orthogonal complement of st; comp, when given, is that complement."""
+    if comp is None:
+        comp = orthogonal_complement(st.subspace(), tol)
     return {
         "dim": comp.dim,
         "basis": [complex_vector(canonical_phase(b, tol).amps) for b in comp.basis],
@@ -131,7 +133,7 @@ def verify_report(
         "offending_state": verdict.offending_state,
         "per_cut": [cut_verdict_payload(v) for v in verdict.per_cut],
         "states": state_diagnostics(st, eps, verdict.rank_table),
-        "complement": complement_payload(st, eps),
+        "complement": complement_payload(st, eps, verdict.complement),
     }
 
 
@@ -166,6 +168,7 @@ def analyze_report(
     slocc: dict | None = None,
     local_indistinguishability: dict | None = None,
     rank_table: np.ndarray | None = None,
+    complement: Subspace | None = None,
 ) -> dict:
     report = {
         "command": "analyze",
@@ -174,7 +177,7 @@ def analyze_report(
         "seed": cfg.seed,
         "starts": cfg.starts,
         "states": state_diagnostics(st, eps, rank_table),
-        "complement": complement_payload(st, eps),
+        "complement": complement_payload(st, eps, complement),
     }
     if completion is not None:
         report["completion"] = completion

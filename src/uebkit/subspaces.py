@@ -18,26 +18,28 @@ backtracking line search; the second is Gauss-Newton on a residual that
 vanishes exactly at a wanted vector, with minimum-norm steps. Both step all
 starts of a search together as one stack, but rows never interact: each
 keeps its own step size and stopping state, so a start follows the same
-trajectory alone or stacked. Starts come from per-start sub-seeds derived
-from (seed, stream, start index), and results are reduced in a fixed order
-(the lowest start index wins ties), so they are reproducible and independent
-of batching.
+trajectory alone or stacked. Start i is the i-th block of draws from one
+generator seeded with (seed, stream), so it does not depend on how many are
+drawn, and results are reduced in a fixed order (the lowest start index wins
+ties), so they are reproducible and independent of batching.
 
 Both witness searches run one two-round driver, _two_rounds. Every start
 first takes _SHORT_STEPS first-order steps on the linear entropy
 e2 = ((tr h)^2 - ||h||^2) / 2, h = M M^H, the summed squared 2x2 minors of
 M: descending it toward product vectors, or ascending it toward maximally
 entangled ones, where it peaks on the unit sphere. Gauss-Newton then
-polishes every endpoint, on M(c) = a b^T over (c, a, b) or on M M^H = I/d
+polishes the endpoints, on M(c) = a b^T over (c, a, b) or on M M^H = I/d
 over c; it converges quadratically where the span meets the wanted set
 transversally, also where first-order steps crawl. The lowest-index
-polished endpoint that verifies at the base tolerance is the witness. Only
-when none verifies do the same starts continue, to _MAX_ITER steps for a
-product vector or _SMOOTH_STEPS for a maximally entangled one, and every
-endpoint is polished again. That also covers a maximally entangled vector
+polished endpoint that verifies at the base tolerance is the witness; the
+first _FIRST_POLISH endpoints are polished and tested before the rest, which
+are polished only when none of them verifies. Only when no endpoint
+verifies do the same starts continue, to _MAX_ITER steps for a product
+vector or _SMOOTH_STEPS for a maximally entangled one, and the endpoints
+are polished again. That also covers a maximally entangled vector
 that meets a product block tangentially (dM M^H = 0 along the block, as in
 the Prop. 2a complement span{|phi+>} + {|x>|2>}): the entropy is flat to
-fourth order there, yet with every endpoint polished some of them verify.
+fourth order there, yet once polished some endpoints verify.
 """
 
 from __future__ import annotations
@@ -123,7 +125,7 @@ class Completable(Enum):
 @dataclass(frozen=True)
 class SearchConfig:
     """Settings of the randomized searches: how many starts, and the seed
-    their per-start sub-seeds derive from.
+    they are drawn from.
 
     starts = 0 disables searching so only exact certificates remain. Step
     caps and the maximal entanglement band are module constants.
@@ -153,19 +155,23 @@ class SubspaceVerdict:
 class BasisVerdict:
     """Verdict of verify_basis.
 
-    rank_table holds the (k, n_cuts) Schmidt ranks of the members over
-    enumerate_cuts(space) when the UEB gate computed them for every cut
-    (kind UEB_ALL_CUTS, or UEB on two parties), so reports can reuse it;
-    None otherwise.
+    complement is the orthogonal complement of the set, and rank_table holds
+    the (k, n_cuts) Schmidt ranks of the members over enumerate_cuts(space)
+    when the UEB gate computed them for every cut (kind UEB_ALL_CUTS, or UEB
+    on two parties), else None; reports reuse both.
     """
 
     kind: BasisKind
     outcome: Outcome
     per_cut: tuple[SubspaceVerdict, ...]
-    complement_dim: int
+    complement: Subspace
     offending_state: int | None = None
     grade: Grade = Grade.EXACT
     rank_table: np.ndarray | None = None
+
+    @property
+    def complement_dim(self) -> int:
+        return self.complement.dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,8 +187,12 @@ class DeflationResult:
 class CompletionResult:
     found: StateSet
     completable: Completable
-    complement_dim: int
+    complement: Subspace
     reason: str
+
+    @property
+    def complement_dim(self) -> int:
+        return self.complement.dim
 
 
 _STREAM_PRODUCT = 1
@@ -192,8 +202,7 @@ _STREAM_RANK = 4
 # Haar draws tried before ENTANGLED completion gives up; each draw misses
 # only when some rotated vector has sigma_2 <= eps.
 _ROTATION_DRAWS = 4
-# Linear-entropy steps every start of both searches takes before Gauss-Newton
-# polishes every endpoint.
+# Linear-entropy steps every start of both searches takes before the first polish.
 _SHORT_STEPS = 30
 # Linear-entropy steps every start of the maximally entangled search takes
 # before its second polish, when no endpoint of the first verified.
@@ -211,17 +220,17 @@ _TOL_ME = 1e-7
 # Cap on the Gauss-Newton steps of one row: quadratic convergence takes a few
 # where the solution set is met transversally.
 _NEWTON_STEPS = 20
+# Endpoints polished before the others, which are polished only when none of these verifies.
+_FIRST_POLISH = 8
 _OUTSIDE_BAND = "witness near maximal entanglement but outside the tol_me band"
 
 
 def _random_starts(seed: int, stream: int, count: int, k: int) -> np.ndarray:
-    """(count, k) stack of unit starts; row i is drawn from the sub-seed (seed, stream, i)."""
-    starts = np.zeros((count, k), dtype=np.complex128)
-    for i in range(count):
-        rng = np.random.default_rng([seed, stream, i])
-        v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        starts[i] = v / np.linalg.norm(v)
-    return starts
+    """(count, k) stack of unit starts: row i is the i-th block of 2k normal
+    draws from one generator seeded with (seed, stream), whatever the count."""
+    z = np.random.default_rng([seed, stream]).standard_normal((count, 2, k))
+    v = z[:, 0] + 1j * z[:, 1]
+    return v / _norms(v)[:, None]
 
 
 def _reshapes(s: Subspace, cut: Bipartition) -> np.ndarray:
@@ -302,42 +311,41 @@ def _ascend(
     and each accepted step must clear an Armijo-style improvement. Every row
     keeps its own step size, backtrack count and step count, and only live
     rows are evaluated, so a row follows the same trajectory alone or stacked.
+    Live rows are kept packed; a row that stops is written back and dropped.
     """
     c = c0 / _norms(c0)[:, None]
     f, g = fun(c)
-    rows = len(c)
-    d = np.zeros_like(c)
-    dn = np.zeros(rows)
-    step = np.ones(rows)
-    eta = np.ones(rows)
-    tries = np.zeros(rows, dtype=int)
-    taken = np.zeros(rows, dtype=int)
-    live = np.full(rows, max_iter > 0)
-    new = np.flatnonzero(live)  # rows that start a step and need a direction
+    rows = np.arange(len(c))
+    cl, fl, gl = c, f, g
+    eta = np.ones(len(c))
+    tries = np.zeros(len(c), dtype=int)
+    taken = np.zeros(len(c), dtype=int)
+    stop = np.full(len(c), max_iter <= 0)
     while True:
-        d[new] = g[new] - _dots(c[new], g[new])[:, None] * c[new]
-        dn[new] = _norms(d[new])
-        live[new[dn[new] < 1e-15]] = False
-        eta[new] = step[new]
-        tries[new] = 0
-        i = np.flatnonzero(live)
-        if not i.size:
+        if stop.any():
+            c[rows[stop]], f[rows[stop]] = cl[stop], fl[stop]
+            keep = ~stop
+            rows, cl, fl, gl, eta, tries, taken = (x[keep] for x in (rows, cl, fl, gl, eta, tries, taken))
+        if not rows.size:
             return c, f
-        trial = c[i] + eta[i, None] * d[i]
+        d = gl - _dots(cl, gl)[:, None] * cl
+        dn = _norms(d)
+        stop = dn < 1e-15
+        if stop.any():
+            continue
+        trial = cl + eta[:, None] * d
         trial /= _norms(trial)[:, None]
         ft, gt = fun(trial)
-        ok = ft > f[i] + 1e-4 * eta[i] * dn[i] * dn[i]
-        back = i[~ok]
-        eta[back] *= 0.5
-        tries[back] += 1
-        live[back[tries[back] == 50]] = False
-        a = i[ok]
-        gain = ft[ok] - f[a]
-        c[a], f[a], g[a] = trial[ok], ft[ok], gt[ok]
-        step[a] = np.minimum(eta[a] * 2.0, 1.0)
-        taken[a] += 1
-        live[a[(gain < min_improvement) | (taken[a] == max_iter)]] = False
-        new = a[live[a]]
+        ok = ft > fl + 1e-4 * eta * dn * dn
+        gain = ft - fl
+        if ok.all():  # the common case needs no masking
+            cl, fl, gl, tries = trial, ft, gt, np.zeros_like(tries)
+        else:
+            cl, fl, gl = np.where(ok[:, None], trial, cl), np.where(ok, ft, fl), np.where(ok[:, None], gt, gl)
+            tries = np.where(ok, 0, tries + 1)
+        eta = np.where(ok, np.minimum(eta * 2.0, 1.0), eta * 0.5)
+        taken += ok
+        stop = np.where(ok, (gain < min_improvement) | (taken == max_iter), tries == 50)
 
 
 def _m_stack(r_stack: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -352,16 +360,24 @@ def _impurity_vag(r_stack: np.ndarray, sign: float = -1.0) -> Callable[[np.ndarr
 
     The default sign descends e2 toward product vectors; sign = +1 ascends it
     toward maximally entangled ones, where it peaks on the unit sphere.
+    M is oriented dmin x dmax, which leaves e2 and its direction unchanged.
+    The table P[m, l] = R_m R_l^H is built once: with w = c (x) conj(c),
+    h = w . P and the direction is sum_m c_m tr((tr h - h) P[m, l]), so an
+    evaluation is two per-row products with P and one with the k x k result.
     """
-    rc = r_stack.conj()
+    k, da, db = r_stack.shape
+    r = r_stack if da <= db else r_stack.transpose(0, 2, 1)
+    d = r.shape[1]
+    table = (r[:, None] @ r.conj().transpose(0, 2, 1)[None]).reshape(k * k, d * d)
+    back = table.reshape(k * k, d, d).transpose(2, 1, 0).reshape(d * d, k * k)  # h @ back = tr(h P[m, l])
+    traces = table[:, ::d + 1].sum(axis=1)
 
     def vag(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        m = _m_stack(r_stack, c)
-        h = m @ m.conj().transpose(0, 2, 1)
-        trh = np.trace(h, axis1=1, axis2=2).real
-        f = (trh * trh - (np.abs(h) ** 2).sum(axis=(1, 2))) / 2.0
-        grad = np.einsum("kab,sab->sk", rc, trh[:, None, None] * m - h @ m)
-        return sign * f, sign * grad
+        h = (c[:, :, None] * c.conj()[:, None, :]).reshape(len(c), 1, k * k) @ table
+        trh = h[:, 0, ::d + 1].sum(axis=1).real
+        f = (trh * trh - _dots(h[:, 0], h[:, 0]).real) / 2.0
+        y = trh[:, None, None] * traces - h @ back
+        return sign * f, sign * (c[:, None, :] @ y.reshape(len(c), k, k))[:, 0]
 
     return vag
 
@@ -507,28 +523,36 @@ def _two_rounds(
     starts: np.ndarray,
     long_steps: int,
     tol: Tolerance | float | None,
-) -> tuple[PureState | None, np.ndarray, np.ndarray]:
+) -> tuple[PureState | None, np.ndarray | None, np.ndarray | None]:
     """The multi-start driver of both witness searches.
 
-    Every start takes _SHORT_STEPS ascent steps on vag, and polish maps every
-    endpoint to coefficients. The witness is the phase-fixed state of the
+    Every start takes _SHORT_STEPS ascent steps on vag, and polish maps
+    endpoints to coefficients. The witness is the phase-fixed state of the
     lowest-index polished row that accept admits, given the (S, dmin)
-    singular values of its M, and that passes check at tol. When no row
-    does, the same starts continue to long_steps steps and every endpoint is
-    polished and tested again. Returns the witness (None on a miss) with the
-    polished coefficients of the last round and their singular values.
+    singular values of its M, and that passes check at tol. The first
+    _FIRST_POLISH endpoints are polished and tested before the rest, which
+    are polished only when none of them verifies; rows are polished
+    independently, so the witness is the one a polish of every endpoint
+    gives. When no row verifies, the same starts continue to long_steps steps
+    and are polished and tested again. Returns (witness, None, None), or on a
+    miss None with the polished coefficients of the second round and their
+    singular values.
     """
     cs, done = starts, 0
     for steps in (_SHORT_STEPS, long_steps):
         cs, _ = _ascend(vag, cs, steps - done, _MIN_IMPROVEMENT)
         done = steps
-        polished = polish(cs)
-        sv = np.linalg.svd(_m_stack(r_stack, polished), compute_uv=False)
-        for i in np.flatnonzero(accept(sv)):
-            witness = _coeff_state(s, polished[i], tol)
-            if check(witness, cut, tol):
-                return witness, polished, sv
-    return None, polished, sv
+        polished, sv = [], []
+        for chunk in (cs[:_FIRST_POLISH], cs[_FIRST_POLISH:]):
+            if not len(chunk):
+                break
+            polished.append(polish(chunk))
+            sv.append(np.linalg.svd(_m_stack(r_stack, polished[-1]), compute_uv=False))
+            for i in np.flatnonzero(accept(sv[-1])):
+                witness = _coeff_state(s, polished[-1][i], tol)
+                if check(witness, cut, tol):
+                    return witness, None, None
+    return None, np.concatenate(polished), np.concatenate(sv)
 
 
 def find_product_state(
@@ -542,7 +566,7 @@ def find_product_state(
     _two_rounds runs the search: every start descends the summed squared 2x2
     minors of M(c) (the linear entropy e2), for _SHORT_STEPS steps and, when
     no polished endpoint verifies, on to _MAX_ITER steps; after each round
-    Gauss-Newton steps on M(c) = a b^T over (c, a, b) polish every endpoint.
+    Gauss-Newton steps on M(c) = a b^T over (c, a, b) polish the endpoints.
 
     PRODUCT_FOUND (EXACT) goes to the lowest-index start, first round before
     second, whose witness passes is_product at tol; score is then the
@@ -629,7 +653,7 @@ def find_maximally_entangled(
     Otherwise _two_rounds runs the search: every start climbs the linear
     entropy, for _SHORT_STEPS steps and, when no polished endpoint verifies,
     on to _SMOOTH_STEPS steps; after each round Gauss-Newton steps on
-    M M^H = I/d polish every endpoint. The witness is the lowest-index
+    M M^H = I/d polish the endpoints. The witness is the lowest-index
     polished endpoint that passes is_maximally_entangled at tol; on a miss
     it is the polished endpoint of the second round with the largest
     smallest singular value, the lowest index winning ties. Either witness
@@ -868,7 +892,7 @@ def verify_basis(
     if kind is BasisKind.COMPLETE:
         comp = orthogonal_complement(st.subspace(), tol)
         outcome = Outcome.COMPLETE_BASIS if comp.dim == 0 else Outcome.REFUTED
-        return BasisVerdict(kind, outcome, (), comp.dim)
+        return BasisVerdict(kind, outcome, (), comp)
     if kind in (BasisKind.UEB, BasisKind.UMEB):
         cuts = [cut if cut is not None else single_cut(space)]
     else:
@@ -884,21 +908,21 @@ def verify_basis(
             ranks.setflags(write=False)
             table = ranks
     if weak:
-        return BasisVerdict(kind, Outcome.REFUTED, (), comp.dim, offending_state=weak[0], rank_table=table)
+        return BasisVerdict(kind, Outcome.REFUTED, (), comp, offending_state=weak[0], rank_table=table)
     if comp.dim == 0:
-        return BasisVerdict(kind, Outcome.COMPLETE_BASIS, (), 0, rank_table=table)
+        return BasisVerdict(kind, Outcome.COMPLETE_BASIS, (), comp, rank_table=table)
     if kind is BasisKind.UMEB:
         v = find_maximally_entangled(comp, cuts[0], cfg, tol)
         if v.status is SubspaceStatus.ME_FOUND:
             if v.grade is Grade.EXACT:
-                return BasisVerdict(kind, Outcome.REFUTED, (v,), comp.dim)
-            return BasisVerdict(kind, Outcome.INCONCLUSIVE, (v,), comp.dim, grade=Grade.NUMERICAL_EVIDENCE)
+                return BasisVerdict(kind, Outcome.REFUTED, (v,), comp)
+            return BasisVerdict(kind, Outcome.INCONCLUSIVE, (v,), comp, grade=Grade.NUMERICAL_EVIDENCE)
         if v.grade is Grade.EXACT:
-            return BasisVerdict(kind, Outcome.VERIFIED, (v,), comp.dim)
+            return BasisVerdict(kind, Outcome.VERIFIED, (v,), comp)
         # a search that came within _TOL_ME of maximal entanglement is no evidence of unextendibility
         if v.score is None or v.reason == _OUTSIDE_BAND:
-            return BasisVerdict(kind, Outcome.INCONCLUSIVE, (v,), comp.dim, grade=Grade.NUMERICAL_EVIDENCE)
-        return BasisVerdict(kind, Outcome.VERIFIED, (v,), comp.dim, grade=Grade.NUMERICAL_EVIDENCE)
+            return BasisVerdict(kind, Outcome.INCONCLUSIVE, (v,), comp, grade=Grade.NUMERICAL_EVIDENCE)
+        return BasisVerdict(kind, Outcome.VERIFIED, (v,), comp, grade=Grade.NUMERICAL_EVIDENCE)
     per_cut: list[SubspaceVerdict] = []
     all_only = True
     for c in cuts:
@@ -911,7 +935,7 @@ def verify_basis(
             witness = None  # borderline probe: keep the refutation, drop the witness
         per_cut.append(SubspaceVerdict(c, SubspaceStatus.CONTAINS_ENTANGLED, Grade.EXACT, witness=witness))
     outcome = Outcome.VERIFIED if all_only else Outcome.REFUTED
-    return BasisVerdict(kind, outcome, tuple(per_cut), comp.dim, rank_table=table)
+    return BasisVerdict(kind, outcome, tuple(per_cut), comp, rank_table=table)
 
 
 def completion_search(
@@ -944,4 +968,4 @@ def completion_search(
         completable = Completable.NO_EXACT
     else:
         completable = Completable.NO_EVIDENCE
-    return CompletionResult(res.states, completable, comp.dim, res.reason)
+    return CompletionResult(res.states, completable, comp, res.reason)

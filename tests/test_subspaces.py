@@ -166,8 +166,9 @@ def test_product_search_finds_a_planted_product_vector():
 
 def test_product_search_second_round_finds_what_the_first_missed(monkeypatch):
     """On this planted 3x5 span of dimension 8 = (dA-1)(dB-1) no polished
-    endpoint of the short descent is product; after the full descent every
-    endpoint is polished again, and one is."""
+    endpoint of the short descent is product, so all 64 are polished (the
+    first 8, then the other 56); after the full descent the first 8 are
+    polished again, and one of them is."""
     heights = []
     newton = subspaces._gauss_newton
 
@@ -185,7 +186,7 @@ def test_product_search_second_round_finds_what_the_first_missed(monkeypatch):
     got = find_product_state(sub, cut, SearchConfig(seed=24), TOL)
     assert (got.status, got.grade) == (SubspaceStatus.PRODUCT_FOUND, Grade.EXACT)
     assert is_product(got.witness, cut, TOL) and _in_span(sub, got.witness.amps)
-    assert heights == [64, 64]
+    assert heights == [8, 56, 8]
 
 
 def test_find_maximally_entangled_exact_refusals():
@@ -255,8 +256,9 @@ def test_me_search_meets_a_tangential_product_block():
 
 def test_me_search_second_round_finds_what_the_first_missed(monkeypatch):
     """On this Haar 3x3 span of dimension 5 no polished endpoint of the short
-    ascent is maximally entangled; after the longer ascent every endpoint is
-    polished again, and one is."""
+    ascent is maximally entangled, so all 64 are polished (the first 8, then
+    the other 56); after the longer ascent the first 8 are polished again,
+    and one of them is."""
     heights = []
     newton = subspaces._gauss_newton
 
@@ -269,10 +271,10 @@ def test_me_search_second_round_finds_what_the_first_missed(monkeypatch):
     cut = single_cut(space)
     rng = np.random.default_rng([9, 3, 3, 5, 4])
     sub = orthonormalize(space, [random_state(space, rng).amps for _ in range(5)])
-    got = find_maximally_entangled(sub, cut, SearchConfig(seed=4), TOL)
+    got = find_maximally_entangled(sub, cut, SearchConfig(seed=18), TOL)
     assert (got.status, got.grade) == (SubspaceStatus.ME_FOUND, Grade.EXACT)
     assert is_maximally_entangled(got.witness, cut, TOL) and _in_span(sub, got.witness.amps)
-    assert heights == [64, 64]
+    assert heights == [8, 56, 8]
 
 
 def test_snapped_witness_has_no_negative_zeros():
@@ -778,3 +780,75 @@ def test_batched_newton_matches_one_row_runs():
             if name == "product":
                 assert np.array_equal(xs[0], x0[0])
             assert not np.array_equal(xs[1:], x0[1:]), (dims, name)
+
+
+def _polish_every_start(s, cut, r_stack, vag, polish, accept, check, starts, long_steps, tol):
+    """Reference: _two_rounds with one polish of every endpoint per round."""
+    cs, done = starts, 0
+    for steps in (subspaces._SHORT_STEPS, long_steps):
+        cs, _ = _ascend(vag, cs, steps - done, subspaces._MIN_IMPROVEMENT)
+        done = steps
+        polished = polish(cs)
+        sv = np.linalg.svd(subspaces._m_stack(r_stack, polished), compute_uv=False)
+        for i in np.flatnonzero(accept(sv)):
+            witness = subspaces._coeff_state(s, polished[i], tol)
+            if check(witness, cut, tol):
+                return witness, None, None
+    return None, polished, sv
+
+
+def test_index_ordered_polish_matches_a_polish_of_every_start(monkeypatch):
+    """Polishing the first endpoints before the rest returns the witness bytes,
+    or on a miss the polished endpoints, of one polish of every start: on
+    above-bound product finds, maximally entangled finds, misses, and one
+    second-round find."""
+    two_rounds = subspaces._two_rounds
+    compared = []
+
+    def both(*args):
+        got, want = two_rounds(*args), _polish_every_start(*args)
+        assert (got[0] is None) == (want[0] is None)
+        if got[0] is not None:
+            assert got[0].amps.tobytes() == want[0].amps.tobytes()
+        else:
+            assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
+        compared.append(args)
+        return got
+
+    monkeypatch.setattr(subspaces, "_two_rounds", both)
+    assert np.array_equal(_random_starts(5, 1, 3, 4), _random_starts(5, 1, 64, 4)[:3])
+    statuses = []
+    for dims, k in (((3, 3), 5), ((2, 4), 4), ((3, 3), 4)):
+        space = QuditDims(dims)
+        cut = single_cut(space)
+        for draw in range(3):
+            sub = _subspace_of(space, _haar_rows(math.prod(dims), k, np.random.default_rng([36, k, draw])))
+            for search in (find_product_state, find_maximally_entangled):
+                statuses.append(search(sub, cut, SearchConfig(seed=draw), TOL).status)
+    # the draw of test_me_search_second_round_finds_what_the_first_missed
+    space = QuditDims((3, 3))
+    rng = np.random.default_rng([9, 3, 3, 5, 4])
+    sub = orthonormalize(space, [random_state(space, rng).amps for _ in range(5)])
+    statuses.append(find_maximally_entangled(sub, single_cut(space), SearchConfig(seed=18), TOL).status)
+    assert len(compared) == len(statuses) and statuses[:12:2] == [SubspaceStatus.PRODUCT_FOUND] * 6
+    assert {SubspaceStatus.ME_FOUND, SubspaceStatus.NO_PRODUCT_FOUND} <= set(statuses)
+    assert statuses[-1] is SubspaceStatus.ME_FOUND
+
+
+def test_table_driven_entropy_matches_the_direct_formula():
+    """The table-driven value and direction of _impurity_vag match the direct
+    formula on M(c), for both signs and with M taller than wide (4x2)."""
+    rng = np.random.default_rng(38)
+    for dims, k in (((2, 3), 3), ((3, 3), 5), ((2, 4), 4), ((4, 2), 4)):
+        space = QuditDims(dims)
+        r_stack = _reshapes(_subspace_of(space, _haar_rows(math.prod(dims), k, rng)), single_cut(space))
+        cs = _random_starts(38, 1, 6, k)
+        for sign in (-1.0, 1.0):
+            f, g = _impurity_vag(r_stack, sign)(cs)
+            for c, f_row, g_row in zip(cs, f, g):
+                m = np.einsum("k,kab->ab", c, r_stack)
+                h = m @ m.conj().T
+                trh = np.trace(h).real
+                want_f = sign * (trh * trh - np.sum(np.abs(h) ** 2)) / 2.0
+                want_g = sign * np.einsum("kab,ab->k", r_stack.conj(), trh * m - h @ m)
+                assert abs(f_row - want_f) <= 1e-14 and np.abs(g_row - want_g).max() <= 1e-14, (dims, sign)
