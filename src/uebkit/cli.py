@@ -249,7 +249,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         slocc = {
             "labels": [v.label for v in verdicts],
             "tangles": [v.tangle for v in verdicts],
-            "resource_dimension_flag": resource_dimension_flag(st, args.tol),
+            "resource_dimension_flag": resource_dimension_flag(st, args.tol, complement=complement),
         }
         try:
             flags = all_cut_indistinguishability_flag(st, args.tol, planes=planes or None)

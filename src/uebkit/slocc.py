@@ -20,6 +20,7 @@ from .states import (
     PureState,
     QuditDims,
     StateSet,
+    Subspace,
     Tolerance,
     _eps,
     orthogonal_complement,
@@ -166,17 +167,20 @@ def resource_dimension_flag(
     st: StateSet,
     tol: Tolerance | float | None = None,
     tol_tangle: float = DEFAULT_TANGLE_EPS,
+    complement: Subspace | None = None,
 ) -> bool:
     """Whether the set spans both genuinely entangled classes of three qubits.
 
     Members are classified individually; a one-dimensional complement ray is
     classified as well, since a basis argument covers the full space. True
     means at least one GHZ-class and at least one W-class vector appear.
+    complement is the set's orthogonal complement at tol when the caller
+    already holds it; it is computed otherwise.
     """
     if st.space.dims != (2, 2, 2):
         raise ValueError(f"the flag is defined for three qubits, got {st.space}")
     members = list(st.states)
-    comp = orthogonal_complement(st.subspace(), tol)
+    comp = complement if complement is not None else orthogonal_complement(st.subspace(), tol)
     if comp.dim == 1:
         members.append(comp.basis[0])
     ranks = schmidt_rank_table(np.array([m.amps for m in members]), enumerate_cuts(st.space), tol)

@@ -14,23 +14,28 @@ singular-value counts, checked against the tolerance as in the Schmidt rank.
 
 Randomized searches share two batched drivers. The first is projected
 gradient ascent on the complex unit sphere of coefficient vectors, with
-backtracking line search; the second is Gauss-Newton on a residual that
-vanishes exactly at a wanted vector, with minimum-norm steps. Both step all
-starts of a search together as one stack, but rows never interact: each
-keeps its own step size and stopping state, so a start follows the same
-trajectory alone or stacked. Start i is the i-th block of draws from one
-generator seeded with (seed, stream), so it does not depend on how many are
-drawn, and results are reduced in a fixed order (the lowest start index wins
-ties), so they are reproducible and independent of batching.
+backtracking line search; where the objective's peak on the sphere is known,
+a row stops once an accepted step gains less than _STALL of its remaining gap
+to it. The second is Gauss-Newton on a residual that vanishes exactly at a
+wanted vector, with minimum-norm steps. Both step all starts of a search
+together as one stack, but rows never interact: each keeps its own step
+size and stopping state, so a start follows the same trajectory alone or
+stacked. Start i is the i-th block of draws from one generator seeded with
+(seed, stream), so it does not depend on how many are drawn, and results are
+reduced in a fixed order (the lowest start index wins ties), so they are
+reproducible and independent of batching.
 
 Both witness searches run one two-round driver, _two_rounds. Every start
 first takes _SHORT_STEPS first-order steps on the linear entropy
 e2 = ((tr h)^2 - ||h||^2) / 2, h = M M^H, the summed squared 2x2 minors of
-M: descending it toward product vectors, or ascending it toward maximally
-entangled ones, where it peaks on the unit sphere. Gauss-Newton then
-polishes the endpoints, on M(c) = a b^T over (c, a, b) or on M M^H = I/d
-over c; it converges quadratically where the span meets the wanted set
-transversally, also where first-order steps crawl. The lowest-index
+M: descending it toward product vectors, where it is 0, or ascending it
+toward maximally entangled ones, where it peaks on the unit sphere at
+(1 - 1/d)/2 (tr h = 1, and h = I/d there). A row whose accepted step
+closes less than _STALL of its gap to that value is taken to be parked at
+a lower local optimum and stops, rather than crawling to the step cap.
+Gauss-Newton then polishes the endpoints, on M(c) = a b^T over (c, a, b)
+or on M M^H = I/d over c; it converges quadratically where the span meets
+the wanted set transversally, also where first-order steps crawl. The lowest-index
 polished endpoint that verifies at the base tolerance is the witness; the
 first _FIRST_POLISH endpoints are polished and tested before the rest, which
 are polished only when none of them verifies. Only when no endpoint
@@ -208,9 +213,13 @@ _SHORT_STEPS = 30
 # before its second polish, when no endpoint of the first verified.
 _SMOOTH_STEPS = 200
 # Step cap of a first-order ascent, and the gain below which a row stops;
-# the product search's second round runs to the cap.
+# the product search's second round is capped there.
 _MAX_ITER = 500
 _MIN_IMPROVEMENT = 1e-12
+# Fraction of its remaining gap to a known peak that an accepted step must
+# gain, else its row stops: a row still closing the gap geometrically runs
+# on, one parked at a lower local optimum stops instead of crawling to the cap.
+_STALL = 1e-2
 # Coefficient vectors max_schmidt_rank_in_subspace samples before refining.
 _SAMPLES = 64
 # Acceptance band for maximal entanglement: every Schmidt coefficient must lie
@@ -302,16 +311,21 @@ def _ascend(
     c0: np.ndarray,
     max_iter: int,
     min_improvement: float,
+    peak: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient ascent with backtracking on the complex unit sphere,
     run independently for every row of an (S, k) stack of starts.
 
     fun maps a stack of points to their values and ascent directions; each
     direction is projected onto the sphere's tangent space before stepping,
-    and each accepted step must clear an Armijo-style improvement. Every row
-    keeps its own step size, backtrack count and step count, and only live
-    rows are evaluated, so a row follows the same trajectory alone or stacked.
-    Live rows are kept packed; a row that stops is written back and dropped.
+    and each accepted step must clear an Armijo-style improvement. A row
+    stops after max_iter accepted steps, after 50 straight backtracks, or at
+    an accepted step that gains less than min_improvement or, when the
+    objective's largest value on the sphere is known as peak, less than
+    _STALL times the row's gap peak - f before the step. Every row keeps its
+    own step size, backtrack count and step count, and only live rows are
+    evaluated, so a row follows the same trajectory alone or stacked. Live
+    rows are kept packed; a row that stops is written back and dropped.
     """
     c = c0 / _norms(c0)[:, None]
     f, g = fun(c)
@@ -338,6 +352,7 @@ def _ascend(
         ft, gt = fun(trial)
         ok = ft > fl + 1e-4 * eta * dn * dn
         gain = ft - fl
+        floor = min_improvement if peak is None else np.maximum(min_improvement, _STALL * (peak - fl))
         if ok.all():  # the common case needs no masking
             cl, fl, gl, tries = trial, ft, gt, np.zeros_like(tries)
         else:
@@ -345,7 +360,7 @@ def _ascend(
             tries = np.where(ok, 0, tries + 1)
         eta = np.where(ok, np.minimum(eta * 2.0, 1.0), eta * 0.5)
         taken += ok
-        stop = np.where(ok, (gain < min_improvement) | (taken == max_iter), tries == 50)
+        stop = np.where(ok, (gain < floor) | (taken == max_iter), tries == 50)
 
 
 def _m_stack(r_stack: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -517,6 +532,7 @@ def _two_rounds(
     cut: Bipartition,
     r_stack: np.ndarray,
     vag: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    peak: float,
     polish: Callable[[np.ndarray], np.ndarray],
     accept: Callable[[np.ndarray], np.ndarray],
     check: Callable[[PureState, Bipartition, Tolerance | float | None], bool],
@@ -526,21 +542,22 @@ def _two_rounds(
 ) -> tuple[PureState | None, np.ndarray | None, np.ndarray | None]:
     """The multi-start driver of both witness searches.
 
-    Every start takes _SHORT_STEPS ascent steps on vag, and polish maps
-    endpoints to coefficients. The witness is the phase-fixed state of the
-    lowest-index polished row that accept admits, given the (S, dmin)
-    singular values of its M, and that passes check at tol. The first
-    _FIRST_POLISH endpoints are polished and tested before the rest, which
-    are polished only when none of them verifies; rows are polished
-    independently, so the witness is the one a polish of every endpoint
-    gives. When no row verifies, the same starts continue to long_steps steps
-    and are polished and tested again. Returns (witness, None, None), or on a
-    miss None with the polished coefficients of the second round and their
-    singular values.
+    Every start takes _SHORT_STEPS ascent steps on vag, whose largest value
+    on the unit sphere is peak, so that a row stops early once a step gains
+    under _STALL of its gap to it; polish maps endpoints to coefficients.
+    The witness is the phase-fixed state of the lowest-index polished row
+    that accept admits, given the (S, dmin) singular values of its M, and
+    that passes check at tol. The first _FIRST_POLISH endpoints are polished
+    and tested before the rest, which are polished only when none of them
+    verifies; rows are polished independently, so the witness is the one a
+    polish of every endpoint gives. When no row verifies, the same starts
+    continue, each to long_steps steps or until it stalls, and are polished
+    and tested again. Returns (witness, None, None), or on a miss None with
+    the polished coefficients of the second round and their singular values.
     """
     cs, done = starts, 0
     for steps in (_SHORT_STEPS, long_steps):
-        cs, _ = _ascend(vag, cs, steps - done, _MIN_IMPROVEMENT)
+        cs, _ = _ascend(vag, cs, steps - done, _MIN_IMPROVEMENT, peak)
         done = steps
         polished, sv = [], []
         for chunk in (cs[:_FIRST_POLISH], cs[_FIRST_POLISH:]):
@@ -586,7 +603,7 @@ def find_product_state(
     r_stack = _reshapes(s, cut)
     lin, retract = _rank_one_newton(r_stack)
     witness, _, sv = _two_rounds(
-        s, cut, r_stack, _impurity_vag(r_stack),
+        s, cut, r_stack, _impurity_vag(r_stack), 0.0,
         lambda cs: _gauss_newton(lin, retract, _rank_one_start(r_stack, cs))[:, :s.dim],
         lambda sv: sv[:, 1] <= 2.0 * eps, is_product,
         _random_starts(cfg.seed, _STREAM_PRODUCT, cfg.starts, s.dim), _MAX_ITER, tol)
@@ -687,7 +704,8 @@ def find_maximally_entangled(
     eps = _eps(tol)
     lin, retract = _me_newton(r_stack, dmin)
     witness, polished, sv = _two_rounds(
-        s, cut, r_stack, _impurity_vag(r_stack, 1.0), lambda cs: _gauss_newton(lin, retract, cs),
+        s, cut, r_stack, _impurity_vag(r_stack, 1.0), (1.0 - 1.0 / dmin) / 2.0,
+        lambda cs: _gauss_newton(lin, retract, cs),
         lambda sv: np.ptp(sv, axis=1) < 2.0 * eps, is_maximally_entangled,
         _random_starts(cfg.seed, _STREAM_ME, cfg.starts, s.dim), _SMOOTH_STEPS, tol)
     if witness is None:

@@ -392,3 +392,28 @@ def test_catalog_verify_reuses_the_gate_verdict(monkeypatch, capsys):
     assert uebkit.cli.main(["verify", "eq1-ueb", "--kind", "umeb"]) == 1
     assert calls == [BasisKind.UEB, BasisKind.UMEB]
     capsys.readouterr()
+
+
+def test_analyze_computes_one_complement(monkeypatch, capsys):
+    """analyze of a 2x2x2 catalog entry hands the gate's complement to the
+    SLOCC resource flag: one orthogonal_complement call, and the report
+    prints the bytes it printed when the flag computed its own."""
+    calls = []
+    complement = uebkit.states.orthogonal_complement
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].dim)
+        return complement(*args, **kwargs)
+
+    for mod in (uebkit.subspaces, uebkit.slocc, uebkit.report):
+        monkeypatch.setattr(mod, "orthogonal_complement", counting)
+    assert uebkit.cli.main(["analyze", "eq6-mixed-ueb"]) == 0
+    assert calls == [7]
+    shared = capsys.readouterr().out
+    flag = uebkit.slocc.resource_dimension_flag
+    monkeypatch.setattr(uebkit.cli, "resource_dimension_flag",
+                        lambda st, tol, complement: flag(st, tol))
+    calls.clear()
+    assert uebkit.cli.main(["analyze", "eq6-mixed-ueb"]) == 0
+    assert calls == [7, 7]
+    assert capsys.readouterr().out == shared

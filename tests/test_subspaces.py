@@ -277,6 +277,37 @@ def test_me_search_second_round_finds_what_the_first_missed(monkeypatch):
     assert heights == [8, 56, 8]
 
 
+def test_stalled_rows_end_the_second_round_early(monkeypatch):
+    """On a Haar 3x3 span of dimension 4, which holds no product vector and
+    here yields no maximally entangled one, every row of the second round
+    stops once a step gains under _STALL of its gap to the entropy's peak:
+    each search's second round makes fewer than half the objective
+    evaluations its step cap allows, where rows crawling to the cap need
+    more than the cap."""
+    calls = []
+    ascend = subspaces._ascend
+
+    def counting(fun, c0, max_iter, min_improvement, peak=None):
+        def vag(c):
+            calls[-1][1] += 1
+            return fun(c)
+
+        calls.append([max_iter, 0])
+        return ascend(vag, c0, max_iter, min_improvement, peak)
+
+    monkeypatch.setattr(subspaces, "_ascend", counting)
+    space = QuditDims((3, 3))
+    cut = single_cut(space)
+    sub = _subspace_of(space, _haar_rows(9, 4, np.random.default_rng([36, 4, 5])))
+    for search, status in ((find_product_state, SubspaceStatus.NO_PRODUCT_FOUND),
+                           (find_maximally_entangled, SubspaceStatus.NO_ME_FOUND)):
+        calls.clear()
+        assert search(sub, cut, SearchConfig(seed=5), TOL).status is status
+        assert len(calls) == 2, search.__name__
+        cap, evaluations = calls[1]
+        assert evaluations < cap // 2, (search.__name__, calls)
+
+
 def test_snapped_witness_has_no_negative_zeros():
     """Exact zeros of the lattice-snapped |phi+> print as 0.0 on every seed."""
     st = build_generator("prop2a-set")
@@ -699,7 +730,7 @@ def _norm(v):
     return math.sqrt(np.vdot(v, v).real)
 
 
-def _sphere_ascent(fun, c0, max_iter, min_improvement):
+def _sphere_ascent(fun, c0, max_iter, min_improvement, peak=None):
     """Reference: the one-start ascent that _ascend runs for every row of a stack."""
     c = np.asarray(c0, dtype=np.complex128)
     c = c / _norm(c)
@@ -723,16 +754,20 @@ def _sphere_ascent(fun, c0, max_iter, min_improvement):
         if not accepted:
             break
         gain = ft - f
+        stalled = peak is not None and gain < subspaces._STALL * (peak - f)
         c, f, g = trial, ft, gt
         step = min(eta * 2.0, 1.0)
-        if gain < min_improvement:
+        if gain < min_improvement or stalled:
             break
     return c, f
 
 
 def test_batched_ascent_matches_one_start_reference():
-    """Every row of a stacked ascent follows its one-start trajectory bit for bit."""
+    """Every row of a stacked ascent follows its one-start trajectory bit for
+    bit, also when the entropy's known peak stops rows that stall, for both
+    signs; the stall rule stops some rows sooner than the plain rule."""
     rng = np.random.default_rng(26)
+    stalled = 0
     for dims in ((2, 3), (3, 3), (2, 4)):
         space = QuditDims(dims)
         cut = single_cut(space)
@@ -742,22 +777,29 @@ def test_batched_ascent_matches_one_start_reference():
         vecs = [basis_state(space, 0).amps] + [random_state(space, rng).amps for _ in range(2)]
         r_stack = _reshapes(orthonormalize(space, vecs), cut)
         starts = np.vstack([np.eye(1, 3, dtype=np.complex128), _random_starts(7, 3, 4, 3)])
-        objectives = (_impurity_vag(r_stack), _sigma_vag(r_stack, min(dims) - 1))
-        for name, vag in zip(("impurity", "sigma"), objectives):
+        objectives = (("impurity", _impurity_vag(r_stack), None),
+                      ("impurity-peak", _impurity_vag(r_stack), 0.0),
+                      ("entropy-peak", _impurity_vag(r_stack, 1.0), (1.0 - 1.0 / min(dims)) / 2.0),
+                      ("sigma", _sigma_vag(r_stack, min(dims) - 1), None))
+        for name, vag, peak in objectives:
             def one(c, vag=vag):
                 f, g = vag(c[None])
                 return f[0], g[0]
 
             for max_iter in (100, 3, 0):
-                cs, fs = _ascend(vag, starts, max_iter, 1e-12)
+                cs, fs = _ascend(vag, starts, max_iter, 1e-12, peak)
                 for j, c0 in enumerate(starts):
-                    c_row, f_row = _ascend(vag, starts[j:j + 1], max_iter, 1e-12)
-                    c_ref, f_ref = _sphere_ascent(one, c0, max_iter, 1e-12)
+                    c_row, f_row = _ascend(vag, starts[j:j + 1], max_iter, 1e-12, peak)
+                    c_ref, f_ref = _sphere_ascent(one, c0, max_iter, 1e-12, peak)
                     assert np.array_equal(cs[j], c_row[0]) and fs[j] == f_row[0], (dims, name, max_iter, j)
                     assert np.array_equal(cs[j], c_ref) and fs[j] == f_ref, (dims, name, max_iter, j)
-                if name == "impurity" and max_iter:
+                if name.startswith("impurity") and max_iter:
                     assert np.array_equal(cs[0], starts[0])
                     assert not np.array_equal(cs[1:], starts[1:])
+                if peak is not None and max_iter == 100:
+                    plain, _ = _ascend(vag, starts, max_iter, 1e-12)
+                    stalled += sum(not np.array_equal(a, b) for a, b in zip(cs, plain))
+    assert stalled
 
 
 def test_batched_newton_matches_one_row_runs():
@@ -782,11 +824,11 @@ def test_batched_newton_matches_one_row_runs():
             assert not np.array_equal(xs[1:], x0[1:]), (dims, name)
 
 
-def _polish_every_start(s, cut, r_stack, vag, polish, accept, check, starts, long_steps, tol):
+def _polish_every_start(s, cut, r_stack, vag, peak, polish, accept, check, starts, long_steps, tol):
     """Reference: _two_rounds with one polish of every endpoint per round."""
     cs, done = starts, 0
     for steps in (subspaces._SHORT_STEPS, long_steps):
-        cs, _ = _ascend(vag, cs, steps - done, subspaces._MIN_IMPROVEMENT)
+        cs, _ = _ascend(vag, cs, steps - done, subspaces._MIN_IMPROVEMENT, peak)
         done = steps
         polished = polish(cs)
         sv = np.linalg.svd(subspaces._m_stack(r_stack, polished), compute_uv=False)
