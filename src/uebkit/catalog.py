@@ -420,10 +420,13 @@ def build_entry_with_verdict(
     entry_id: str,
     cfg: SearchConfig | None = None,
     tol: Tolerance | float | None = None,
+    gate: bool = True,
 ) -> tuple[StateSet, BasisVerdict | None]:
     """build_entry, also returning the gate's verdict (None for entries without a kind).
 
     The verdict is verify_basis(set, entry.kind, cfg, tol) at the default cut.
+    With gate False the dims and member checks still run but the verifier
+    does not, and the verdict is None: for a caller about to run another check.
     """
     if entry_id not in CATALOG:
         raise KeyError(f"unknown catalog entry {entry_id!r}")
@@ -436,7 +439,7 @@ def build_entry_with_verdict(
         for i, psi in enumerate(st.states):
             if not is_maximally_entangled(psi, cut, tol):
                 raise ConstructionError(f"{entry_id}: member {i} is not maximally entangled")
-    if entry.kind is None:
+    if entry.kind is None or not gate:
         return st, None
     verdict = verify_basis(st, entry.kind, cfg, tol)
     if verdict.outcome is not entry.expected:

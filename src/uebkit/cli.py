@@ -85,13 +85,14 @@ def _config(args: argparse.Namespace) -> SearchConfig:
     return SearchConfig(starts=args.starts, seed=args.seed)
 
 
-def _resolve_input(args: argparse.Namespace, cfg: SearchConfig):
+def _resolve_input(args: argparse.Namespace, cfg: SearchConfig, gate: bool = True):
     """Load a state file, or fall back to a catalog entry id.
 
     Returns (states, kind, planes, input block, gate verdict). An existing
     file always wins over an identically named registry entry. The gate
     verdict is the catalog gate's verify_basis result for a registry entry
-    with a kind (its kind, the default cut, cfg and tol), else None.
+    with a kind (its kind, the default cut, cfg and tol), else None; with
+    gate False the entry is built without its gate and the verdict is None.
     """
     ref = args.file
     if Path(ref).exists():
@@ -99,8 +100,8 @@ def _resolve_input(args: argparse.Namespace, cfg: SearchConfig):
         return loaded.states, loaded.kind, loaded.planes, input_payload(ref, loaded.states, loaded.name), None
     if ref in CATALOG:
         entry = CATALOG[ref]
-        st, gate = build_entry_with_verdict(ref, cfg, args.tol)
-        return st, entry.kind, {}, catalog_input_payload(ref, st, entry.kind), gate
+        st, verdict = build_entry_with_verdict(ref, cfg, args.tol, gate=gate)
+        return st, entry.kind, {}, catalog_input_payload(ref, st, entry.kind), verdict
     if ref in GENERATORS:
         st = build_generator(ref, cfg, args.tol)  # parameterless generators only
         return st, None, {}, catalog_input_payload(ref, st, None), None
@@ -191,12 +192,15 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    st, stored_kind, _planes, info, gate = _resolve_input(args, cfg)
+    entry = CATALOG.get(args.file)
+    # a registry entry's gate is this run's check only for its own kind at the default cut
+    same = entry is not None and args.cut is None and (args.kind is None or _KINDS[args.kind] is entry.kind)
+    st, stored_kind, _planes, info, gate = _resolve_input(args, cfg, gate=same)
     kind = _KINDS[args.kind] if args.kind else stored_kind
     if kind is None:
         raise ValueError("no kind given: pass --kind or store one in the state file")
     cut = _parse_cut(args, st.space, kind)
-    if gate is not None and gate.kind is kind and args.cut is None:
+    if gate is not None:
         verdict = gate  # the catalog gate already ran this exact check
     else:
         verdict = verify_basis(st, kind, cfg, args.tol, cut=cut)

@@ -893,7 +893,9 @@ def verify_basis(
     """Check an unextendibility claim for an orthogonal set of states.
 
     Order of business: every member must meet the kind's entanglement
-    requirement (REFUTED with the offending index otherwise); a complement of
+    requirement (REFUTED with the offending index otherwise; for the UEB
+    kinds the certificate is schmidt_rank_table, every member's rank at
+    every cut counted exactly as the SVD counts it); a complement of
     dimension zero short-circuits to COMPLETE_BASIS; then the complement is
     analyzed per cut. UEB kinds are decided exactly either way. UMEB verdicts
     are exact when an exact refusal route fires or the found witness verifies;

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import uebkit.cuts
+from uebkit.cuts import reshape_rows
 from uebkit import (
     BasisKind,
     Bipartition,
@@ -323,3 +324,135 @@ def test_rank_table_reraises_a_worker_failure(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         schmidt_rank_table(st.matrix(), cuts, TOL)
     assert threading.active_count() == baseline
+
+
+def _svd_loop(amps: np.ndarray, cuts, eps: float) -> list[list[int]]:
+    """The reference table: one batched SVD of every cut's stack, ranks counted above eps."""
+    cols = [(np.linalg.svd(reshape_rows(amps, c), compute_uv=False) > eps).sum(axis=1) for c in cuts]
+    return np.stack(cols, axis=1).tolist()
+
+
+class _Routes:
+    """Spies on the two routes of schmidt_rank_table: QR stacks and SVD fallbacks.
+
+    A fallback is an SVD of a stack whose smaller dimension exceeds 2; the
+    other SVDs are those of the cuts with min(dim_a, dim_b) <= 2.
+    """
+
+    def __init__(self, monkeypatch) -> None:
+        self.qr: list[tuple[int, ...]] = []
+        self.fallbacks: list[np.ndarray] = []
+        qr, svd_ranks = uebkit.cuts._qr_in_place, uebkit.cuts._svd_ranks
+
+        def spy_qr(stack):
+            self.qr.append(stack.shape)
+            return qr(stack)
+
+        def spy_svd(stack, eps):
+            if min(stack.shape[1:]) > 2:
+                self.fallbacks.append(stack.copy())
+            return svd_ranks(stack, eps)
+
+        monkeypatch.setattr(uebkit.cuts, "_qr_in_place", spy_qr)
+        monkeypatch.setattr(uebkit.cuts, "_svd_ranks", spy_svd)
+
+    def fell_back_on(self, matrix: np.ndarray) -> bool:
+        return any(any(np.array_equal(m, matrix) for m in stack) for stack in self.fallbacks)
+
+
+def _qr_cuts(cuts) -> list[Bipartition]:
+    return [c for c in cuts if min(c.dim_a, c.dim_b) > 2]
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-5])
+def test_rank_table_matches_the_svd_loop(monkeypatch, eps):
+    """The QR route counts what the per-cut SVD loop counts, on families, Haar sets and corner rows."""
+    routes = _Routes(monkeypatch)
+    for n, seed in ((5, 71), (6, 72), (7, 73)):
+        amps = _rotated_family(n, seed).matrix()
+        cuts = enumerate_cuts(QuditDims((2,) * n))
+        routes.qr.clear()
+        assert schmidt_rank_table(amps, cuts, eps).tolist() == _svd_loop(amps, cuts, eps)
+        # every wide cut of the rotated family went through the QR route, none fell back
+        assert sorted(routes.qr) == sorted((len(amps), max(c.dim_a, c.dim_b), min(c.dim_a, c.dim_b))
+                                           for c in _qr_cuts(cuts))
+        assert not routes.fallbacks
+    rng = np.random.default_rng(74)
+    for dims in ((2,) * 6, (3, 3, 2)):
+        sp = QuditDims(dims)
+        amps = np.array([random_state(sp, rng).amps for _ in range(sp.total - 1)])
+        cuts = enumerate_cuts(sp)
+        assert _qr_cuts(cuts)
+        table = schmidt_rank_table(amps, cuts, eps).tolist()
+        assert table == _svd_loop(amps, cuts, eps)
+        assert all(k == min(c.dim_a, c.dim_b) for row in table for k, c in zip(row, cuts))  # full rank
+    amps = _rotated_family(6, 75).matrix()
+    cuts = enumerate_cuts(QuditDims((2,) * 6))
+    amps[4] = 0.0  # an exact zero row has rank 0 everywhere
+    amps[5] = basis_state(QuditDims((2,) * 6), 9).amps  # a product row
+    amps[6, ::3] = 0.0  # exact zeros inside a row
+    table = schmidt_rank_table(amps, cuts, eps).tolist()
+    assert table == _svd_loop(amps, cuts, eps)
+    assert table[4] == [0] * len(cuts) and table[5] == [1] * len(cuts)
+    amps = _rotated_family(6, 64).matrix()
+    amps[:, ::7] *= 1e-12  # singular values spread over many scales
+    assert schmidt_rank_table(amps, cuts, eps).tolist() == _svd_loop(amps, cuts, eps)
+
+
+def _planted(dims: tuple[int, ...], mask: int, sigma2: float, seed: int) -> tuple[PureState, Bipartition]:
+    """A state with Schmidt coefficients sqrt(1 - sigma2^2), sigma2 at the cut mask of dims,
+    under seeded Haar local unitaries and a seeded relabelling of the parties.
+
+    Returns the state and its planted cut in the new labels."""
+    rng = np.random.default_rng(seed)
+    sp = QuditDims(dims)
+    cut = Bipartition(sp, mask)
+    m = np.zeros((cut.dim_a, cut.dim_b), dtype=np.complex128)
+    m[0, 0], m[1, 1] = math.sqrt(1 - sigma2**2), sigma2
+    p = apply_local_unitaries(PureState(sp, unreshape(m, cut)), [haar_unitary(d, rng) for d in dims])
+    perm = rng.permutation(len(dims))
+    amps = p.amps.reshape(dims).transpose(perm).reshape(-1)
+    new_mask = sum(1 << j for j, i in enumerate(perm) if cut.mask >> i & 1)
+    new = QuditDims(tuple(dims[i] for i in perm))
+    return PureState(new, amps), Bipartition(new, new_mask)
+
+
+@pytest.mark.parametrize("dims, mask", [((2, 2, 2, 2), 0b0011), ((2,) * 6, 0b000111)])
+def test_rank_table_near_the_tolerance(monkeypatch, dims, mask):
+    """sigma_2 planted at 0.1 eps, 10 eps and eps (1 -+ 1e-4) in 4x4 and 8x8 cuts: the rank
+    flips only across eps, and only the planted values inside the margin take the SVD fallback."""
+    eps = TOL.eps
+    routes = _Routes(monkeypatch)
+    for factor, rank, in_margin in ((0.1, 1, False), (1 - 1e-4, 1, True), (1 + 1e-4, 2, True), (10.0, 2, False)):
+        for seed in range(4):
+            p, cut = _planted(dims, mask, factor * eps, 80 + seed)
+            assert cut.dim_a == cut.dim_b in (4, 8)
+            cuts = enumerate_cuts(p.space)
+            routes.fallbacks.clear()
+            table = schmidt_rank_table(p.amps[None], cuts, TOL).tolist()
+            assert table == _svd_loop(p.amps[None], cuts, eps)
+            assert table[0][cuts.index(cut)] == rank
+            assert routes.fell_back_on(reshape(p, cut)) is in_margin
+
+
+def test_rank_table_truncation_keeps_tails_above_tau():
+    """Dropping R's trailing rows moves singular values by at most their norm: here a tail of
+    norm 0.8 eps sits under a sigma_2 of 1.13 eps, so it must be kept for the rank to be 2."""
+    sp = QuditDims((2, 2, 2, 2))
+    cut = Bipartition(sp, 0b0011)
+    b = 0.8 * TOL.eps
+    m = np.zeros((4, 4))
+    m[0, 0], m[1, 2], m[2, 2] = math.sqrt(1 - 2 * b * b), b, b  # already upper triangular: R = m
+    p = PureState(sp, unreshape(m, cut))
+    assert np.linalg.svd(m, compute_uv=False)[1] > TOL.eps
+    table = schmidt_rank_table(p.amps[None], [cut], TOL)
+    assert table.tolist() == [[2]] == _svd_loop(p.amps[None], [cut], TOL.eps)
+
+
+def test_rank_table_without_the_in_place_qr(monkeypatch):
+    """Without numpy's in-place QR gufunc the table takes np.linalg.qr and is unchanged."""
+    amps = _rotated_family(6, 76).matrix()
+    cuts = enumerate_cuts(QuditDims((2,) * 6))
+    want = schmidt_rank_table(amps, cuts, TOL).tolist()
+    monkeypatch.setattr(uebkit.cuts, "_geqrf", None)
+    assert schmidt_rank_table(amps, cuts, TOL).tolist() == want == _svd_loop(amps, cuts, TOL.eps)

@@ -1,5 +1,6 @@
 """State-file round trips, parse rejections, and the command-line contract."""
 
+import hashlib
 import json
 import math
 import os
@@ -36,6 +37,8 @@ from uebkit import (
 
 SP2 = QuditDims((2, 2))
 TOL = Tolerance()
+# sha256 of the report of `verify eq1-ueb --kind complete` as printed when the UEB gate ran first
+EQ1_COMPLETE_SHA256 = "6596f214097a96285bd34e67bd696d983aa52409edf264c9ffc550e080779cbc"
 
 
 def cli(*args, cwd=None):
@@ -383,15 +386,35 @@ def test_catalog_verify_reuses_the_gate_verdict(monkeypatch, capsys):
     assert uebkit.cli.main(["verify", "eq6-mixed-ueb"]) == 0
     assert calls == [BasisKind.UEB_ALL_CUTS]
     reused = capsys.readouterr().out
-    # another kind or an explicit cut is a different check, run after the gate
+    # another kind or an explicit cut is a different check: it runs instead of the gate
     calls.clear()
     assert uebkit.cli.main(["verify", "eq6-mixed-ueb", "--kind", "ueb-all-cuts", "--cut", "all"]) == 0
-    assert calls == [BasisKind.UEB_ALL_CUTS, BasisKind.UEB_ALL_CUTS]
+    assert calls == [BasisKind.UEB_ALL_CUTS]
     assert capsys.readouterr().out == reused
     calls.clear()
     assert uebkit.cli.main(["verify", "eq1-ueb", "--kind", "umeb"]) == 1
-    assert calls == [BasisKind.UEB, BasisKind.UMEB]
+    assert calls == [BasisKind.UMEB]
     capsys.readouterr()
+
+
+def test_catalog_verify_of_another_kind_computes_one_complement(monkeypatch, capsys):
+    """verify eq1-ueb --kind complete skips the UEB gate: one orthogonal_complement
+    call, and the report is the one the gated run printed."""
+    calls = []
+    complement = uebkit.states.orthogonal_complement
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].dim)
+        return complement(*args, **kwargs)
+
+    for mod in (uebkit.subspaces, uebkit.slocc, uebkit.report):
+        monkeypatch.setattr(mod, "orthogonal_complement", counting)
+    assert uebkit.cli.main(["verify", "eq1-ueb", "--kind", "complete"]) == 1
+    assert calls == [3]
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert (doc["kind"], doc["outcome"], doc["grade"], doc["complement_dim"]) == ("COMPLETE", "REFUTED", "EXACT", 1)
+    assert hashlib.sha256(out.encode()).hexdigest() == EQ1_COMPLETE_SHA256
 
 
 def test_analyze_computes_one_complement(monkeypatch, capsys):
