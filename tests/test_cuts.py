@@ -237,13 +237,14 @@ def test_rank_table_is_the_same_for_every_thread_count(monkeypatch):
     loop = [[schmidt(PureState(st.space, row), c, TOL).rank for c in cuts] for row in amps]
     assert min(loop[3]) == 1 and max(loop[3]) == 2
     seen: set[threading.Thread] = set()
-    svd = np.linalg.svd
 
-    def recording_svd(a, *args, **kwargs):
+    def recording_reshape(*args, **kwargs):
         seen.add(threading.current_thread())  # held here, so no two threads compare equal
-        return svd(a, *args, **kwargs)
+        return reshape_rows(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    # every share reshapes each of its cuts, whichever route then counts the ranks
+    monkeypatch.setattr(uebkit.cuts, "reshape_rows", recording_reshape)
+    monkeypatch.setattr(uebkit.cuts, "_THREADED_MIN_SIZE", 0)  # this small table would run inline
     for width in (1, 2, 3, 64):
         monkeypatch.setattr(uebkit.cuts, "_usable_cpus", lambda: width)
         seen.clear()
@@ -257,7 +258,8 @@ def test_rank_table_is_the_same_for_every_thread_count(monkeypatch):
 
 
 def test_one_row_tables_start_no_thread(monkeypatch):
-    """A one-row table runs inline; the three-qubit classifier builds one per state."""
+    """A one-row table runs inline, and so does a small one; the three-qubit classifier
+    builds one per state."""
     starts = []
     start = threading.Thread.start
 
@@ -273,7 +275,12 @@ def test_one_row_tables_start_no_thread(monkeypatch):
     assert len(labels) == 7 and not starts
     assert schmidt_rank_table(family.matrix()[:1], cuts, TOL).tolist() == [[2, 2, 2]]
     assert not starts
-    # a table of two rows still spreads its cuts over the usable CPUs
+    # a table under _THREADED_MIN_SIZE amplitudes runs inline, a larger one of two rows
+    # spreads its cuts over the usable CPUs
+    assert family.matrix().size < uebkit.cuts._THREADED_MIN_SIZE
+    schmidt_rank_table(family.matrix(), cuts, TOL)
+    assert not starts
+    monkeypatch.setattr(uebkit.cuts, "_THREADED_MIN_SIZE", 16)
     schmidt_rank_table(family.matrix()[:2], cuts, TOL)
     assert len(starts) == 2
 
@@ -289,6 +296,7 @@ def test_rank_table_threads_under_fast_switching(monkeypatch):
     skewed = schmidt_rank_table(amps, cuts, TOL).tolist()
     assert skewed != want
     monkeypatch.setattr(uebkit.cuts, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(uebkit.cuts, "_THREADED_MIN_SIZE", 0)
     got = []
 
     def repeat() -> None:
@@ -319,6 +327,7 @@ def test_rank_table_reraises_a_worker_failure(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(uebkit.cuts, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(uebkit.cuts, "_THREADED_MIN_SIZE", 0)
     monkeypatch.setattr(np.linalg, "svd", failing_svd)
     baseline = threading.active_count()
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
@@ -333,20 +342,27 @@ def _svd_loop(amps: np.ndarray, cuts, eps: float) -> list[list[int]]:
 
 
 class _Routes:
-    """Spies on the two routes of schmidt_rank_table: QR stacks and SVD fallbacks.
+    """Spies on the routes of schmidt_rank_table: QR stacks, slice SVDs and SVD fallbacks.
 
-    A fallback is an SVD of a stack whose smaller dimension exceeds 2; the
-    other SVDs are those of the cuts with min(dim_a, dim_b) <= 2.
+    A QR-route member the triangle bound certifies takes neither a slice SVD
+    nor a fallback. A fallback is an SVD of a stack whose smaller dimension
+    exceeds 2; the other SVDs are those of the cuts with min(dim_a, dim_b) <= 2.
     """
 
     def __init__(self, monkeypatch) -> None:
         self.qr: list[tuple[int, ...]] = []
+        self.slices: list[np.ndarray] = []
         self.fallbacks: list[np.ndarray] = []
-        qr, svd_ranks = uebkit.cuts._qr_in_place, uebkit.cuts._svd_ranks
+        qr, slice_values, svd_ranks = uebkit.cuts._qr_in_place, uebkit.cuts._slice_values, uebkit.cuts._svd_ranks
 
         def spy_qr(stack):
             self.qr.append(stack.shape)
             return qr(stack)
+
+        def spy_slice(slices):
+            sv = slice_values(slices)
+            self.slices.append(sv)
+            return sv
 
         def spy_svd(stack, eps):
             if min(stack.shape[1:]) > 2:
@@ -354,7 +370,23 @@ class _Routes:
             return svd_ranks(stack, eps)
 
         monkeypatch.setattr(uebkit.cuts, "_qr_in_place", spy_qr)
+        monkeypatch.setattr(uebkit.cuts, "_slice_values", spy_slice)
         monkeypatch.setattr(uebkit.cuts, "_svd_ranks", spy_svd)
+
+    def clear(self) -> None:
+        self.qr.clear()
+        self.slices.clear()
+        self.fallbacks.clear()
+
+    def certified_share(self) -> float:
+        """The share of QR-route members counted by the triangle bound alone."""
+        members = sum(shape[0] for shape in self.qr)
+        undecided = sum(len(sv) for sv in self.slices) + sum(len(stack) for stack in self.fallbacks)
+        return 1 - undecided / members
+
+    def sliced(self, value: float) -> bool:
+        """Some slice SVD returned value, to within 1e-3 of it."""
+        return any(np.isclose(sv, value, rtol=1e-3, atol=0).any() for sv in self.slices)
 
     def fell_back_on(self, matrix: np.ndarray) -> bool:
         return any(any(np.array_equal(m, matrix) for m in stack) for stack in self.fallbacks)
@@ -368,15 +400,19 @@ def _qr_cuts(cuts) -> list[Bipartition]:
 def test_rank_table_matches_the_svd_loop(monkeypatch, eps):
     """The QR route counts what the per-cut SVD loop counts, on families, Haar sets and corner rows."""
     routes = _Routes(monkeypatch)
-    for n, seed in ((5, 71), (6, 72), (7, 73)):
-        amps = _rotated_family(n, seed).matrix()
-        cuts = enumerate_cuts(QuditDims((2,) * n))
-        routes.qr.clear()
+    families = [_rotated_family(n, seed) for n, seed in ((5, 71), (6, 72), (7, 73))] + [n_qubit_ueb(6)]
+    for st in families:
+        amps = st.matrix()
+        cuts = enumerate_cuts(st.space)
+        routes.clear()
         assert schmidt_rank_table(amps, cuts, eps).tolist() == _svd_loop(amps, cuts, eps)
-        # every wide cut of the rotated family went through the QR route, none fell back
+        # every wide cut went through the QR route, none fell back, and the triangle bound
+        # alone counted almost every member: on the unrotated family, whose reshapes are
+        # mostly zero columns, only because each member's columns are ordered by norm
         assert sorted(routes.qr) == sorted((len(amps), max(c.dim_a, c.dim_b), min(c.dim_a, c.dim_b))
                                            for c in _qr_cuts(cuts))
         assert not routes.fallbacks
+        assert routes.certified_share() >= 0.95
     rng = np.random.default_rng(74)
     for dims in ((2,) * 6, (3, 3, 2)):
         sp = QuditDims(dims)
@@ -419,20 +455,37 @@ def _planted(dims: tuple[int, ...], mask: int, sigma2: float, seed: int) -> tupl
 
 @pytest.mark.parametrize("dims, mask", [((2, 2, 2, 2), 0b0011), ((2,) * 6, 0b000111)])
 def test_rank_table_near_the_tolerance(monkeypatch, dims, mask):
-    """sigma_2 planted at 0.1 eps, 10 eps and eps (1 -+ 1e-4) in 4x4 and 8x8 cuts: the rank
-    flips only across eps, and only the planted values inside the margin take the SVD fallback."""
+    """sigma_2 planted at 0.1 eps, 10 eps and eps (1 -+ 1e-4) in 4x4 and 8x8 cuts, in rows of
+    norm 1 and 1e3: the rank flips only across eps, the triangle bound certifies no planted
+    value inside the margin (each takes the slice SVD, then the fallback), and only those
+    values take the fallback."""
     eps = TOL.eps
     routes = _Routes(monkeypatch)
     for factor, rank, in_margin in ((0.1, 1, False), (1 - 1e-4, 1, True), (1 + 1e-4, 2, True), (10.0, 2, False)):
         for seed in range(4):
-            p, cut = _planted(dims, mask, factor * eps, 80 + seed)
-            assert cut.dim_a == cut.dim_b in (4, 8)
-            cuts = enumerate_cuts(p.space)
-            routes.fallbacks.clear()
-            table = schmidt_rank_table(p.amps[None], cuts, TOL).tolist()
-            assert table == _svd_loop(p.amps[None], cuts, eps)
-            assert table[0][cuts.index(cut)] == rank
-            assert routes.fell_back_on(reshape(p, cut)) is in_margin
+            for scale in (1.0, 1e3):  # a long row: the bound's factor 1 / |R|_F is no longer 1
+                p, cut = _planted(dims, mask, factor * eps / scale, 80 + seed)
+                assert cut.dim_a == cut.dim_b in (4, 8)
+                amps = scale * p.amps[None]
+                cuts = enumerate_cuts(p.space)
+                routes.clear()
+                table = schmidt_rank_table(amps, cuts, TOL).tolist()
+                assert table == _svd_loop(amps, cuts, eps)
+                assert table[0][cuts.index(cut)] == rank
+                assert routes.fell_back_on(reshape_rows(amps, cut)[0]) is in_margin
+                if in_margin:
+                    assert routes.sliced(factor * eps)
+
+
+def test_rank_table_below_the_rounding_margin(monkeypatch):
+    """At eps = 1e-15 the margin delta, a few ulps of |A|_F times D, is at least eps, so
+    neither the triangle bound nor a slice SVD may count: every member takes its own SVD."""
+    amps = _rotated_family(5, 77).matrix()
+    cuts = enumerate_cuts(QuditDims((2,) * 5))
+    routes = _Routes(monkeypatch)
+    assert schmidt_rank_table(amps, cuts, 1e-15).tolist() == _svd_loop(amps, cuts, 1e-15)
+    assert routes.qr and not routes.slices
+    assert sum(len(stack) for stack in routes.fallbacks) == sum(shape[0] for shape in routes.qr)
 
 
 def test_rank_table_truncation_keeps_tails_above_tau():
@@ -447,6 +500,10 @@ def test_rank_table_truncation_keeps_tails_above_tau():
     assert np.linalg.svd(m, compute_uv=False)[1] > TOL.eps
     table = schmidt_rank_table(p.amps[None], [cut], TOL)
     assert table.tolist() == [[2]] == _svd_loop(p.amps[None], [cut], TOL.eps)
+    # the table orders the columns of this sparse matrix by norm, which merges the two b
+    # entries into one row of R; without that ordering R = m keeps them in two rows
+    buffer = np.empty(sp.total, dtype=np.complex128)
+    assert uebkit.cuts._qr_ranks(p.amps[None], cut, buffer, TOL.eps, pivot=False).tolist() == [2]
 
 
 def test_rank_table_without_the_in_place_qr(monkeypatch):
