@@ -363,7 +363,6 @@ class CatalogEntry:
     dims: tuple[int, ...]
     kind: BasisKind | None
     expected: Outcome | None
-    me_members: bool
     build: Callable[[], StateSet]
 
 
@@ -372,39 +371,47 @@ CATALOG: dict[str, CatalogEntry] = {
     for e in (
         CatalogEntry(
             "eq1-ueb", "eq1", "real-coefficient unextendible entangled basis of two qubits",
-            (2, 2), BasisKind.UEB, Outcome.VERIFIED, False, two_qubit_ueb_real,
+            (2, 2), BasisKind.UEB, Outcome.VERIFIED, two_qubit_ueb_real,
         ),
         CatalogEntry(
             "eq2-ueb", "eq2", "Fourier-coefficient unextendible entangled basis of two qubits",
-            (2, 2), BasisKind.UEB, Outcome.VERIFIED, False, two_qubit_ueb_fourier,
+            (2, 2), BasisKind.UEB, Outcome.VERIFIED, two_qubit_ueb_fourier,
         ),
         CatalogEntry(
             "eq3-meb", "eq3", "complete maximally entangled basis of two qubits",
-            (2, 2), BasisKind.UMEB, Outcome.COMPLETE_BASIS, True, lambda: bell_meb(2),
+            (2, 2), BasisKind.UMEB, Outcome.COMPLETE_BASIS, lambda: bell_meb(2),
         ),
         CatalogEntry(
             "eq3-in-2x3", "eq3", "zero-padded unextendible maximally entangled basis of 2x3",
-            (2, 3), BasisKind.UMEB, Outcome.VERIFIED, True, lambda: embed_meb(2, 1),
+            (2, 3), BasisKind.UMEB, Outcome.VERIFIED, lambda: embed_meb(2, 1),
         ),
         CatalogEntry(
             "eq3-eq4-meb", "eq4", "complete maximally entangled basis of 2x4, padded block plus extension",
-            (2, 4), BasisKind.UMEB, Outcome.COMPLETE_BASIS, True, padded_meb_with_extension,
+            (2, 4), BasisKind.UMEB, Outcome.COMPLETE_BASIS, padded_meb_with_extension,
         ),
         CatalogEntry(
             "eq5-w-ueb", "eq5", "six-state unextendible entangled basis of three qubits, all W class",
-            (2, 2, 2), BasisKind.UEB_ALL_CUTS, Outcome.VERIFIED, False, three_qubit_w_ueb,
+            (2, 2, 2), BasisKind.UEB_ALL_CUTS, Outcome.VERIFIED, three_qubit_w_ueb,
         ),
         CatalogEntry(
             "eq6-mixed-ueb", "eq6", "seven-state unextendible entangled basis of three qubits mixing classes",
-            (2, 2, 2), BasisKind.UEB_ALL_CUTS, Outcome.VERIFIED, False, three_qubit_mixed_ueb,
+            (2, 2, 2), BasisKind.UEB_ALL_CUTS, Outcome.VERIFIED, three_qubit_mixed_ueb,
         ),
         CatalogEntry(
             "appendix-4qubit", "appendix", "fifteen-state unextendible entangled basis of four qubits",
-            (2, 2, 2, 2), BasisKind.UEB_ALL_CUTS, Outcome.VERIFIED, False,
+            (2, 2, 2, 2), BasisKind.UEB_ALL_CUTS, Outcome.VERIFIED,
             lambda: n_qubit_ueb(4, CoeffVariant.HADAMARD_IF_POWER_OF_TWO),
         ),
     )
 }
+
+
+def _check_me_members(st: StateSet, label: str, tol: Tolerance | float | None) -> None:
+    """Raise ConstructionError naming the first member that is not maximally entangled at the default cut."""
+    cut = single_cut(st.space)
+    for i, psi in enumerate(st.states):
+        if not is_maximally_entangled(psi, cut, tol):
+            raise ConstructionError(f"{label}: member {i} is not maximally entangled")
 
 
 def build_entry(
@@ -434,11 +441,8 @@ def build_entry_with_verdict(
     st = entry.build()
     if st.space.dims != entry.dims:
         raise ConstructionError(f"{entry_id}: built dims {st.space.dims} differ from registered {entry.dims}")
-    if entry.me_members:
-        cut = single_cut(st.space)
-        for i, psi in enumerate(st.states):
-            if not is_maximally_entangled(psi, cut, tol):
-                raise ConstructionError(f"{entry_id}: member {i} is not maximally entangled")
+    if entry.kind is BasisKind.UMEB:
+        _check_me_members(st, entry_id, tol)
     if entry.kind is None or not gate:
         return st, None
     verdict = verify_basis(st, entry.kind, cfg, tol)
@@ -516,9 +520,6 @@ def build_generator(
         return StateSet(space, tuple(dft_superposition(space, list(kets))))
     if name == "prop2a-set":
         st = me_triple_2x3()
-        cut = single_cut(st.space)
-        for i, psi in enumerate(st.states):
-            if not is_maximally_entangled(psi, cut, tol):
-                raise ConstructionError(f"prop2a-set: member {i} is not maximally entangled")
+        _check_me_members(st, name, tol)
         return st
     raise KeyError(f"unknown generator {name!r}")

@@ -45,7 +45,7 @@ from .report import (
 )
 from .slocc import classify_from_ranks, resource_dimension_flag
 from .statefile import StateFileError, load_state_file, save_state_file
-from .states import _eps, check_complement_size
+from .states import _eps, check_complement_size, orthogonal_complement
 from .subspaces import (
     BasisKind,
     Outcome,
@@ -244,6 +244,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             }
         else:
             strong = {"status": "OUT_OF_SCOPE"}
+    if complement is None:
+        complement = orthogonal_complement(st.subspace(), args.tol)
     slocc = None
     indist = None
     if st.space.dims == (2, 2, 2):
@@ -273,10 +275,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         except (VanishingProjectionError, ProjectionOrthogonalityError, ValueError) as exc:
             indist = {"status": "NOT_APPLICABLE", "reason": str(exc)}
     _emit(
-        analyze_report(
-            info, cfg, _eps(args.tol), st, completion, strong, slocc, indist, rank_table=rank_table,
-            complement=complement,
-        ),
+        analyze_report(info, cfg, _eps(args.tol), st, complement, completion, strong, slocc, indist, rank_table),
         args.format,
     )
     return EXIT_OK

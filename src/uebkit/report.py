@@ -17,7 +17,7 @@ import numpy as np
 from .cuts import enumerate_cuts, schmidt_rank_table
 from .slocc import classify_from_ranks
 from .statefile import complex_vector, dumps_state_file
-from .states import StateSet, Subspace, Tolerance, canonical_phase, orthogonal_complement
+from .states import StateSet, Subspace, Tolerance, canonical_phase
 from .subspaces import (
     BasisKind,
     BasisVerdict,
@@ -90,10 +90,8 @@ def state_diagnostics(
     return out
 
 
-def complement_payload(st: StateSet, tol: Tolerance | float | None = None, comp: Subspace | None = None) -> dict:
-    """Dimension and phase-fixed basis of the orthogonal complement of st; comp, when given, is that complement."""
-    if comp is None:
-        comp = orthogonal_complement(st.subspace(), tol)
+def complement_payload(comp: Subspace, tol: Tolerance | float | None = None) -> dict:
+    """Dimension and phase-fixed basis of a set's orthogonal complement comp."""
     return {
         "dim": comp.dim,
         "basis": [complex_vector(canonical_phase(b, tol).amps) for b in comp.basis],
@@ -133,7 +131,7 @@ def verify_report(
         "offending_state": verdict.offending_state,
         "per_cut": [cut_verdict_payload(v) for v in verdict.per_cut],
         "states": state_diagnostics(st, eps, verdict.rank_table),
-        "complement": complement_payload(st, eps, verdict.complement),
+        "complement": complement_payload(verdict.complement, eps),
     }
 
 
@@ -163,13 +161,14 @@ def analyze_report(
     cfg: SearchConfig,
     eps: float,
     st: StateSet,
+    complement: Subspace,
     completion: dict | None = None,
     extended_space: dict | None = None,
     slocc: dict | None = None,
     local_indistinguishability: dict | None = None,
     rank_table: np.ndarray | None = None,
-    complement: Subspace | None = None,
 ) -> dict:
+    """Report of analyze; complement is the orthogonal complement of st at eps."""
     report = {
         "command": "analyze",
         "input": input_info,
@@ -177,7 +176,7 @@ def analyze_report(
         "seed": cfg.seed,
         "starts": cfg.starts,
         "states": state_diagnostics(st, eps, rank_table),
-        "complement": complement_payload(st, eps, complement),
+        "complement": complement_payload(complement, eps),
     }
     if completion is not None:
         report["completion"] = completion

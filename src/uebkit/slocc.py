@@ -29,6 +29,7 @@ from .states import (
 )
 from .subspaces import ProductCount, count_product_states_2d_2x2
 
+# Residual tangle above which a genuinely entangled state is GHZ class rather than W.
 DEFAULT_TANGLE_EPS = 1e-8
 
 
@@ -77,22 +78,14 @@ def three_tangle(p: PureState) -> float:
     return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
 
 
-def classify_three_qubit(
-    p: PureState,
-    tol: Tolerance | float | None = None,
-    tol_tangle: float = DEFAULT_TANGLE_EPS,
-) -> SloccVerdict:
+def classify_three_qubit(p: PureState, tol: Tolerance | float | None = None) -> SloccVerdict:
     """SEP / BISEP(cut) / GHZ / W assignment for a three-qubit pure state."""
     if p.space.dims != (2, 2, 2):
         raise ValueError(f"classification is defined for three qubits, got {p.space}")
-    return classify_from_ranks(p, schmidt_rank_table(p.amps[None], enumerate_cuts(p.space), tol)[0], tol_tangle)
+    return classify_from_ranks(p, schmidt_rank_table(p.amps[None], enumerate_cuts(p.space), tol)[0])
 
 
-def classify_from_ranks(
-    p: PureState,
-    ranks: Sequence[int],
-    tol_tangle: float = DEFAULT_TANGLE_EPS,
-) -> SloccVerdict:
+def classify_from_ranks(p: PureState, ranks: Sequence[int]) -> SloccVerdict:
     """classify_three_qubit for a state whose Schmidt ranks over
     enumerate_cuts(p.space) are given, such as its row of a set's shared
     schmidt_rank_table: rank 1 at a cut means product there."""
@@ -103,7 +96,7 @@ def classify_from_ranks(
     if product_cuts:
         cut = product_cuts[0]
         return SloccVerdict(SloccClass.BISEPARABLE, f"BISEP({cut.label})", tau, cut)
-    if tau > tol_tangle:
+    if tau > DEFAULT_TANGLE_EPS:
         return SloccVerdict(SloccClass.GHZ_CLASS, "GHZ", tau)
     return SloccVerdict(SloccClass.W_CLASS, "W", tau)
 
@@ -166,7 +159,6 @@ def ghz_w_range_witness(
 def resource_dimension_flag(
     st: StateSet,
     tol: Tolerance | float | None = None,
-    tol_tangle: float = DEFAULT_TANGLE_EPS,
     complement: Subspace | None = None,
 ) -> bool:
     """Whether the set spans both genuinely entangled classes of three qubits.
@@ -184,5 +176,5 @@ def resource_dimension_flag(
     if comp.dim == 1:
         members.append(comp.basis[0])
     ranks = schmidt_rank_table(np.array([m.amps for m in members]), enumerate_cuts(st.space), tol)
-    cats = {classify_from_ranks(m, r, tol_tangle).category for m, r in zip(members, ranks)}
+    cats = {classify_from_ranks(m, r).category for m, r in zip(members, ranks)}
     return SloccClass.GHZ_CLASS in cats and SloccClass.W_CLASS in cats

@@ -14,10 +14,10 @@ singular-value counts, checked against the tolerance as in the Schmidt rank.
 
 Randomized searches share two batched drivers. The first is projected
 gradient ascent on the complex unit sphere of coefficient vectors, with
-backtracking line search; where the objective's peak on the sphere is known,
-a row stops once an accepted step gains less than _STALL of its remaining gap
-to it. The second is Gauss-Newton on a residual that vanishes exactly at a
-wanted vector, with minimum-norm steps. Both step all starts of a search
+backtracking line search; a row stops once an accepted step gains less than
+_STALL of its remaining gap to the objective's known peak on the sphere.
+The second is Gauss-Newton on a residual that vanishes exactly at a wanted
+vector, with minimum-norm steps. Both step all starts of a search
 together as one stack, but rows never interact: each keeps its own step
 size and stopping state, so a start follows the same trajectory alone or
 stacked. Start i is the i-th block of draws from one generator seeded with
@@ -50,7 +50,7 @@ fourth order there, yet once polished some endpoints verify.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -212,15 +212,15 @@ _SHORT_STEPS = 30
 # Linear-entropy steps every start of the maximally entangled search takes
 # before its second polish, when no endpoint of the first verified.
 _SMOOTH_STEPS = 200
-# Step cap of a first-order ascent, and the gain below which a row stops;
-# the product search's second round is capped there.
+# Step cap of the product search's second round.
 _MAX_ITER = 500
+# Gain below which an accepted ascent step stops its row, whatever its gap to the peak.
 _MIN_IMPROVEMENT = 1e-12
 # Fraction of its remaining gap to a known peak that an accepted step must
 # gain, else its row stops: a row still closing the gap geometrically runs
 # on, one parked at a lower local optimum stops instead of crawling to the cap.
 _STALL = 1e-2
-# Coefficient vectors max_schmidt_rank_in_subspace samples before refining.
+# Coefficient vectors max_schmidt_rank_in_subspace samples.
 _SAMPLES = 64
 # Acceptance band for maximal entanglement: every Schmidt coefficient must lie
 # within it of 1/sqrt(d). It is looser than the base tolerance because the
@@ -232,6 +232,8 @@ _NEWTON_STEPS = 20
 # Endpoints polished before the others, which are polished only when none of these verifies.
 _FIRST_POLISH = 8
 _OUTSIDE_BAND = "witness near maximal entanglement but outside the tol_me band"
+# Discriminant modulus below which count_product_states_2d_2x2 reports a double root.
+_TOL_DISC = 1e-9
 
 
 def _random_starts(seed: int, stream: int, count: int, k: int) -> np.ndarray:
@@ -310,22 +312,21 @@ def _ascend(
     fun: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     c0: np.ndarray,
     max_iter: int,
-    min_improvement: float,
-    peak: float | None = None,
+    peak: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Projected gradient ascent with backtracking on the complex unit sphere,
     run independently for every row of an (S, k) stack of starts.
 
     fun maps a stack of points to their values and ascent directions; each
     direction is projected onto the sphere's tangent space before stepping,
-    and each accepted step must clear an Armijo-style improvement. A row
-    stops after max_iter accepted steps, after 50 straight backtracks, or at
-    an accepted step that gains less than min_improvement or, when the
-    objective's largest value on the sphere is known as peak, less than
-    _STALL times the row's gap peak - f before the step. Every row keeps its
-    own step size, backtrack count and step count, and only live rows are
-    evaluated, so a row follows the same trajectory alone or stacked. Live
-    rows are kept packed; a row that stops is written back and dropped.
+    and each accepted step must clear an Armijo-style improvement. peak is
+    the objective's largest value on the sphere. A row stops after max_iter
+    accepted steps, after 50 straight backtracks, or at an accepted step that
+    gains less than _MIN_IMPROVEMENT or less than _STALL times the row's gap
+    peak - f before the step. Every row keeps its own step size, backtrack
+    count and step count, and only live rows are evaluated, so a row follows
+    the same trajectory alone or stacked. Live rows are kept packed; a row
+    that stops is written back and dropped.
     """
     c = c0 / _norms(c0)[:, None]
     f, g = fun(c)
@@ -352,7 +353,7 @@ def _ascend(
         ft, gt = fun(trial)
         ok = ft > fl + 1e-4 * eta * dn * dn
         gain = ft - fl
-        floor = min_improvement if peak is None else np.maximum(min_improvement, _STALL * (peak - fl))
+        floor = np.maximum(_MIN_IMPROVEMENT, _STALL * (peak - fl))
         if ok.all():  # the common case needs no masking
             cl, fl, gl, tries = trial, ft, gt, np.zeros_like(tries)
         else:
@@ -393,19 +394,6 @@ def _impurity_vag(r_stack: np.ndarray, sign: float = -1.0) -> Callable[[np.ndarr
         f = (trh * trh - _dots(h[:, 0], h[:, 0]).real) / 2.0
         y = trh[:, None, None] * traces - h @ back
         return sign * f, sign * (c[:, None, :] @ y.reshape(len(c), k, k))[:, 0]
-
-    return vag
-
-
-def _sigma_vag(r_stack: np.ndarray, index: int) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Value/direction for ascending the singular value of M(c) at the given index."""
-    flat_c = r_stack.reshape(len(r_stack), -1).conj()
-
-    def vag(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u_mat, sv, vh = np.linalg.svd(_m_stack(r_stack, c), full_matrices=False)
-        # d sigma_j / d conj(c_k) direction: conj(u_j^H R_k v_j) = <R_k, u_j v_j^H>
-        x = u_mat[:, :, index, None] * vh[:, None, index, :]
-        return sv[:, index], (flat_c @ x.reshape(-1, flat_c.shape[1], 1))[:, :, 0]
 
     return vag
 
@@ -557,7 +545,7 @@ def _two_rounds(
     """
     cs, done = starts, 0
     for steps in (_SHORT_STEPS, long_steps):
-        cs, _ = _ascend(vag, cs, steps - done, _MIN_IMPROVEMENT, peak)
+        cs, _ = _ascend(vag, cs, steps - done, peak)
         done = steps
         polished, sv = [], []
         for chunk in (cs[:_FIRST_POLISH], cs[_FIRST_POLISH:]):
@@ -731,28 +719,21 @@ def max_schmidt_rank_in_subspace(
     cfg: SearchConfig | None = None,
     tol: Tolerance | float | None = None,
 ) -> int:
-    """Largest Schmidt rank seen over sampled vectors, refined by ascent.
+    """Largest Schmidt rank over _SAMPLES seeded coefficient vectors: the
+    span's generic rank, as numerical evidence.
 
-    The sampled value is a lower bound reported as numerical evidence; it is
-    additionally capped by the exact support bound, and refinement tries to
-    lift the next singular value above the rank cutoff.
+    The rank of M(c) = sum c_i R_i is below its largest value r only where
+    every r x r minor vanishes, a proper algebraic subset of coefficient
+    space, so a random c reaches r with probability 1 (the argument of the
+    rotated-basis ENTANGLED route). The value is a lower bound on r, and
+    schmidt_rank_upper_bound gives an exact upper bound.
     """
     if s.dim == 0:
         raise ValueError("empty subspace")
-    eps = _eps(tol)
     cfg = cfg or SearchConfig()
-    upper = schmidt_rank_upper_bound(s, cut, tol)
-    r_stack = _reshapes(s, cut)
     cs = _random_starts(cfg.seed, _STREAM_RANK, _SAMPLES, s.dim)
-    ranks = (np.linalg.svd(_m_stack(r_stack, cs), compute_uv=False) > eps).sum(axis=1)
-    best = int(ranks.max())
-    best_c = cs[np.argmax(ranks), None]
-    while best < upper:
-        best_c, val = _ascend(_sigma_vag(r_stack, best), best_c, _MAX_ITER, _MIN_IMPROVEMENT)
-        if val[0] <= eps:
-            break
-        best += 1
-    return best
+    sv = np.linalg.svd(_m_stack(_reshapes(s, cut), cs), compute_uv=False)
+    return int((sv > _eps(tol)).sum(axis=1).max())
 
 
 def entangled_vector_search(
@@ -852,17 +833,13 @@ def max_orthogonal_set(
     return DeflationResult(StateSet(s.space, tuple(found)), refusal_exact, reason)
 
 
-def count_product_states_2d_2x2(
-    s: Subspace,
-    tol_disc: float = 1e-9,
-    tol: Tolerance | float | None = None,
-) -> ProductCount:
+def count_product_states_2d_2x2(s: Subspace, tol: Tolerance | float | None = None) -> ProductCount:
     """Count product rays in a 2-dimensional subspace of a 2x2 space.
 
     det(a*M1 + b*M2) is a binary quadratic; identically zero means every ray
-    is product, a vanishing discriminant (after scaling coefficients to unit
-    max modulus) means a double root, anything else two distinct roots. Zero
-    is impossible for this shape, so that value is never returned.
+    is product, a discriminant below _TOL_DISC (after scaling coefficients to
+    unit max modulus) means a double root, anything else two distinct roots.
+    Zero is impossible for this shape, so that value is never returned.
     """
     if s.space.dims != (2, 2):
         raise ValueError(f"space must be 2x2, got {s.space}")
@@ -880,7 +857,7 @@ def count_product_states_2d_2x2(
         return ProductCount.INFINITE
     coeffs = coeffs / peak
     disc = coeffs[1] ** 2 - 4.0 * coeffs[0] * coeffs[2]
-    return ProductCount.ONE if abs(disc) < tol_disc else ProductCount.TWO
+    return ProductCount.ONE if abs(disc) < _TOL_DISC else ProductCount.TWO
 
 
 def verify_basis(

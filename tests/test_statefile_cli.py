@@ -407,7 +407,7 @@ def test_catalog_verify_of_another_kind_computes_one_complement(monkeypatch, cap
         calls.append(args[0].dim)
         return complement(*args, **kwargs)
 
-    for mod in (uebkit.subspaces, uebkit.slocc, uebkit.report):
+    for mod in (uebkit.subspaces, uebkit.slocc, uebkit.cli):
         monkeypatch.setattr(mod, "orthogonal_complement", counting)
     assert uebkit.cli.main(["verify", "eq1-ueb", "--kind", "complete"]) == 1
     assert calls == [3]
@@ -417,10 +417,11 @@ def test_catalog_verify_of_another_kind_computes_one_complement(monkeypatch, cap
     assert hashlib.sha256(out.encode()).hexdigest() == EQ1_COMPLETE_SHA256
 
 
-def test_analyze_computes_one_complement(monkeypatch, capsys):
-    """analyze of a 2x2x2 catalog entry hands the gate's complement to the
-    SLOCC resource flag: one orthogonal_complement call, and the report
-    prints the bytes it printed when the flag computed its own."""
+def test_analyze_computes_one_complement(monkeypatch, capsys, tmp_path):
+    """analyze of a 2x2x2 catalog entry, or of its state file, hands one
+    complement to the SLOCC resource flag and the report: one
+    orthogonal_complement call, and the report prints the bytes it printed
+    when the flag computed its own."""
     calls = []
     complement = uebkit.states.orthogonal_complement
 
@@ -428,15 +429,20 @@ def test_analyze_computes_one_complement(monkeypatch, capsys):
         calls.append(args[0].dim)
         return complement(*args, **kwargs)
 
-    for mod in (uebkit.subspaces, uebkit.slocc, uebkit.report):
+    path = tmp_path / "eq6.json"
+    save_state_file(path, build_entry("eq6-mixed-ueb"), kind=BasisKind.UEB_ALL_CUTS, name="eq6-mixed-ueb")
+    for mod in (uebkit.subspaces, uebkit.slocc, uebkit.cli):
         monkeypatch.setattr(mod, "orthogonal_complement", counting)
-    assert uebkit.cli.main(["analyze", "eq6-mixed-ueb"]) == 0
-    assert calls == [7]
-    shared = capsys.readouterr().out
     flag = uebkit.slocc.resource_dimension_flag
-    monkeypatch.setattr(uebkit.cli, "resource_dimension_flag",
-                        lambda st, tol, complement: flag(st, tol))
-    calls.clear()
-    assert uebkit.cli.main(["analyze", "eq6-mixed-ueb"]) == 0
-    assert calls == [7, 7]
-    assert capsys.readouterr().out == shared
+    for ref in ("eq6-mixed-ueb", str(path)):
+        calls.clear()
+        assert uebkit.cli.main(["analyze", ref]) == 0
+        assert calls == [7], ref
+        shared = capsys.readouterr().out
+        monkeypatch.setattr(uebkit.cli, "resource_dimension_flag",
+                            lambda st, tol, complement: flag(st, tol))
+        calls.clear()
+        assert uebkit.cli.main(["analyze", ref]) == 0
+        assert calls == [7, 7], ref
+        assert capsys.readouterr().out == shared
+        monkeypatch.setattr(uebkit.cli, "resource_dimension_flag", flag)
