@@ -97,7 +97,7 @@ def _resolve_input(args: argparse.Namespace, cfg: SearchConfig, gate: bool = Tru
     ref = args.file
     if Path(ref).exists():
         loaded = load_state_file(ref, tol=args.tol, gram_fix=args.gram_fix)
-        return loaded.states, loaded.kind, loaded.planes, input_payload(ref, loaded.states, loaded.name), None
+        return loaded.states, loaded.kind, loaded.planes, input_payload(ref, loaded), None
     if ref in CATALOG:
         entry = CATALOG[ref]
         st, verdict = build_entry_with_verdict(ref, cfg, args.tol, gate=gate)

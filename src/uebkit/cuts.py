@@ -144,21 +144,23 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# The QR route of schmidt_rank_table: tau = _TAU * eps bounds the dropped tail
+# The routes of schmidt_rank_table: tau = _TAU * eps bounds the dropped tail
 # of R, and delta = tau + _ROUNDING * D * u * |A|_F (u the unit roundoff) is
-# the margin around eps inside which no bound or slice value decides a count.
+# the margin around eps inside which no bound, slice value or closed-form
+# value decides a count.
 _TAU = 1e-3
 _ROUNDING = 4.0
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+
+def _margin(eps: float, total: int, norm: np.ndarray) -> np.ndarray:
+    return _TAU * eps + _ROUNDING * total * _UNIT_ROUNDOFF * norm
+
 
 # Tables of fewer amplitudes (rows x D) run on the calling thread. On 2 cores,
 # two threads lost to one on the n-qubit families with n <= 6 (k*D <= 4032)
 # and drew level or won from n = 7 (k*D = 16256) up.
 _THREADED_MIN_SIZE = 8192
-
-# The column ordering of the QR route permutes this many members at a time,
-# so its temporary copy stays a small slice of the stack.
-_PIVOT_ROWS = 16
 
 try:  # geqrf over a stack, in place: np.linalg.qr would copy the stack and its triangle
     from numpy.linalg._umath_linalg import qr_r_raw as _geqrf
@@ -182,15 +184,14 @@ def _slice_values(slices: np.ndarray) -> np.ndarray:
     return np.linalg.svd(slices, compute_uv=False)
 
 
-def _qr_ranks(amps: np.ndarray, cut: Bipartition, buffer: np.ndarray, eps: float, pivot: bool) -> np.ndarray:
+def _qr_ranks(amps: np.ndarray, cut: Bipartition, buffer: np.ndarray, eps: float) -> np.ndarray:
     """Schmidt ranks of every row of amps at cut, equal to _svd_ranks of its stack.
 
-    The stack is factored in place in its tall orientation (m x n, m >= n),
-    with each member's columns first put in order of decreasing norm when
-    pivot is set. Member i keeps the leading h_i rows of its R, those above
-    a tail of Frobenius norm at most tau; T_i is their leading h_i x h_i
-    triangle. Member i is counted as h_i, with no SVD, when delta_i < eps
-    and the triangle bound
+    The stack is factored in place in its tall orientation (m x n, m >= n).
+    Member i keeps the leading h_i rows of its R, those above a tail of
+    Frobenius norm at most tau; T_i is their leading h_i x h_i triangle.
+    Member i is counted as h_i, with no SVD, when delta_i < eps and the
+    triangle bound
 
         |det T_i| * ((h_i - 1) / |R_i|_F^2)^((h_i - 1) / 2) <= sigma_min(T_i)
 
@@ -200,15 +201,7 @@ def _qr_ranks(amps: np.ndarray, cut: Bipartition, buffer: np.ndarray, eps: float
     matrix. schmidt_rank_table states why each count is the SVD's.
     """
     stack = reshape_rows(amps, cut, out=buffer, tall=True)
-    k, n = stack.shape[0], stack.shape[2]
-    if pivot:
-        f = stack.view(np.float64)
-        norms = np.einsum("kij,kij->kj", f, f).reshape(k, n, 2).sum(axis=2)
-        order = np.argsort(-norms, axis=1)
-        for lo in range(0, k, _PIVOT_ROWS):
-            part = stack[lo : lo + _PIVOT_ROWS]
-            cols = part.transpose(0, 2, 1)[np.arange(len(part))[:, None], order[lo : lo + _PIVOT_ROWS]]
-            np.copyto(part, cols.transpose(0, 2, 1))
+    n = stack.shape[2]
     _qr_in_place(stack)
     r = stack[:, :n]
     np.copyto(r, 0, where=np.tri(n, k=-1, dtype=bool))  # clear the Householder vectors
@@ -217,7 +210,7 @@ def _qr_ranks(amps: np.ndarray, cut: Bipartition, buffer: np.ndarray, eps: float
     tau = _TAU * eps
     heights = (tails > tau * tau).sum(axis=1)
     norm2 = tails[:, 0]
-    delta = tau + _ROUNDING * cut.space.total * _UNIT_ROUNDOFF * np.sqrt(norm2)
+    delta = _margin(eps, cut.space.total, np.sqrt(norm2))
     # the bound as d_0 * prod_{0 < j < h} (d_j * sqrt(h - 1) / |R|_F): no factor exceeds
     # sqrt(h - 1), so nothing overflows, and h = 0 (norm2 <= tau^2) takes no division
     scale = np.sqrt(np.maximum(heights - 1, 0) / np.where(heights > 0, norm2, 1.0))
@@ -239,63 +232,45 @@ def _qr_ranks(amps: np.ndarray, cut: Bipartition, buffer: np.ndarray, eps: float
     return counts
 
 
-def schmidt_rank_table(
-    amps: np.ndarray,
-    cuts: Sequence[Bipartition],
-    tol: Tolerance | float | None = None,
-) -> np.ndarray:
-    """(k, len(cuts)) Schmidt ranks of the k rows of amps: rank = #{sigma > eps}.
+def _sparse_ranks(amps: np.ndarray, cuts: Sequence[Bipartition], eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form ranks of the members with at most two nonzero amplitudes a, b.
 
-    The table is the certificate behind the EXACT grade of the UEB gate
-    (verify_basis): it equals the table that one batched SVD of every cut's
-    (k, dim_a, dim_b) stack gives. A cut with min(dim_a, dim_b) <= 2 takes
-    that SVD. Any other cut takes the QR route (_qr_ranks): one batched
-    Householder QR of the tall orientation of the stack (singular values do
-    not change under transposition, nor under a permutation of the columns),
-    then for each member A the trailing rows of R whose Frobenius norm is at
-    most tau = _TAU * eps are dropped, leaving the member's own kept height
-    h. By Weyl's inequality the dropped rows move each singular value by at
-    most tau, and the rounding of the QR and of the SVDs adds a few ulps of
-    |A|_F; the margin delta = tau + _ROUNDING * D * u * |A|_F (u the unit
-    roundoff) covers both. With delta < eps, A's values past the h-th (at
-    most tau, plus rounding) stay below eps, so the count is h whenever the
-    h-th singular value of the kept rows exceeds eps + delta.
-
-    That value is at least sigma_min(T) of the leading h x h triangle T of
-    R, since deleting columns never raises singular values, and sigma_min(T)
-    is at least |det T| * ((h - 1) / |R|_F^2)^((h - 1) / 2): det T is the
-    product of T's singular values, and by the AM-GM inequality the other
-    h - 1 of them multiply to at most (|R|_F^2 / (h - 1))^((h - 1) / 2).
-    |det T| is the product of R's first h diagonal entries, so this bound
-    costs a few vector operations per stack and certifies the count h of
-    almost every member of a rotated n-qubit family. A member the bound
-    cannot decide is counted from the singular values of its kept h x n
-    rows, one slice SVD per height; a member with such a value within delta
-    of eps, or with delta >= eps, is counted by the SVD of its own matrix.
-    When amps holds an exact zero, each member's columns are ordered by
-    decreasing norm before the QR: otherwise a zero column of a sparse
-    member sits on T's diagonal, makes the bound 0 and sends the member to
-    the slice SVD. The route pays when the Schmidt ranks sit well below
-    min(dim_a, dim_b), as across most cuts of a multipartite family: a dense
-    rank-2 16 x 16 matrix costs LAPACK's SVD about as much as a full-rank
-    one, its QR about a third of that.
-
-    The cuts are dealt round-robin to width = min(len(cuts), usable CPUs)
-    shares: share w takes the cuts j with j % width == w, the calling thread
-    runs share 0 and one thread runs each other share (numpy's QR and SVD
-    release the GIL). A one-cut table, a one-row table and a table of fewer
-    than _THREADED_MIN_SIZE amplitudes start no thread: there a second
-    thread costs more than the work it would spread. Each share owns one
-    flat k*D complex buffer, allocated here by the caller, copies every
-    cut's transpose into it and factors that buffer (the QR in place), so
-    the table costs width*k*D*16 bytes beyond the input and each share
-    writes only its own columns of the result. Every factorization sees the
-    same matrices as in a one-thread loop over the cuts, so the table is
-    identical to that loop's. An exception raised in any share is re-raised
-    here after every thread has joined.
+    Returns a mask of the rows counted and their (rows, len(cuts)) ranks,
+    which schmidt_rank_table shows equal to _svd_ranks. b = 0 for a member
+    with one nonzero, whose two kets are then the same, and a = b = 0 for a
+    zero row, which counts 0 at every cut either way.
     """
-    eps = _eps(tol)
-    pivot = not amps.all()
+    nonzero = amps != 0
+    rows = np.flatnonzero(nonzero.sum(axis=1) <= 2)
+    closed = np.zeros(len(amps), dtype=bool)
+    if not rows.size or not cuts:
+        return closed, np.empty((0, len(cuts)), dtype=int)
+    space = cuts[0].space
+    nonzero = nonzero[rows]
+    first = nonzero.argmax(axis=1)
+    last = space.total - 1 - nonzero[:, ::-1].argmax(axis=1)
+    a = np.abs(amps[rows, first])
+    b = np.where(first < last, np.abs(amps[rows, last]), 0.0)
+    norm = np.hypot(a, b)
+    digits = np.unravel_index(np.stack([first, last]), space.dims)
+    agree = sum((d[0] == d[1]).astype(int) << i for i, d in enumerate(digits))[:, None]
+    masks = np.array([c.mask for c in cuts])
+    blocks_b = (1 << space.parties) - 1 ^ masks
+    shared = ((agree & masks) == masks) | ((agree & blocks_b) == blocks_b)
+    apart = (a > eps).astype(int) + (b > eps)
+    ranks = np.where(shared, (norm > eps)[:, None], apart[:, None])
+    delta = _margin(eps, space.total, norm)
+
+    def near(x: np.ndarray) -> np.ndarray:
+        return np.abs(x - eps) <= delta
+
+    dense = (delta >= eps) | shared.any(axis=1) & near(norm) | ~shared.all(axis=1) & (near(a) | near(b))
+    closed[rows[~dense]] = True
+    return closed, ranks[~dense]
+
+
+def _dense_ranks(amps: np.ndarray, cuts: Sequence[Bipartition], eps: float) -> np.ndarray:
+    """(k, len(cuts)) ranks by the SVD and QR routes, threaded as schmidt_rank_table states."""
     ranks = np.empty((amps.shape[0], len(cuts)), dtype=int)
     inline = amps.shape[0] <= 1 or amps.size < _THREADED_MIN_SIZE
     width = 1 if inline else max(1, min(len(cuts), _usable_cpus()))
@@ -309,7 +284,7 @@ def schmidt_rank_table(
                 if min(cut.dim_a, cut.dim_b) <= 2:
                     ranks[:, j] = _svd_ranks(reshape_rows(amps, cut, out=buffers[w]), eps)
                 else:
-                    ranks[:, j] = _qr_ranks(amps, cut, buffers[w], eps, pivot)
+                    ranks[:, j] = _qr_ranks(amps, cut, buffers[w], eps)
         except BaseException as exc:
             errors[w] = exc
 
@@ -322,6 +297,84 @@ def schmidt_rank_table(
     for exc in errors:
         if exc is not None:
             raise exc
+    return ranks
+
+
+def schmidt_rank_table(
+    amps: np.ndarray,
+    cuts: Sequence[Bipartition],
+    tol: Tolerance | float | None = None,
+) -> np.ndarray:
+    """(k, len(cuts)) Schmidt ranks of the k rows of amps: rank = #{sigma > eps}.
+
+    The table is the certificate behind the EXACT grade of the UEB gate
+    (verify_basis): it equals the table that one batched SVD of every cut's
+    (k, dim_a, dim_b) stack gives. Exact zero rows and columns of a matrix
+    leave its nonzero singular values unchanged, so a member with at most
+    two nonzero amplitudes a and b is counted in closed form at every cut
+    at once (_sparse_ranks): its singular values are |a| and |b| when the
+    two lie in different rows and different columns of the cut's reshape,
+    and hypot(|a|, |b|) alone when they share a row or a column (one
+    nonzero gives |a|, a zero row none). They share a row exactly when
+    their party digits agree on every party of block A, so one bitmask per
+    member, the parties where the digits agree, decides each cut against
+    its mask and the mask's complement. The SVD that the reference table
+    takes of such a matrix is off by rounding, a few ulps of |A|_F, so a
+    member with a value within the margin delta (below) of eps, or with
+    delta >= eps, goes to the dense route instead.
+
+    The dense route counts every other member. A cut with min(dim_a, dim_b)
+    <= 2 takes that SVD. Any other cut takes the QR route (_qr_ranks): one
+    batched Householder QR of the tall orientation of the stack (singular
+    values do not change under transposition), then for each member A the
+    trailing rows of R whose Frobenius norm is at most tau = _TAU * eps are
+    dropped, leaving the member's own kept height h. By Weyl's inequality
+    the dropped rows move each singular value by at most tau, and the
+    rounding of the QR and of the SVDs adds a few ulps of |A|_F; the margin
+    delta = tau + _ROUNDING * D * u * |A|_F (u the unit roundoff) covers
+    both. With delta < eps, A's values past the h-th (at most tau, plus
+    rounding) stay below eps, so the count is h whenever the h-th singular
+    value of the kept rows exceeds eps + delta.
+
+    That value is at least sigma_min(T) of the leading h x h triangle T of
+    R, since deleting columns never raises singular values, and sigma_min(T)
+    is at least |det T| * ((h - 1) / |R|_F^2)^((h - 1) / 2): det T is the
+    product of T's singular values, and by the AM-GM inequality the other
+    h - 1 of them multiply to at most (|R|_F^2 / (h - 1))^((h - 1) / 2).
+    |det T| is the product of R's first h diagonal entries, so this bound
+    costs a few vector operations per stack and certifies the count h of
+    almost every member of a rotated n-qubit family. A member the bound
+    cannot decide is counted from the singular values of its kept h x n
+    rows, one slice SVD per height; a member with such a value within delta
+    of eps, or with delta >= eps, is counted by the SVD of its own matrix.
+    The route pays when the Schmidt ranks sit well below min(dim_a, dim_b),
+    as across most cuts of a multipartite family: a dense rank-2 16 x 16
+    matrix costs LAPACK's SVD about as much as a full-rank one, its QR
+    about a third of that.
+
+    The dense route deals the cuts round-robin to width = min(len(cuts),
+    usable CPUs) shares: share w takes the cuts j with j % width == w, the
+    calling thread runs share 0 and one thread runs each other share
+    (numpy's QR and SVD release the GIL). A one-cut table starts no
+    thread, nor does a dense route of one member or of fewer than
+    _THREADED_MIN_SIZE amplitudes: there a second thread costs more than
+    the work it would spread. Each share owns one flat k*D complex buffer
+    (k the route's members), allocated by the calling thread, copies every
+    cut's transpose into it and factors that buffer (the QR in place), so
+    the route costs width*k*D*16 bytes beyond its input and each share
+    writes only its own columns of the result. Every
+    factorization sees the same matrices as in a one-thread loop over the
+    cuts, so the table is identical to that loop's. An exception raised in
+    any share is re-raised here after every thread has joined.
+    """
+    eps = _eps(tol)
+    closed, sparse = _sparse_ranks(amps, cuts, eps)
+    if not closed.any():
+        return _dense_ranks(amps, cuts, eps)
+    ranks = np.empty((amps.shape[0], len(cuts)), dtype=int)
+    ranks[closed] = sparse
+    if not closed.all():
+        ranks[~closed] = _dense_ranks(amps[~closed], cuts, eps)
     return ranks
 
 

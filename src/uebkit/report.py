@@ -16,7 +16,7 @@ import numpy as np
 
 from .cuts import enumerate_cuts, schmidt_rank_table
 from .slocc import classify_from_ranks
-from .statefile import complex_vector, dumps_state_file
+from .statefile import LoadedStateFile, complex_vector, state_file_chunks
 from .states import StateSet, Subspace, Tolerance, canonical_phase
 from .subspaces import (
     BasisKind,
@@ -28,30 +28,29 @@ from .subspaces import (
 )
 
 
-def sha256_file(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def states_payload(st: StateSet) -> list[list[list[float]]]:
     return [complex_vector(s.amps) for s in st.states]
 
 
-def input_payload(path: str | Path, st: StateSet, name: str | None) -> dict:
+def input_payload(path: str | Path, loaded: LoadedStateFile) -> dict:
+    """Input block for a loaded state file; digest of the bytes that were parsed."""
     return {
         "path": str(path),
-        "sha256": sha256_file(path),
-        "name": name,
-        "dims": list(st.space.dims),
-        "count": len(st),
+        "sha256": loaded.sha256,
+        "name": loaded.name,
+        "dims": list(loaded.states.space.dims),
+        "count": len(loaded.states),
     }
 
 
 def catalog_input_payload(entry_id: str, st: StateSet, kind: BasisKind | None) -> dict:
     """Input block for a set resolved from the registry; digest of its canonical serialization."""
-    data = dumps_state_file(st, kind=kind, name=entry_id)
+    digest = hashlib.sha256()
+    for chunk in state_file_chunks(st, kind=kind, name=entry_id):
+        digest.update(chunk.encode())
     return {
         "path": None,
-        "sha256": hashlib.sha256(data.encode()).hexdigest(),
+        "sha256": digest.hexdigest(),
         "name": entry_id,
         "dims": list(st.space.dims),
         "count": len(st),

@@ -15,15 +15,20 @@ round-trip repr, so a save/load cycle reproduces the stored amplitudes
 bit-exactly. States whose norm drifts from 1 by more than 1e-6 are rejected;
 smaller drift is renormalized on load. A space over the complement cap
 (states.MAX_COMPLEMENT_BYTES, dimension above 8192) is refused before any
-amplitude is read.
+amplitude is read. A file is read once, as UTF-8 bytes, and carries the
+sha256 of those bytes.
+
+Writes stream the text of json.dumps(doc, indent=2) plus a newline row by
+row (state_file_chunks), so a file is never held whole in memory.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -42,6 +47,7 @@ class LoadedStateFile:
     states: StateSet
     kind: BasisKind | None
     planes: dict[int, np.ndarray]
+    sha256: str | None = None  # of the bytes load_state_file read
 
 
 def _pair_vector(raw: object, length: int, what: str) -> np.ndarray:
@@ -89,10 +95,15 @@ def load_state_file(
 ) -> LoadedStateFile:
     """Parse and validate a state file; gram_fix re-orthonormalizes drifted sets."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise StateFileError(f"cannot read {path}: {exc}") from exc
-    return parse_state_file(text, tol=tol, gram_fix=gram_fix)
+    import hashlib  # loads OpenSSL, about 3 MB resident, which importing uebkit need not pay
+
+    digest = hashlib.sha256(data).hexdigest()
+    text = data.decode("utf-8")
+    del data  # the parse's peak holds the text alone
+    return replace(parse_state_file(text, tol=tol, gram_fix=gram_fix), sha256=digest)
 
 
 def parse_state_file(
@@ -178,7 +189,8 @@ def save_state_file(
     planes: dict[int, np.ndarray] | None = None,
     name: str | None = None,
 ) -> None:
-    Path(path).write_text(dumps_state_file(states, kind=kind, planes=planes, name=name))
+    with open(path, "w") as f:
+        f.writelines(state_file_chunks(states, kind=kind, planes=planes, name=name))
 
 
 def dumps_state_file(
@@ -187,12 +199,45 @@ def dumps_state_file(
     planes: dict[int, np.ndarray] | None = None,
     name: str | None = None,
 ) -> str:
-    doc: dict[str, object] = {
+    return "".join(state_file_chunks(states, kind=kind, planes=planes, name=name))
+
+
+def _rows(rows: Iterable[np.ndarray], depth: int) -> Iterator[str]:
+    """One chunk per row: the row as json.dumps(..., indent=2) lays out a list depth levels deep."""
+    outer, pair, value = (" " * (2 * (depth + i)) for i in range(3))
+    item = f"{pair}[\n{value}%s,\n{value}%s\n{pair}]"
+    sep = ""
+    for row in rows:
+        flat = np.ascontiguousarray(row, dtype=np.complex128).view(np.float64)
+        values = list(map(float.__repr__, flat.tolist()))
+        yield f"{sep}{outer}[\n" + ",\n".join(item % p for p in zip(values[::2], values[1::2])) + f"\n{outer}]"
+        sep = ",\n"
+
+
+def state_file_chunks(
+    states: StateSet,
+    kind: BasisKind | None = None,
+    planes: dict[int, np.ndarray] | None = None,
+    name: str | None = None,
+) -> Iterator[str]:
+    """The state-file document as json.dumps(doc, indent=2) prints it plus a newline, in chunks.
+
+    The header and the plane keys pass through json.dumps, so their escaping
+    is the json module's; each amplitude row is one chunk.
+    """
+    head = {
         "name": name if name is not None else states.name,
         "dims": list(states.space.dims),
         "kind": kind.value if kind is not None else None,
-        "states": [complex_vector(s.amps) for s in states.states],
     }
+    yield json.dumps(head, indent=2)[:-2] + ',\n  "states": [\n'
+    yield from _rows((s.amps for s in states.states), 2)
+    yield "\n  ]"
     if planes:
-        doc["planes"] = {str(mask): [complex_vector(row) for row in w] for mask, w in sorted(planes.items())}
-    return json.dumps(doc, indent=2) + "\n"
+        yield ',\n  "planes": {'
+        for i, (mask, rows) in enumerate(sorted(planes.items())):
+            yield f'{"," if i else ""}\n    {json.dumps(str(mask))}: [\n'
+            yield from _rows(rows, 3)
+            yield "\n    ]"
+        yield "\n  }"
+    yield "\n}\n"

@@ -1,5 +1,6 @@
 """Bipartitions and Schmidt data: canonical masks, decomposition, invariances."""
 
+import functools
 import math
 import sys
 import threading
@@ -10,8 +11,10 @@ import pytest
 import uebkit.cuts
 from uebkit.cuts import reshape_rows
 from uebkit import (
+    CATALOG,
     BasisKind,
     Bipartition,
+    CoeffVariant,
     PureState,
     QuditDims,
     StateSet,
@@ -19,7 +22,10 @@ from uebkit import (
     apply_local_unitaries,
     basis_state,
     bell_meb,
+    build_entry,
     classify_three_qubit,
+    dft_superposition,
+    embed_meb,
     enumerate_cuts,
     ghz_state,
     haar_unitary,
@@ -342,18 +348,27 @@ def _svd_loop(amps: np.ndarray, cuts, eps: float) -> list[list[int]]:
 
 
 class _Routes:
-    """Spies on the routes of schmidt_rank_table: QR stacks, slice SVDs and SVD fallbacks.
+    """Spies on the routes of schmidt_rank_table: the rows left to the dense route, QR
+    stacks, slice SVDs and SVD fallbacks.
 
-    A QR-route member the triangle bound certifies takes neither a slice SVD
-    nor a fallback. A fallback is an SVD of a stack whose smaller dimension
+    A member with at most two nonzero amplitudes outside the rounding margin
+    takes the closed form and never reaches the dense route. A QR-route
+    member the triangle bound certifies takes neither a slice SVD nor a
+    fallback. A fallback is an SVD of a stack whose smaller dimension
     exceeds 2; the other SVDs are those of the cuts with min(dim_a, dim_b) <= 2.
     """
 
     def __init__(self, monkeypatch) -> None:
+        self.dense: list[np.ndarray] = []
         self.qr: list[tuple[int, ...]] = []
         self.slices: list[np.ndarray] = []
         self.fallbacks: list[np.ndarray] = []
-        qr, slice_values, svd_ranks = uebkit.cuts._qr_in_place, uebkit.cuts._slice_values, uebkit.cuts._svd_ranks
+        dense_ranks, qr = uebkit.cuts._dense_ranks, uebkit.cuts._qr_in_place
+        slice_values, svd_ranks = uebkit.cuts._slice_values, uebkit.cuts._svd_ranks
+
+        def spy_dense(amps, cuts, eps):
+            self.dense.append(amps.copy())
+            return dense_ranks(amps, cuts, eps)
 
         def spy_qr(stack):
             self.qr.append(stack.shape)
@@ -369,11 +384,13 @@ class _Routes:
                 self.fallbacks.append(stack.copy())
             return svd_ranks(stack, eps)
 
+        monkeypatch.setattr(uebkit.cuts, "_dense_ranks", spy_dense)
         monkeypatch.setattr(uebkit.cuts, "_qr_in_place", spy_qr)
         monkeypatch.setattr(uebkit.cuts, "_slice_values", spy_slice)
         monkeypatch.setattr(uebkit.cuts, "_svd_ranks", spy_svd)
 
     def clear(self) -> None:
+        self.dense.clear()
         self.qr.clear()
         self.slices.clear()
         self.fallbacks.clear()
@@ -400,19 +417,27 @@ def _qr_cuts(cuts) -> list[Bipartition]:
 def test_rank_table_matches_the_svd_loop(monkeypatch, eps):
     """The QR route counts what the per-cut SVD loop counts, on families, Haar sets and corner rows."""
     routes = _Routes(monkeypatch)
-    families = [_rotated_family(n, seed) for n, seed in ((5, 71), (6, 72), (7, 73))] + [n_qubit_ueb(6)]
-    for st in families:
-        amps = st.matrix()
-        cuts = enumerate_cuts(st.space)
+    for n, seed in ((5, 71), (6, 72), (7, 73)):
+        amps = _rotated_family(n, seed).matrix()
+        cuts = enumerate_cuts(QuditDims((2,) * n))
         routes.clear()
         assert schmidt_rank_table(amps, cuts, eps).tolist() == _svd_loop(amps, cuts, eps)
-        # every wide cut went through the QR route, none fell back, and the triangle bound
-        # alone counted almost every member: on the unrotated family, whose reshapes are
-        # mostly zero columns, only because each member's columns are ordered by norm
+        # the rotated members are dense: every wide cut went through the QR route with all
+        # of them, none fell back, and the triangle bound alone counted almost every member
         assert sorted(routes.qr) == sorted((len(amps), max(c.dim_a, c.dim_b), min(c.dim_a, c.dim_b))
                                            for c in _qr_cuts(cuts))
         assert not routes.fallbacks
         assert routes.certified_share() >= 0.95
+    # unrotated, the two-amplitude members take the closed form and only the others
+    # (the three-amplitude triple and the weight-1 and weight-5 superpositions) reach the QR route
+    amps = n_qubit_ueb(6).matrix()
+    cuts = enumerate_cuts(QuditDims((2,) * 6))
+    routes.clear()
+    assert schmidt_rank_table(amps, cuts, eps).tolist() == _svd_loop(amps, cuts, eps)
+    two = (amps != 0).sum(axis=1) == 2
+    assert two.sum() == 49
+    assert len(routes.dense) == 1 and np.array_equal(routes.dense[0], amps[~two])
+    assert sorted(routes.qr) == sorted((14, max(c.dim_a, c.dim_b), min(c.dim_a, c.dim_b)) for c in _qr_cuts(cuts))
     rng = np.random.default_rng(74)
     for dims in ((2,) * 6, (3, 3, 2)):
         sp = QuditDims(dims)
@@ -486,6 +511,113 @@ def test_rank_table_below_the_rounding_margin(monkeypatch):
     assert schmidt_rank_table(amps, cuts, 1e-15).tolist() == _svd_loop(amps, cuts, 1e-15)
     assert routes.qr and not routes.slices
     assert sum(len(stack) for stack in routes.fallbacks) == sum(shape[0] for shape in routes.qr)
+    # nor may the closed form: every member of the unrotated family reaches the dense route
+    amps = n_qubit_ueb(5).matrix()
+    routes.clear()
+    assert schmidt_rank_table(amps, cuts, 1e-15).tolist() == _svd_loop(amps, cuts, 1e-15)
+    assert len(routes.dense) == 1 and np.array_equal(routes.dense[0], amps)
+
+
+def _relabelled(amps: np.ndarray, dims: tuple[int, ...], perm) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The rows of amps with party perm[j] of dims moved to position j."""
+    k = len(amps)
+    moved = amps.reshape((k,) + dims).transpose((0,) + tuple(p + 1 for p in perm)).reshape(k, -1)
+    return moved, tuple(dims[p] for p in perm)
+
+
+def _two_amplitude_rows(dims: tuple[int, ...], pairs) -> np.ndarray:
+    """One row per ((digits, value), ...) entry, zero everywhere else."""
+    amps = np.zeros((len(pairs), math.prod(dims)), dtype=np.complex128)
+    for row, entries in zip(amps, pairs):
+        for digits, value in entries:
+            row[np.ravel_multi_index(digits, dims)] = value
+    return amps
+
+
+_R2 = 1 / math.sqrt(2)
+# rows of a 2x3x4 space (parties 1, 2, 3) and where their two nonzero amplitudes
+# meet: the digits of a pair agree on the parties named, so the pair shares a row
+# at the cuts whose block A those parties cover and a column where they cover block B
+_PLANTED_2X3X4 = [
+    (((0, 1, 0), _R2), ((0, 1, 3), -_R2)),  # agree on 1, 2: shared at every cut
+    (((0, 1, 2), 0.6), ((0, 2, 3), 0.8j)),  # agree on 1: shared row at 1|23 only
+    (((0, 1, 0), _R2), ((1, 1, 2), 1j * _R2)),  # agree on 2: shared column at 13|2 only
+    (((0, 0, 0), 0.6), ((1, 2, 3), -0.8)),  # agree nowhere: distinct at every cut
+    (((0, 0, 1), math.sqrt(1 - 1e-14)), ((1, 1, 1), 1e-7)),  # agree on 3, a modulus between the eps
+    (((1, 2, 1), -1j),),  # a single amplitude
+    (),  # a zero row
+]
+
+
+@functools.cache
+def _sparse_sets() -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """Unrotated n-qubit families, every catalog entry, the generators' sets and planted
+    2x3x4 rows next to a dense one, each also under a seeded relabelling of its parties."""
+    sets = [n_qubit_ueb(n) for n in range(4, 9)]
+    sets += [n_qubit_ueb(n, CoeffVariant.HADAMARD_IF_POWER_OF_TWO) for n in (4, 8)]
+    sets += [build_entry(entry_id) for entry_id in CATALOG]
+    sets += [bell_meb(3), embed_meb(3, 2)]
+    sp = QuditDims((2, 3, 4))
+    sets.append(StateSet(sp, tuple(dft_superposition(sp, ["012", "123", "001", "100"]))))
+    out = [(st.matrix(), st.space.dims) for st in sets]
+    planted = _two_amplitude_rows(sp.dims, _PLANTED_2X3X4)
+    out.append((np.vstack([planted, random_state(sp, np.random.default_rng(90)).amps]), sp.dims))
+    rng = np.random.default_rng(91)
+    return out + [_relabelled(amps, dims, rng.permutation(len(dims))) for amps, dims in out]
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-5])
+def test_sparse_route_matches_the_svd_loop(monkeypatch, eps):
+    """Members with at most two nonzero amplitudes are counted in closed form, and the
+    table is the per-cut SVD loop's: where the pair shares a row or a column, apart,
+    alone, or absent, in sets of qubits and of mixed dimensions, under any party labels."""
+    routes = _Routes(monkeypatch)
+    closed = 0
+    for amps, dims in _sparse_sets():
+        cuts = enumerate_cuts(QuditDims(dims))
+        routes.clear()
+        assert schmidt_rank_table(amps, cuts, eps).tolist() == _svd_loop(amps, cuts, eps), dims
+        dense = sum(len(rows) for rows in routes.dense)
+        assert dense >= ((amps != 0).sum(axis=1) > 2).sum()
+        closed += len(amps) - dense
+    assert closed > 1000
+    # all planted rows but the dense one took the closed form, at each eps
+    amps, dims = _sparse_sets()[len(_sparse_sets()) // 2 - 1]
+    routes.clear()
+    table = schmidt_rank_table(amps, enumerate_cuts(QuditDims(dims)), eps).tolist()
+    assert len(routes.dense) == 1 and np.array_equal(routes.dense[0], amps[-1:])
+    # cuts 1|23, 12|3, 13|2: a shared pair has one singular value, a distinct pair two
+    assert table[:7] == [[1, 1, 1], [1, 2, 2], [2, 2, 1], [2, 2, 2], [2, 1, 2] if eps < 1e-7 else [1, 1, 1],
+                         [1, 1, 1], [0, 0, 0]]
+
+
+def test_sparse_route_near_the_tolerance(monkeypatch):
+    """A two-amplitude member with a singular value at 0.1 eps, eps (1 -+ 1e-4) or 10 eps, in
+    rows of norm 1 and 1e3: counts are the SVD loop's, and exactly the members with a value
+    inside the margin reach the dense route. A modulus that is no singular value at any cut
+    (the pair shares a row or a column at each) sends no member there."""
+    eps = TOL.eps
+    sp = QuditDims((2, 3, 4))
+    cuts = enumerate_cuts(sp)
+    routes = _Routes(monkeypatch)
+    for factor, in_margin in ((0.1, False), (1 - 1e-4, True), (1 + 1e-4, True), (10.0, False)):
+        b = factor * eps
+        for scale in (1.0, 1e3):
+            amps = _two_amplitude_rows(sp.dims, [
+                (((0, 1, 2), scale), ((0, 2, 3), b)),  # |b| is a value at 12|3 and 13|2
+                (((0, 1, 0), scale), ((0, 1, 3), -b)),  # |b| is no value: shared at every cut
+                (((0, 1, 2), b * _R2), ((0, 2, 3), 1j * b * _R2)),  # b is the value at 1|23 only
+            ])
+            routes.clear()
+            table = schmidt_rank_table(amps, cuts, TOL).tolist()
+            assert table == _svd_loop(amps, cuts, eps)
+            assert table[0] == [1, 1 + (factor > 1), 1 + (factor > 1)]
+            assert table[1] == [1, 1, 1]
+            assert table[2][0] == (factor > 1)
+            want = [0, 2] if in_margin else []
+            assert sum(len(rows) for rows in routes.dense) == len(want)
+            if want:
+                assert np.array_equal(routes.dense[0], amps[want])
 
 
 def test_rank_table_truncation_keeps_tails_above_tau():
@@ -500,10 +632,10 @@ def test_rank_table_truncation_keeps_tails_above_tau():
     assert np.linalg.svd(m, compute_uv=False)[1] > TOL.eps
     table = schmidt_rank_table(p.amps[None], [cut], TOL)
     assert table.tolist() == [[2]] == _svd_loop(p.amps[None], [cut], TOL.eps)
-    # the table orders the columns of this sparse matrix by norm, which merges the two b
-    # entries into one row of R; without that ordering R = m keeps them in two rows
+    # the member has three nonzero amplitudes, so it takes the QR route, where R = m keeps
+    # the two b entries in two rows: the last kept one is the tail of norm 0.8 eps
     buffer = np.empty(sp.total, dtype=np.complex128)
-    assert uebkit.cuts._qr_ranks(p.amps[None], cut, buffer, TOL.eps, pivot=False).tolist() == [2]
+    assert uebkit.cuts._qr_ranks(p.amps[None], cut, buffer, TOL.eps).tolist() == [2]
 
 
 def test_rank_table_without_the_in_place_qr(monkeypatch):

@@ -1,5 +1,6 @@
 """State-file round trips, parse rejections, and the command-line contract."""
 
+import builtins
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +86,63 @@ def test_dumps_is_deterministic_with_trailing_newline():
     assert doc["dims"] == [2, 2]
     assert doc["kind"] == "UMEB"
     assert len(doc["states"]) == 2
+
+
+def test_written_text_is_the_indent_2_json_dump(tmp_path):
+    """The streamed writer prints what json.dumps(doc, indent=2) prints, plus a newline:
+    with planes, with a name that needs escaping, and with signed zeros."""
+    st = StateSet(SP2, tuple(two_qubit_ueb_fourier().states), name='quote " backslash \\ \u00e9 \u2603 \n')
+    plane = symmetric_bell_plane().copy()
+    plane[0, 1] = complex(-0.0, 0.0)
+    for planes in (None, {1: plane}):
+        for name in (None, "named"):
+            text = dumps_state_file(st, kind=BasisKind.UEB, planes=planes, name=name)
+            doc = json.loads(text)
+            assert text == json.dumps(doc, indent=2) + "\n"
+            assert doc["name"] == (name or st.name)
+            path = tmp_path / "st.json"
+            save_state_file(path, st, kind=BasisKind.UEB, planes=planes, name=name)
+            assert path.read_bytes() == text.encode()
+
+
+def test_save_streams_row_by_row(tmp_path):
+    """Writing the 127 states of the 7-qubit family holds one row's text at a time."""
+    st = uebkit.n_qubit_ueb(7)
+    path = tmp_path / "ueb7.json"
+    tracemalloc.start()
+    try:
+        save_state_file(path, st, kind=BasisKind.UEB_ALL_CUTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+    text = path.read_text()
+    assert text == dumps_state_file(st, kind=BasisKind.UEB_ALL_CUTS) == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_verify_reads_a_state_file_once(tmp_path, monkeypatch, capsys):
+    """verify <file> opens the file once, and its report's digest is that of the file's bytes."""
+    path = tmp_path / "ueb5.json"
+    save_state_file(path, uebkit.n_qubit_ueb(5), kind=BasisKind.UEB_ALL_CUTS)
+    reads = []
+    path_open, builtin_open = Path.open, builtins.open
+
+    def spy_path_open(self, mode="r", *args, **kwargs):
+        reads.append((Path(self).resolve(), mode))
+        return path_open(self, mode, *args, **kwargs)
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            reads.append((Path(file).resolve(), mode))
+        return builtin_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", spy_path_open)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    assert uebkit.cli.main(["verify", str(path)]) == 0
+    monkeypatch.undo()
+    assert [mode for p, mode in reads if p == path.resolve()] == ["rb"]
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["input"]["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_parse_rejects_malformed_documents():
