@@ -10,6 +10,7 @@ identical inputs with identical options produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from itertools import repeat
 from pathlib import Path
@@ -329,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command and return its exit code; touches no process-wide state."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -341,5 +343,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_INPUT
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry point of `uebkit` and `python -m uebkit.cli`: run main, exit with its code.
+
+    The objects the imports created (numpy and uebkit) are module state that
+    lives until exit, so they are frozen first: the cyclic collector then
+    skips them in the collections during the command and in the final ones
+    at interpreter shutdown, which would otherwise walk them all. No
+    resource here waits on the finalizer of a cyclic object, and shutdown
+    flushes stdout and stderr either way.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

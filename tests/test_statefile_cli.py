@@ -1,6 +1,7 @@
 """State-file round trips, parse rejections, and the command-line contract."""
 
 import builtins
+import gc
 import hashlib
 import json
 import math
@@ -43,12 +44,15 @@ TOL = Tolerance()
 EQ1_COMPLETE_SHA256 = "6596f214097a96285bd34e67bd696d983aa52409edf264c9ffc550e080779cbc"
 
 
-def cli(*args, cwd=None):
+def python(*args, cwd=None):
     # the child runs the same package the tests imported, installed or not
     path = [str(Path(uebkit.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    return subprocess.run([sys.executable, "-m", "uebkit.cli", *args],
-                          capture_output=True, text=True, cwd=cwd, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def cli(*args, cwd=None):
+    return python("-m", "uebkit.cli", *args, cwd=cwd)
 
 
 def bell_pair() -> StateSet:
@@ -406,6 +410,46 @@ def test_cli_catalog_listing():
     assert set(CATALOG) <= ids
     assert all(row["kind"] is not None for row in doc["entries"])
     assert "prop2a-set" in {g["name"] for g in doc["generators"]}
+
+
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, capsys):
+    """In-process callers of main get no process-wide side effect: only run() freezes."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    for argv, code in ((["catalog", "list"], 0), (["verify", "eq6-mixed-ueb"], 0), (["verify", str(bad)], 3)):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert uebkit.cli.main(argv) == code, argv
+        assert (gc.get_freeze_count(), gc.isenabled()) == before, argv
+    capsys.readouterr()
+
+
+def test_process_entry_prints_what_main_prints(tmp_path, capsys):
+    """`python -m uebkit.cli` goes through run(); its stdout, stderr and exit
+    code are those of main called in process."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    for argv in (["catalog", "list"], ["verify", "eq6-mixed-ueb"],
+                 ["analyze", "eq6-mixed-ueb", "--format", "text"], ["verify", str(bad)]):
+        code = uebkit.cli.main(argv)
+        out, err = capsys.readouterr()
+        got = cli(*argv)
+        assert (got.stdout, got.stderr, got.returncode) == (out, err, code), argv
+    assert code == 3 and err.startswith("error: ")
+
+
+def test_process_entry_freezes_the_import_time_heap():
+    """run() freezes the heap before the command, so the collections at
+    shutdown skip what the imports created; an atexit hook, which runs
+    before those collections, sees the frozen objects."""
+    got = python("-c", "import atexit, gc, sys, uebkit.cli\n"
+                       "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+                       "sys.argv[1:] = ['catalog', 'list']\n"
+                       "uebkit.cli.run()\n")
+    assert got.returncode == 0, got.stderr
+    assert json.loads(got.stdout)["entries"]
+    (line,) = got.stderr.splitlines()
+    word, count = line.split()
+    assert word == "frozen" and int(count) > 0
 
 
 def test_verify_and_analyze_compute_one_rank_table(tmp_path, monkeypatch, capsys):

@@ -220,6 +220,44 @@ def test_me_band_checks_every_coefficient():
     assert not _in_me_band(np.array([t, t, t - 1.5 * tol_me]), tol_me)
 
 
+def test_me_search_decision_flips_only_across_the_band_edge():
+    """A one-ray span whose Schmidt spectrum deviates from 1/sqrt(d) by at
+    most f * _TOL_ME, under seeded local unitaries (and the party swap in
+    3x3): the search accepts it, ungraded EXACT since the spread exceeds eps,
+    for f = 0.1 and 1 - 1e-4 and refuses it for f = 1 + 1e-4 and 10. A refusal
+    is _OUTSIDE_BAND exactly when the smallest coefficient is in the band."""
+    tol_me = subspaces._TOL_ME
+    trial = 0
+    # for d = 2 a deviation planted on the larger coefficient would leave a
+    # slightly larger one on the other, so 2x4 plants on the smaller only
+    for dims, ends in (((3, 3), (0, -1)), ((2, 4), (-1,))):
+        d = min(dims)
+        t = 1.0 / math.sqrt(d)
+        for f in (0.1, 1 - 1e-4, 1 + 1e-4, 10.0):
+            for end in ends:
+                planted = t + f * tol_me if end == 0 else t - f * tol_me
+                rest = math.sqrt((1.0 - planted**2) / (d - 1))
+                spec = np.full(d, rest)
+                spec[end] = planted
+                assert np.abs(spec - t).max() == pytest.approx(f * tol_me, rel=1e-6)
+                for swap in (False, True)[:2 if dims[0] == dims[1] else 1]:
+                    rng = np.random.default_rng([8, *dims, trial])
+                    m = haar_unitary(dims[0], rng)[:, :d] @ np.diag(spec) @ haar_unitary(dims[1], rng)[:, :d].T
+                    space = QuditDims(dims)
+                    sub = _subspace_of(space, [(m.T if swap else m).reshape(-1)])
+                    got = find_maximally_entangled(sub, single_cut(space), SearchConfig(seed=trial), TOL)
+                    case = (dims, f, end, swap)
+                    if f < 1:
+                        assert (got.status, got.grade, got.reason) == (
+                            SubspaceStatus.ME_FOUND, Grade.NUMERICAL_EVIDENCE, None), case
+                    else:
+                        near = abs(spec.min() - t) <= tol_me
+                        assert (got.status, got.grade, got.reason) == (
+                            SubspaceStatus.NO_ME_FOUND, Grade.NUMERICAL_EVIDENCE,
+                            subspaces._OUTSIDE_BAND if near else None), case
+                    trial += 1
+
+
 def _me_plus_product_block(dims, rng):
     """span{sum_j |jj>/sqrt(dA)} + span{|x>|j> : j >= dA} under random local unitaries,
     with the rotated maximally entangled vector."""
