@@ -223,14 +223,14 @@ def test_me_band_checks_every_coefficient():
 def test_me_search_decision_flips_only_across_the_band_edge():
     """A one-ray span whose Schmidt spectrum deviates from 1/sqrt(d) by at
     most f * _TOL_ME, under seeded local unitaries (and the party swap in
-    3x3): the search accepts it, ungraded EXACT since the spread exceeds eps,
-    for f = 0.1 and 1 - 1e-4 and refuses it for f = 1 + 1e-4 and 10. A refusal
-    is _OUTSIDE_BAND exactly when the smallest coefficient is in the band."""
+    3x3): the search accepts it for f = 0.1 and 1 - 1e-4, as NUMERICAL_EVIDENCE
+    since the spread exceeds eps, and refuses it for f = 1 + 1e-4 and 10. A
+    refusal is _OUTSIDE_BAND exactly when the smallest coefficient is in the band."""
     tol_me = subspaces._TOL_ME
     trial = 0
     # for d = 2 a deviation planted on the larger coefficient would leave a
     # slightly larger one on the other, so 2x4 plants on the smaller only
-    for dims, ends in (((3, 3), (0, -1)), ((2, 4), (-1,))):
+    for dims, ends, swaps in (((3, 3), (0, -1), (False, True)), ((2, 4), (-1,), (False,))):
         d = min(dims)
         t = 1.0 / math.sqrt(d)
         for f in (0.1, 1 - 1e-4, 1 + 1e-4, 10.0):
@@ -240,7 +240,7 @@ def test_me_search_decision_flips_only_across_the_band_edge():
                 spec = np.full(d, rest)
                 spec[end] = planted
                 assert np.abs(spec - t).max() == pytest.approx(f * tol_me, rel=1e-6)
-                for swap in (False, True)[:2 if dims[0] == dims[1] else 1]:
+                for swap in swaps:
                     rng = np.random.default_rng([8, *dims, trial])
                     m = haar_unitary(dims[0], rng)[:, :d] @ np.diag(spec) @ haar_unitary(dims[1], rng)[:, :d].T
                     space = QuditDims(dims)
