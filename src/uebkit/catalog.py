@@ -1,10 +1,10 @@
 """Families of entangled bases: fixed catalog entries and parameterized generators.
 
 Catalog ids and tags are opaque registry strings. Builders are named by what
-they construct, and every registered family passes through a verification
-gate before it is handed out: orthonormality always, per-member maximal
-entanglement where claimed, and the unextendibility verdict where a kind is
-declared.
+they construct. Every family with a declared kind passes one claim gate, once,
+before it is handed out: verify_basis at the default cut (for UMEB also the
+per-member check) must return the registered outcome. Generator parameters
+over states.MAX_COMPLEMENT_BYTES are refused before anything is built.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,6 +25,7 @@ from .states import (
     Subspace,
     Tolerance,
     basis_state,
+    check_complement_size,
     haar_unitary,
     kron_amplitudes,
     span_equal,
@@ -34,6 +36,22 @@ from .subspaces import BasisKind, BasisVerdict, Outcome, SearchConfig, verify_ba
 
 class ConstructionError(RuntimeError):
     """A constructed family failed its verification gate."""
+
+
+def _gate(
+    st: StateSet,
+    label: str,
+    claim: CatalogEntry | GeneratorEntry,
+    cfg: SearchConfig | None,
+    tol: Tolerance | float | None,
+) -> BasisVerdict:
+    """The claim gate: verify_basis(st, claim.kind, cfg, tol) at the default cut
+    must return claim.expected; ConstructionError naming the family otherwise."""
+    verdict = verify_basis(st, claim.kind, cfg, tol)
+    if verdict.outcome is not claim.expected:
+        raise ConstructionError(f"{label} failed its gate: verifier returned {verdict.outcome.value},"
+                                f" registered claim is {claim.expected.value}")
+    return verdict
 
 
 class CoeffVariant(Enum):
@@ -264,22 +282,11 @@ def three_qubit_mixed_ueb() -> StateSet:
     return StateSet(space, ghz_block + w_block)
 
 
-def n_qubit_ueb(
-    n: int,
-    coeff_variant: CoeffVariant = CoeffVariant.DFT,
-    cfg: SearchConfig | None = None,
-    tol: Tolerance | float | None = None,
-) -> StateSet:
-    """2^n - 1 genuinely entangled n-qubit states whose complement is the ray |1...1>.
-
-    Declared order: the weight-1 superposition block, the weight-(n-1) block
-    over the complements in matching order, the triple consuming the
-    all-zeros ket on the smallest complement pair, then the remaining
-    complement pairs ascending, plus sign before minus. Every instance is
-    verified unextendible across all cuts before it is returned.
-    """
+def _n_qubit_family(n: int, coeff_variant: CoeffVariant) -> StateSet:
+    """n_qubit_ueb without its gate: the caller gates it."""
     if n < 4:
         raise ValueError("the family needs at least four qubits")
+    check_complement_size(repeat(2, n))
     space = QuditDims((2,) * n)
     if coeff_variant is CoeffVariant.DFT:
         w = np.exp(2j * np.pi / n)
@@ -307,10 +314,26 @@ def n_qubit_ueb(
             amps = np.zeros(space.total, dtype=np.complex128)
             amps[x], amps[full ^ x] = 1.0 / root2, sign / root2
             states.append(PureState(space, amps))
-    st = StateSet(space, tuple(states))
-    verdict = verify_basis(st, BasisKind.UEB_ALL_CUTS, cfg, tol)
-    if verdict.outcome is not Outcome.VERIFIED:
-        raise ConstructionError(f"{n}-qubit family failed its gate: {verdict.outcome.value}")
+    return StateSet(space, tuple(states))
+
+
+def n_qubit_ueb(
+    n: int,
+    coeff_variant: CoeffVariant = CoeffVariant.DFT,
+    cfg: SearchConfig | None = None,
+    tol: Tolerance | float | None = None,
+) -> StateSet:
+    """2^n - 1 genuinely entangled n-qubit states whose complement is the ray |1...1>.
+
+    Declared order: the weight-1 superposition block, the weight-(n-1) block
+    over the complements in matching order, the triple consuming the
+    all-zeros ket on the smallest complement pair, then the remaining
+    complement pairs ascending, plus sign before minus. Every instance is
+    verified unextendible across all cuts before it is returned. An n whose
+    space is over states.MAX_COMPLEMENT_BYTES is refused before anything is built.
+    """
+    st = _n_qubit_family(n, coeff_variant)
+    _gate(st, f"nqubit-ueb(n={n})", GENERATORS["nqubit-ueb"], cfg, tol)
     return st
 
 
@@ -400,18 +423,10 @@ CATALOG: dict[str, CatalogEntry] = {
         CatalogEntry(
             "appendix-4qubit", "appendix", "fifteen-state unextendible entangled basis of four qubits",
             (2, 2, 2, 2), BasisKind.UEB_ALL_CUTS, Outcome.VERIFIED,
-            lambda: n_qubit_ueb(4, CoeffVariant.HADAMARD_IF_POWER_OF_TWO),
+            lambda: _n_qubit_family(4, CoeffVariant.HADAMARD_IF_POWER_OF_TWO),
         ),
     )
 }
-
-
-def _check_me_members(st: StateSet, label: str, tol: Tolerance | float | None) -> None:
-    """Raise ConstructionError naming the first member that is not maximally entangled at the default cut."""
-    cut = single_cut(st.space)
-    for i, psi in enumerate(st.states):
-        if not is_maximally_entangled(psi, cut, tol):
-            raise ConstructionError(f"{label}: member {i} is not maximally entangled")
 
 
 def build_entry(
@@ -431,9 +446,10 @@ def build_entry_with_verdict(
 ) -> tuple[StateSet, BasisVerdict | None]:
     """build_entry, also returning the gate's verdict (None for entries without a kind).
 
-    The verdict is verify_basis(set, entry.kind, cfg, tol) at the default cut.
-    With gate False the dims and member checks still run but the verifier
-    does not, and the verdict is None: for a caller about to run another check.
+    The verdict is verify_basis(set, entry.kind, cfg, tol) at the default cut;
+    for the UMEB kind it is also the per-member check. With gate False the
+    dims check still runs but the verifier does not, and the verdict is None:
+    for a caller about to run another check.
     """
     if entry_id not in CATALOG:
         raise KeyError(f"unknown catalog entry {entry_id!r}")
@@ -441,17 +457,9 @@ def build_entry_with_verdict(
     st = entry.build()
     if st.space.dims != entry.dims:
         raise ConstructionError(f"{entry_id}: built dims {st.space.dims} differ from registered {entry.dims}")
-    if entry.kind is BasisKind.UMEB:
-        _check_me_members(st, entry_id, tol)
     if entry.kind is None or not gate:
         return st, None
-    verdict = verify_basis(st, entry.kind, cfg, tol)
-    if verdict.outcome is not entry.expected:
-        raise ConstructionError(
-            f"{entry_id}: verifier returned {verdict.outcome.value}, registered claim is "
-            f"{entry.expected.value if entry.expected else None}"
-        )
-    return st, verdict
+    return st, _gate(st, entry_id, entry, cfg, tol)
 
 
 @dataclass(frozen=True)
@@ -480,15 +488,6 @@ GENERATORS: dict[str, GeneratorEntry] = {
 }
 
 
-def _gated(st: StateSet, name: str, label: str, cfg: SearchConfig | None, tol: Tolerance | float | None) -> StateSet:
-    """Run the verifier on a generated family and check it returns the registered claim."""
-    entry = GENERATORS[name]
-    verdict = verify_basis(st, entry.kind, cfg, tol)
-    if verdict.outcome is not entry.expected:
-        raise ConstructionError(f"{label} failed its gate: {verdict.outcome.value}")
-    return st
-
-
 def build_generator(
     name: str,
     cfg: SearchConfig | None = None,
@@ -500,26 +499,39 @@ def build_generator(
     dims: tuple[int, ...] | None = None,
     kets: Sequence[str] | None = None,
 ) -> StateSet:
-    """Build a parameterized family and run the gate matching its claim."""
-    if name == "bell-meb":
-        if d is None:
-            raise ValueError("bell-meb needs d")
-        return _gated(bell_meb(d), name, f"bell-meb(d={d})", cfg, tol)
-    if name == "embed-meb":
-        if d is None or n is None:
-            raise ValueError("embed-meb needs d and n")
-        return _gated(embed_meb(d, n), name, f"embed-meb(d={d}, n={n})", cfg, tol)
+    """Build a parameterized family and run the gate matching its claim.
+
+    Parameters whose space is over states.MAX_COMPLEMENT_BYTES raise
+    ValueError before anything is built.
+    """
     if name == "nqubit-ueb":
         if n is None:
             raise ValueError("nqubit-ueb needs n")
-        return n_qubit_ueb(n, variant, cfg, tol)  # self-gated
+        return n_qubit_ueb(n, variant, cfg, tol)  # size-checked and gated there
     if name == "dft-superposition":
         if dims is None or kets is None:
             raise ValueError("dft-superposition needs dims and kets")
+        check_complement_size(dims)
         space = QuditDims(tuple(dims))
         return StateSet(space, tuple(dft_superposition(space, list(kets))))
     if name == "prop2a-set":
         st = me_triple_2x3()
-        _check_me_members(st, name, tol)
+        cut = single_cut(st.space)
+        for i, psi in enumerate(st.states):
+            if not is_maximally_entangled(psi, cut, tol):
+                raise ConstructionError(f"{name}: member {i} is not maximally entangled")
         return st
-    raise KeyError(f"unknown generator {name!r}")
+    if name == "bell-meb":
+        if d is None:
+            raise ValueError("bell-meb needs d")
+        check_complement_size((d, d))
+        st, label = bell_meb(d), f"bell-meb(d={d})"
+    elif name == "embed-meb":
+        if d is None or n is None:
+            raise ValueError("embed-meb needs d and n")
+        check_complement_size((d, d + n))
+        st, label = embed_meb(d, n), f"embed-meb(d={d}, n={n})"
+    else:
+        raise KeyError(f"unknown generator {name!r}")
+    _gate(st, label, GENERATORS[name], cfg, tol)
+    return st

@@ -12,9 +12,8 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .catalog import (
     CATALOG,
@@ -27,7 +26,7 @@ from .catalog import (
     extend_padded_square_meb,
     recognize_padded_square_meb,
 )
-from .cuts import Bipartition, enumerate_cuts, schmidt_rank_table, single_cut
+from .cuts import Bipartition, single_cut
 from .locc import (
     ProjectionOrthogonalityError,
     VanishingProjectionError,
@@ -44,9 +43,9 @@ from .report import (
     render_text,
     verify_report,
 )
-from .slocc import classify_from_ranks, resource_dimension_flag
+from .slocc import resource_dimension_flag
 from .statefile import StateFileError, load_state_file, save_state_file
-from .states import _eps, check_complement_size, orthogonal_complement
+from .states import _eps, orthogonal_complement
 from .subspaces import (
     BasisKind,
     Outcome,
@@ -146,19 +145,6 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _generator_dims(name: str, d: int | None, n: int | None, dims: tuple[int, ...] | None) -> Iterable[int]:
-    """Local dimensions the generator would build, lazily; none when a parameter is missing."""
-    if name == "bell-meb" and d is not None:
-        return (d, d)
-    if name == "embed-meb" and d is not None and n is not None:
-        return (d, d + n)
-    if name == "nqubit-ueb" and n is not None:
-        return repeat(2, n)
-    if name == "dft-superposition" and dims is not None:
-        return dims
-    return ()
-
-
 def cmd_construct(args: argparse.Namespace) -> int:
     cfg = _config(args)
     name = args.name
@@ -167,8 +153,6 @@ def cmd_construct(args: argparse.Namespace) -> int:
         st = build_entry(name, cfg, args.tol)
     elif name in GENERATORS:
         entry = GENERATORS[name]
-        dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else None
-        check_complement_size(_generator_dims(name, args.d, args.n, dims))
         st = build_generator(
             name,
             cfg,
@@ -176,7 +160,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             d=args.d,
             n=args.n,
             variant=_VARIANTS[args.variant],
-            dims=dims,
+            dims=tuple(int(x) for x in args.dims.split(",")) if args.dims else None,
             kets=args.kets.split(",") if args.kets else None,
         )
     else:
@@ -247,17 +231,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             strong = {"status": "OUT_OF_SCOPE"}
     if complement is None:
         complement = orthogonal_complement(st.subspace(), args.tol)
-    slocc = None
+    resource_flag = None
     indist = None
     if st.space.dims == (2, 2, 2):
-        if rank_table is None:
-            rank_table = schmidt_rank_table(st.matrix(), enumerate_cuts(st.space), args.tol)
-        verdicts = [classify_from_ranks(s, r) for s, r in zip(st.states, rank_table)]
-        slocc = {
-            "labels": [v.label for v in verdicts],
-            "tangles": [v.tangle for v in verdicts],
-            "resource_dimension_flag": resource_dimension_flag(st, args.tol, complement=complement),
-        }
+        resource_flag = resource_dimension_flag(st, args.tol, complement=complement)
         try:
             flags = all_cut_indistinguishability_flag(st, args.tol, planes=planes or None)
             indist = {
@@ -276,7 +253,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         except (VanishingProjectionError, ProjectionOrthogonalityError, ValueError) as exc:
             indist = {"status": "NOT_APPLICABLE", "reason": str(exc)}
     _emit(
-        analyze_report(info, cfg, _eps(args.tol), st, complement, completion, strong, slocc, indist, rank_table),
+        analyze_report(info, cfg, _eps(args.tol), st, complement, completion, strong, resource_flag, indist, rank_table),
         args.format,
     )
     return EXIT_OK

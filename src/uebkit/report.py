@@ -163,25 +163,34 @@ def analyze_report(
     complement: Subspace,
     completion: dict | None = None,
     extended_space: dict | None = None,
-    slocc: dict | None = None,
+    resource_flag: bool | None = None,
     local_indistinguishability: dict | None = None,
     rank_table: np.ndarray | None = None,
 ) -> dict:
-    """Report of analyze; complement is the orthogonal complement of st at eps."""
+    """Report of analyze; complement is the orthogonal complement of st at eps.
+
+    resource_flag, given for three-qubit sets, is slocc.resource_dimension_flag;
+    the slocc block joins it to the class labels and tangles of the states block.
+    """
+    states = state_diagnostics(st, eps, rank_table)
     report = {
         "command": "analyze",
         "input": input_info,
         "tolerance": eps,
         "seed": cfg.seed,
         "starts": cfg.starts,
-        "states": state_diagnostics(st, eps, rank_table),
+        "states": states,
         "complement": complement_payload(complement, eps),
     }
     if completion is not None:
         report["completion"] = completion
         report["extended_space"] = extended_space or {"status": "OUT_OF_SCOPE"}
-    if slocc is not None:
-        report["slocc"] = slocc
+    if resource_flag is not None:
+        report["slocc"] = {
+            "labels": [s["slocc"] for s in states],
+            "tangles": [s["tangle"] for s in states],
+            "resource_dimension_flag": resource_flag,
+        }
     if local_indistinguishability is not None:
         report["local_indistinguishability"] = local_indistinguishability
     return report

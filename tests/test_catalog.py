@@ -1,10 +1,13 @@
 """Shipped families and generators: membership, spans, parameter gates."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import uebkit.catalog
 from uebkit import (
     CATALOG,
     BasisKind,
@@ -285,3 +288,40 @@ def test_every_entry_passes_its_declared_gate():
         assert isinstance(st, StateSet)
         gram = np.stack([p.amps for p in st.states])
         assert np.abs(gram @ gram.conj().T - np.eye(len(st.states))).max() < 1e-9
+
+
+def test_a_missed_claim_raises_naming_family_verdict_and_claim(monkeypatch):
+    """When the verifier's outcome is not the registered claim, the one gate
+    raises ConstructionError for a registry entry, a gated generator and
+    n_qubit_ueb alike, with one message form."""
+    verify = uebkit.catalog.verify_basis
+
+    def missed(*args, **kwargs):
+        return dataclasses.replace(verify(*args, **kwargs), outcome=Outcome.INCONCLUSIVE)
+
+    monkeypatch.setattr(uebkit.catalog, "verify_basis", missed)
+    for build, family, claim in ((lambda: build_entry("eq3-meb"), "eq3-meb", "COMPLETE_BASIS"),
+                                 (lambda: build_generator("embed-meb", d=3, n=1), "embed-meb(d=3, n=1)", "VERIFIED"),
+                                 (lambda: n_qubit_ueb(4), "nqubit-ueb(n=4)", "VERIFIED")):
+        with pytest.raises(ConstructionError) as err:
+            build()
+        assert str(err.value) == (f"{family} failed its gate: verifier returned INCONCLUSIVE,"
+                                  f" registered claim is {claim}")
+
+
+def test_library_refuses_oversize_generators_before_building():
+    """build_generator and n_qubit_ueb refuse a space over MAX_COMPLEMENT_BYTES
+    from the parameters alone: nothing near the size of one state is allocated."""
+    for call in (lambda: build_generator("dft-superposition", dims=(2,) * 14, kets=["0" * 14]),
+                 lambda: build_generator("bell-meb", d=100),
+                 lambda: build_generator("embed-meb", d=91, n=10),
+                 lambda: build_generator("nqubit-ueb", n=20),
+                 lambda: n_qubit_ueb(20)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MAX_COMPLEMENT_BYTES cap"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -1,6 +1,7 @@
 """State-file round trips, parse rejections, and the command-line contract."""
 
 import builtins
+import dataclasses
 import gc
 import hashlib
 import json
@@ -20,6 +21,7 @@ import uebkit.cli
 from uebkit import (
     BasisKind,
     CATALOG,
+    Outcome,
     QuditDims,
     StateFileError,
     StateSet,
@@ -498,6 +500,54 @@ def test_catalog_verify_reuses_the_gate_verdict(monkeypatch, capsys):
     assert uebkit.cli.main(["verify", "eq1-ueb", "--kind", "umeb"]) == 1
     assert calls == [BasisKind.UMEB]
     capsys.readouterr()
+
+
+def _spy(monkeypatch, name):
+    """Count calls to the uebkit function `name` from every uebkit module that binds it."""
+    calls = []
+    real = getattr(uebkit, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("uebkit") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_each_command_gates_a_catalog_entry_once(monkeypatch, capsys):
+    """construct, verify and analyze of a catalog id run verify_basis once, and
+    a UMEB entry's members are checked for maximal entanglement once, by it."""
+    verified = _spy(monkeypatch, "verify_basis")
+    me_checks = _spy(monkeypatch, "is_maximally_entangled")
+    for eid, entry in CATALOG.items():
+        members = len(build_entry(eid)) if entry.kind is BasisKind.UMEB else 0
+        for command in ("construct", "verify", "analyze"):
+            verified.clear()
+            me_checks.clear()
+            assert uebkit.cli.main([command, eid]) == 0, (command, eid)
+            assert (len(verified), len(me_checks)) == (1, members), (command, eid)
+    capsys.readouterr()
+
+
+def test_a_failed_gate_exits_1_with_one_error_line(monkeypatch, capsys):
+    verify = uebkit.catalog.verify_basis
+
+    def missed(*args, **kwargs):
+        return dataclasses.replace(verify(*args, **kwargs), outcome=Outcome.REFUTED)
+
+    monkeypatch.setattr(uebkit.catalog, "verify_basis", missed)
+    for argv, family in ((["construct", "eq1-ueb"], "eq1-ueb"), (["verify", "eq1-ueb"], "eq1-ueb"),
+                         (["construct", "appendix-4qubit"], "appendix-4qubit"),
+                         (["construct", "bell-meb", "--d", "2"], "bell-meb(d=2)"),
+                         (["construct", "nqubit-ueb", "--n", "4"], "nqubit-ueb(n=4)")):
+        assert uebkit.cli.main(argv) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: {family} failed its gate: verifier returned REFUTED,"), argv
 
 
 def test_catalog_verify_of_another_kind_computes_one_complement(monkeypatch, capsys):

@@ -258,6 +258,33 @@ def test_me_search_decision_flips_only_across_the_band_edge():
                     trial += 1
 
 
+def test_product_search_decision_flips_only_across_the_accept_gate():
+    """A one-ray span whose second Schmidt coefficient is planted at f * eps,
+    under seeded local unitaries (and the party swap in 3x3): the search
+    accepts the ray as PRODUCT_FOUND (EXACT) for f = 0.1 and 1 - 1e-4, and
+    returns NO_PRODUCT_FOUND (NUMERICAL_EVIDENCE) for f = 1 + 1e-4 and 10."""
+    eps = TOL.eps
+    for dims, swaps in (((3, 3), (False, True)), ((2, 4), (False,))):
+        d = min(dims)
+        space = QuditDims(dims)
+        for f in (0.1, 1 - 1e-4, 1 + 1e-4, 10.0):
+            spec = np.zeros(d)
+            spec[1] = f * eps
+            spec[0] = math.sqrt(1.0 - spec[1] ** 2)
+            for swap in swaps:
+                for draw in range(3):
+                    rng = np.random.default_rng([18, *dims, swap, draw])
+                    m = haar_unitary(dims[0], rng)[:, :d] @ np.diag(spec) @ haar_unitary(dims[1], rng)[:, :d].T
+                    sub = _subspace_of(space, [(m.T if swap else m).reshape(-1)])
+                    got = find_product_state(sub, single_cut(space), SearchConfig(starts=8, seed=draw), TOL)
+                    case = (dims, f, swap, draw)
+                    if f < 1:
+                        assert (got.status, got.grade) == (SubspaceStatus.PRODUCT_FOUND, Grade.EXACT), case
+                    else:
+                        assert (got.status, got.grade) == (
+                            SubspaceStatus.NO_PRODUCT_FOUND, Grade.NUMERICAL_EVIDENCE), case
+
+
 def _me_plus_product_block(dims, rng):
     """span{sum_j |jj>/sqrt(dA)} + span{|x>|j> : j >= dA} under random local unitaries,
     with the rotated maximally entangled vector."""
