@@ -43,7 +43,6 @@ from .report import (
     render_text,
     verify_report,
 )
-from .slocc import resource_dimension_flag
 from .statefile import StateFileError, load_state_file, save_state_file
 from .states import _eps, orthogonal_complement
 from .subspaces import (
@@ -206,16 +205,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     strong = None
     if args.completion is not None:
         mode = _MODES[args.completion]
-        if len(st) == st.space.total:
-            result = None
-        else:
-            cut = None
-            if args.cut is not None:
-                cut = Bipartition(st.space, int(args.cut))
-            elif st.space.parties > 2:
-                raise ValueError("completion on more than two parties needs --cut <mask>")
-            result = completion_search(st, mode, cfg, args.tol, cut=cut)
-            complement = result.complement
+        cut = Bipartition(st.space, int(args.cut)) if args.cut is not None else None
+        result = completion_search(st, mode, cfg, args.tol, cut=cut)
+        complement = result.complement
         completion = completion_payload(mode, result)
         d = recognize_padded_square_meb(st, args.tol) if st.space.parties == 2 else None
         if d is not None:
@@ -231,10 +223,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             strong = {"status": "OUT_OF_SCOPE"}
     if complement is None:
         complement = orthogonal_complement(st.subspace(), args.tol)
-    resource_flag = None
     indist = None
     if st.space.dims == (2, 2, 2):
-        resource_flag = resource_dimension_flag(st, args.tol, complement=complement)
         try:
             flags = all_cut_indistinguishability_flag(st, args.tol, planes=planes or None)
             indist = {
@@ -253,7 +243,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         except (VanishingProjectionError, ProjectionOrthogonalityError, ValueError) as exc:
             indist = {"status": "NOT_APPLICABLE", "reason": str(exc)}
     _emit(
-        analyze_report(info, cfg, _eps(args.tol), st, complement, completion, strong, resource_flag, indist, rank_table),
+        analyze_report(info, cfg, _eps(args.tol), st, complement, completion, strong, indist, rank_table),
         args.format,
     )
     return EXIT_OK

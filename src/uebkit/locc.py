@@ -151,10 +151,7 @@ def walgate_flag(obj: ProjectionResult | StateSet, tol: Tolerance | float | None
 
 def mask_isolating(lone: int) -> int:
     """Canonical three-party cut mask whose singleton block is the given party."""
-    masks = {0: 1, 1: 5, 2: 3}
-    if lone not in masks:
-        raise ValueError(f"party {lone} out of range for three parties")
-    return masks[lone]
+    return Bipartition(QuditDims((2, 2, 2)), 1 << lone).mask
 
 
 @dataclass(frozen=True, eq=False)

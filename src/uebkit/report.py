@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .cuts import enumerate_cuts, schmidt_rank_table
-from .slocc import classify_from_ranks
+from .slocc import classify_from_ranks, spans_ghz_and_w
 from .statefile import LoadedStateFile, complex_vector, state_file_chunks
 from .states import StateSet, Subspace, Tolerance, canonical_phase
 from .subspaces import (
@@ -134,17 +134,8 @@ def verify_report(
     }
 
 
-def completion_payload(mode: SetMode, res: CompletionResult | None) -> dict:
-    """Completion block of an analyze report; res None means nothing was missing."""
-    if res is None:
-        return {
-            "mode": mode.value,
-            "complement_dim": 0,
-            "found": 0,
-            "completable": "YES",
-            "reason": "input already spans the space",
-            "added_states": [],
-        }
+def completion_payload(mode: SetMode, res: CompletionResult) -> dict:
+    """Completion block of an analyze report."""
     return {
         "mode": mode.value,
         "complement_dim": res.complement_dim,
@@ -163,14 +154,14 @@ def analyze_report(
     complement: Subspace,
     completion: dict | None = None,
     extended_space: dict | None = None,
-    resource_flag: bool | None = None,
     local_indistinguishability: dict | None = None,
     rank_table: np.ndarray | None = None,
 ) -> dict:
     """Report of analyze; complement is the orthogonal complement of st at eps.
 
-    resource_flag, given for three-qubit sets, is slocc.resource_dimension_flag;
-    the slocc block joins it to the class labels and tangles of the states block.
+    For three-qubit sets the slocc block joins the class labels and tangles
+    of the states block to the resource dimension flag, which reads those
+    labels and classifies only a one-dimensional complement ray.
     """
     states = state_diagnostics(st, eps, rank_table)
     report = {
@@ -185,11 +176,12 @@ def analyze_report(
     if completion is not None:
         report["completion"] = completion
         report["extended_space"] = extended_space or {"status": "OUT_OF_SCOPE"}
-    if resource_flag is not None:
+    if st.space.dims == (2, 2, 2):
+        labels = [s["slocc"] for s in states]
         report["slocc"] = {
-            "labels": [s["slocc"] for s in states],
+            "labels": labels,
             "tangles": [s["tangle"] for s in states],
-            "resource_dimension_flag": resource_flag,
+            "resource_dimension_flag": spans_ghz_and_w(labels, complement, eps),
         }
     if local_indistinguishability is not None:
         report["local_indistinguishability"] = local_indistinguishability

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -156,25 +156,26 @@ def ghz_w_range_witness(
     return counts[0], counts[1]
 
 
-def resource_dimension_flag(
-    st: StateSet,
-    tol: Tolerance | float | None = None,
-    complement: Subspace | None = None,
-) -> bool:
-    """Whether the set spans both genuinely entangled classes of three qubits.
+def spans_ghz_and_w(labels: Iterable[str], complement: Subspace, tol: Tolerance | float | None = None) -> bool:
+    """The resource dimension rule: whether a three-qubit set whose members
+    carry the given class labels, and whose orthogonal complement at tol is
+    complement, spans both genuinely entangled classes.
 
-    Members are classified individually; a one-dimensional complement ray is
-    classified as well, since a basis argument covers the full space. True
-    means at least one GHZ-class and at least one W-class vector appear.
-    complement is the set's orthogonal complement at tol when the caller
-    already holds it; it is computed otherwise.
+    A one-dimensional complement ray is classified as well, since a basis
+    argument covers the full space. True means at least one GHZ-class and
+    at least one W-class vector appear.
     """
+    seen = set(labels)
+    if complement.dim == 1:
+        seen.add(classify_three_qubit(complement.basis[0], tol).label)
+    return {SloccClass.GHZ_CLASS.value, SloccClass.W_CLASS.value} <= seen
+
+
+def resource_dimension_flag(st: StateSet, tol: Tolerance | float | None = None) -> bool:
+    """Whether the set spans both genuinely entangled classes of three qubits
+    (spans_ghz_and_w on its members' labels and its complement)."""
     if st.space.dims != (2, 2, 2):
         raise ValueError(f"the flag is defined for three qubits, got {st.space}")
-    members = list(st.states)
-    comp = complement if complement is not None else orthogonal_complement(st.subspace(), tol)
-    if comp.dim == 1:
-        members.append(comp.basis[0])
-    ranks = schmidt_rank_table(np.array([m.amps for m in members]), enumerate_cuts(st.space), tol)
-    cats = {classify_from_ranks(m, r).category for m, r in zip(members, ranks)}
-    return SloccClass.GHZ_CLASS in cats and SloccClass.W_CLASS in cats
+    ranks = schmidt_rank_table(st.matrix(), enumerate_cuts(st.space), tol)
+    labels = [classify_from_ranks(m, r).label for m, r in zip(st.states, ranks)]
+    return spans_ghz_and_w(labels, orthogonal_complement(st.subspace(), tol), tol)

@@ -180,16 +180,11 @@ class BasisVerdict:
 
 
 @dataclass(frozen=True, eq=False)
-class DeflationResult:
-    """Output of max_orthogonal_set; refusal_exact marks an exact terminating refusal."""
-
-    states: StateSet
-    refusal_exact: bool
-    reason: str
-
-
-@dataclass(frozen=True, eq=False)
 class CompletionResult:
+    """Answer of max_orthogonal_set and completion_search: the orthonormal
+    states found inside complement, whether they complete it, and why the
+    search ended."""
+
     found: StateSet
     completable: Completable
     complement: Subspace
@@ -232,6 +227,7 @@ _NEWTON_STEPS = 20
 # Endpoints polished before the others, which are polished only when none of these verifies.
 _FIRST_POLISH = 8
 _OUTSIDE_BAND = "witness near maximal entanglement but outside the tol_me band"
+_NO_WITNESS = "support ranks exceed 1, but no vector with sigma_2 > eps was found"
 # Discriminant modulus below which count_product_states_2d_2x2 reports a double root.
 _TOL_DISC = 1e-9
 
@@ -574,12 +570,13 @@ def find_product_state(
     Gauss-Newton steps on M(c) = a b^T over (c, a, b) polish the endpoints.
 
     PRODUCT_FOUND (EXACT) goes to the lowest-index start, first round before
-    second, whose witness passes is_product at tol; score is then the
-    witness's sum over i < j of sigma_i^2 sigma_j^2 (its summed squared 2x2
-    minors). A miss is NO_PRODUCT_FOUND (NUMERICAL_EVIDENCE) with the
-    smallest such sum over the polished endpoints of the second round;
-    above the dimension (dA-1)(dB-1), where every subspace holds a product
-    vector (Parthasarathy 2004), its reason names that bound.
+    second, whose witness passes is_product at tol: that Schmidt rank 1 at
+    the cut is the certificate. score is then the witness's sum over i < j
+    of sigma_i^2 sigma_j^2 (its summed squared 2x2 minors). A miss is
+    NO_PRODUCT_FOUND (NUMERICAL_EVIDENCE) with the smallest such sum over
+    the polished endpoints of the second round; above the dimension
+    (dA-1)(dB-1), where every subspace holds a product vector
+    (Parthasarathy 2004), its reason names that bound.
     """
     if s.dim == 0:
         raise ValueError("empty subspace")
@@ -653,8 +650,10 @@ def find_maximally_entangled(
 ) -> SubspaceVerdict:
     """Search for a maximally entangled vector of the subspace.
 
-    Exact refusals come first: an only-product subspace cannot contain one,
-    and neither can a subspace whose Schmidt rank is capped below min(dA,dB).
+    Exact refusals come first, each NO_ME_FOUND graded EXACT on the support
+    ranks of schmidt_rank_upper_bound: at most 1 certifies an only-product
+    subspace, which cannot contain one, and a cap below min(dA,dB) rules out
+    full Schmidt rank.
     Otherwise _two_rounds runs the search: every start climbs the linear
     entropy, for _SHORT_STEPS steps and, when no polished endpoint verifies,
     on to _SMOOTH_STEPS steps; after each round Gauss-Newton steps on
@@ -669,7 +668,8 @@ def find_maximally_entangled(
     _TOL_ME of 1/sqrt(min(dA,dB)); score is the smallest one. The grade
     is EXACT only when the witness itself passes is_maximally_entangled at
     the base tolerance, that is, full Schmidt rank with largest minus
-    smallest coefficient below eps; otherwise it is NUMERICAL_EVIDENCE.
+    smallest coefficient below eps: that check of the returned vector,
+    snapped or not, is the certificate. Otherwise it is NUMERICAL_EVIDENCE.
     A witness outside the band gives NO_ME_FOUND; its reason is
     _OUTSIDE_BAND when the smallest coefficient is within _TOL_ME of
     1/sqrt(d), so the miss is near rather than far.
@@ -784,7 +784,7 @@ def max_orthogonal_set(
     mode: SetMode,
     cfg: SearchConfig | None = None,
     tol: Tolerance | float | None = None,
-) -> DeflationResult:
+) -> CompletionResult:
     """Largest orthonormal set of the requested kind found inside the subspace.
 
     ENTANGLED is decided exactly. An only-product subspace holds no
@@ -800,37 +800,38 @@ def max_orthogonal_set(
 
     MAX_ENTANGLED is greedy deflation: take an EXACT maximally entangled
     witness, restrict to its orthocomplement, repeat. The result size is a
-    lower bound; refusal_exact records whether the terminating refusal was
-    exact.
+    lower bound.
+
+    completable is YES when the found set fills s (each deflation step
+    removes one dimension), else NO_EXACT when the search ended on an exact
+    refusal, else NO_EVIDENCE; complement is s.
     """
     if s.dim == 0:
         raise ValueError("empty subspace")
     eps = _eps(tol)
     cfg = cfg or SearchConfig()
+    empty = StateSet(s.space, ())
     if mode is SetMode.ENTANGLED:
         if only_product_across_cut(s, cut, tol):
-            return DeflationResult(StateSet(s.space, ()), True, "remaining subspace holds only product vectors")
+            return CompletionResult(empty, Completable.NO_EXACT, s, "remaining subspace holds only product vectors")
         rotated = _rotated_basis(s, cut, cfg.seed, tol)
         if rotated is None:
-            return DeflationResult(StateSet(s.space, ()), False,
-                                   f"each of {_ROTATION_DRAWS} rotated bases had a member with Schmidt rank < 2:"
-                                   " the subspace is within tolerance of only-product")
-        return DeflationResult(rotated, False, "subspace exhausted")
+            return CompletionResult(empty, Completable.NO_EVIDENCE, s,
+                                    f"each of {_ROTATION_DRAWS} rotated bases had a member with Schmidt rank < 2:"
+                                    " the subspace is within tolerance of only-product")
+        return CompletionResult(rotated, Completable.YES, s, "subspace exhausted")
     current = s
     found: list[PureState] = []
-    refusal_exact = False
-    reason = "subspace exhausted"
     while current.dim >= 1:
         v = find_maximally_entangled(current, cut, cfg, tol)
         if v.status is not SubspaceStatus.ME_FOUND or v.grade is not Grade.EXACT:
-            refusal_exact = v.status is SubspaceStatus.NO_ME_FOUND and v.grade is Grade.EXACT
-            reason = v.reason or "no maximally entangled vector found"
-            break
-        assert v.witness is not None
-        st = canonical_phase(v.witness, tol)
-        found.append(st)
-        current = _deflate(current, st.amps, eps)
-    return DeflationResult(StateSet(s.space, tuple(found)), refusal_exact, reason)
+            exact = v.status is SubspaceStatus.NO_ME_FOUND and v.grade is Grade.EXACT
+            return CompletionResult(StateSet(s.space, tuple(found)),
+                                    Completable.NO_EXACT if exact else Completable.NO_EVIDENCE, s,
+                                    v.reason or "no maximally entangled vector found")
+        found.append(v.witness)  # phase-fixed by the search
+        current = _deflate(current, v.witness.amps, eps)
+    return CompletionResult(StateSet(s.space, tuple(found)), Completable.YES, s, "subspace exhausted")
 
 
 def count_product_states_2d_2x2(s: Subspace, tol: Tolerance | float | None = None) -> ProductCount:
@@ -870,17 +871,35 @@ def verify_basis(
     """Check an unextendibility claim for an orthogonal set of states.
 
     Order of business: every member must meet the kind's entanglement
-    requirement (REFUTED with the offending index otherwise; for the UEB
-    kinds the certificate is schmidt_rank_table, every member's rank at
-    every cut counted exactly as the SVD counts it); a complement of
-    dimension zero short-circuits to COMPLETE_BASIS; then the complement is
-    analyzed per cut. UEB kinds are decided exactly either way. UMEB verdicts
-    are exact when an exact refusal route fires or the found witness verifies;
-    otherwise the search's evidence is graded numerical, and INCONCLUSIVE is
-    returned when no usable evidence exists at all or when the search came
-    within _TOL_ME of maximal entanglement without a witness in the band.
-    Kind COMPLETE is the cut-free spanning check: COMPLETE_BASIS when the
-    orthonormal set fills the whole space, REFUTED otherwise, always exact.
+    requirement (REFUTED with the offending index otherwise); a complement
+    of dimension zero short-circuits to COMPLETE_BASIS; then the complement
+    is analyzed per cut. Kind COMPLETE is the cut-free spanning check:
+    COMPLETE_BASIS when the orthonormal set fills the whole space, REFUTED
+    otherwise.
+
+    Every EXACT verdict rests on a named certificate:
+    - an offending member: its Schmidt rank below 2 at some cut in
+      schmidt_rank_table, counted exactly as the SVD counts it (UEB kinds),
+      or its failed is_maximally_entangled check (UMEB);
+    - COMPLETE_BASIS, and kind COMPLETE either way: the complement's
+      dimension, the number of the set's singular values at most eps
+      (orthogonal_complement);
+    - ONLY_PRODUCT at a cut: support ranks at most 1
+      (schmidt_rank_upper_bound, by the lemma above); VERIFIED for the UEB
+      kinds needs it at every cut;
+    - CONTAINS_ENTANGLED at a cut: a witness in the complement whose own
+      Schmidt rank is at least 2; REFUTED for the UEB kinds needs one;
+    - UMEB: an EXACT verdict of find_maximally_entangled on the complement,
+      a verified witness (REFUTED) or an exact refusal (VERIFIED).
+
+    A cut whose support ranks exceed 1 while the probe finds no witness has
+    no certificate either way, since the span lies within tolerance of
+    only-product there: it is CONTAINS_ENTANGLED graded NUMERICAL_EVIDENCE,
+    and the outcome is INCONCLUSIVE unless another cut has a witness. UMEB
+    evidence from a search that did not verify is graded numerical, and
+    INCONCLUSIVE is returned when no usable evidence exists at all or when
+    the search came within _TOL_ME of maximal entanglement without a
+    witness in the band.
     """
     if len(st) == 0:
         raise ValueError("empty state set")
@@ -921,18 +940,23 @@ def verify_basis(
             return BasisVerdict(kind, Outcome.INCONCLUSIVE, (v,), comp, grade=Grade.NUMERICAL_EVIDENCE)
         return BasisVerdict(kind, Outcome.VERIFIED, (v,), comp, grade=Grade.NUMERICAL_EVIDENCE)
     per_cut: list[SubspaceVerdict] = []
-    all_only = True
     for c in cuts:
         if only_product_across_cut(comp, c, tol):
             per_cut.append(SubspaceVerdict(c, SubspaceStatus.ONLY_PRODUCT, Grade.EXACT))
             continue
-        all_only = False
         witness = entangled_vector_search(comp, c, tol)
-        if witness is not None and schmidt(witness, c, tol).rank < 2:
-            witness = None  # borderline probe: keep the refutation, drop the witness
-        per_cut.append(SubspaceVerdict(c, SubspaceStatus.CONTAINS_ENTANGLED, Grade.EXACT, witness=witness))
-    outcome = Outcome.VERIFIED if all_only else Outcome.REFUTED
-    return BasisVerdict(kind, outcome, tuple(per_cut), comp, rank_table=table)
+        if witness is not None and schmidt(witness, c, tol).rank >= 2:
+            per_cut.append(SubspaceVerdict(c, SubspaceStatus.CONTAINS_ENTANGLED, Grade.EXACT, witness=witness))
+        else:
+            per_cut.append(SubspaceVerdict(c, SubspaceStatus.CONTAINS_ENTANGLED, Grade.NUMERICAL_EVIDENCE,
+                                           reason=_NO_WITNESS))
+    if any(v.witness is not None for v in per_cut):
+        outcome, grade = Outcome.REFUTED, Grade.EXACT
+    elif all(v.status is SubspaceStatus.ONLY_PRODUCT for v in per_cut):
+        outcome, grade = Outcome.VERIFIED, Grade.EXACT
+    else:
+        outcome, grade = Outcome.INCONCLUSIVE, Grade.NUMERICAL_EVIDENCE
+    return BasisVerdict(kind, outcome, tuple(per_cut), comp, grade=grade, rank_table=table)
 
 
 def completion_search(
@@ -944,25 +968,16 @@ def completion_search(
 ) -> CompletionResult:
     """Try to extend the set to a full orthogonal basis of the requested kind.
 
-    completable is YES only when max_orthogonal_set fills the whole
-    complement; otherwise refusal exactness decides between NO_EXACT and
-    NO_EVIDENCE. ENTANGLED is decided exactly, also with cfg.starts = 0: NO_EXACT
-    when the complement is only-product at the cut, else YES with a
-    Haar-rotated basis of the complement whose members all have Schmidt rank
-    >= 2 (schmidt_rank_table, the UEB gate's certificate); NO_EVIDENCE only
-    when the complement is within tolerance of only-product, so every seeded
-    rotation had a member at sigma_2 <= eps.
+    A set that already spans the space is complete: YES with nothing found.
+    Otherwise max_orthogonal_set answers on the set's orthogonal complement,
+    across cut, which defaults to the one cut of two parties and must be
+    given for more parties.
     """
     comp = orthogonal_complement(st.subspace(), tol)
     if comp.dim == 0:
-        raise ValueError("input set already spans the space")
+        return CompletionResult(StateSet(st.space, ()), Completable.YES, comp, "input already spans the space")
     if cut is None:
+        if st.space.parties > 2:
+            raise ValueError("completion on more than two parties needs --cut <mask>")
         cut = single_cut(st.space)
-    res = max_orthogonal_set(comp, cut, mode, cfg, tol)
-    if len(res.states) == comp.dim:
-        completable = Completable.YES
-    elif res.refusal_exact:
-        completable = Completable.NO_EXACT
-    else:
-        completable = Completable.NO_EVIDENCE
-    return CompletionResult(res.states, completable, comp, res.reason)
+    return max_orthogonal_set(comp, cut, mode, cfg, tol)

@@ -138,14 +138,14 @@ def test_me_deficient_triple_separates_completion_modes():
     cfg = SearchConfig(starts=64, seed=0)
 
     best_me = max_orthogonal_set(comp, cut, SetMode.MAX_ENTANGLED, cfg, TOL)
-    assert len(best_me.states.states) == 1
+    assert len(best_me.found.states) == 1
     phi_plus = state_from_combination(space, {"00": 1, "11": 1})
-    fidelity = abs(inner(best_me.states.states[0], phi_plus)) ** 2
+    fidelity = abs(inner(best_me.found.states[0], phi_plus)) ** 2
     assert fidelity > 1 - 1e-9
 
     best_ent = max_orthogonal_set(comp, cut, SetMode.ENTANGLED, cfg, TOL)
-    assert len(best_ent.states.states) == 3
-    full = StateSet(space, triple.states + best_ent.states.states)
+    assert len(best_ent.found.states) == 3
+    full = StateSet(space, triple.states + best_ent.found.states)
     assert len(full.states) == space.total
     assert verify_basis(full, BasisKind.COMPLETE).outcome is Outcome.COMPLETE_BASIS
     assert time.perf_counter() - t0 < 5.0

@@ -4,6 +4,7 @@ import builtins
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from uebkit import (
     BasisKind,
     CATALOG,
     Outcome,
+    PureState,
     QuditDims,
     StateFileError,
     StateSet,
@@ -44,6 +46,12 @@ SP2 = QuditDims((2, 2))
 TOL = Tolerance()
 # sha256 of the report of `verify eq1-ueb --kind complete` as printed when the UEB gate ran first
 EQ1_COMPLETE_SHA256 = "6596f214097a96285bd34e67bd696d983aa52409edf264c9ffc550e080779cbc"
+# sha256 of the reports of `analyze eq6-mixed-ueb` and of `analyze eq6.json` for its written file,
+# as printed when the resource flag computed its own complement and classified every member again
+EQ6_ANALYZE_SHA256 = {
+    "eq6-mixed-ueb": "240a39111755ef63bc443922716da66d852d68ffa8e54cc37f3b26390ad18ad9",
+    "eq6.json": "cbf9b4be9642590b10004b0873b81ca90e2cc0e57909c3df017ab4b46a1b5a80",
+}
 
 
 def python(*args, cwd=None):
@@ -305,6 +313,23 @@ def test_cli_analyze_completion_modes():
     got = cli("analyze", "eq6-mixed-ueb", "--completion", "entangled", "--cut", "1")
     assert got.returncode == 0
     assert json.loads(got.stdout)["completion"]["completable"] == "NO_EXACT"
+
+
+def test_cli_analyze_completion_of_a_spanning_set(tmp_path, capsys):
+    """A spanning set is complete in either mode; a --cut given with it is
+    parsed like any other, so a mask that splits no parties is refused."""
+    full = tmp_path / "full.json"
+    save_state_file(full, bell_meb(2))
+    for mode in ("entangled", "max-entangled"):
+        assert uebkit.cli.main(["analyze", str(full), "--completion", mode]) == 0
+        out, err = capsys.readouterr()
+        block = json.loads(out)["completion"]
+        assert (block["completable"], block["found"], block["complement_dim"], err) == ("YES", 0, 0, "")
+        assert block["reason"] == "input already spans the space"
+    assert uebkit.cli.main(["analyze", str(full), "--completion", "entangled", "--cut", "99"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: mask 99 does not describe a proper nonempty split of 2 parties\n"
 
 
 def test_cli_analyze_extended_space_block():
@@ -572,9 +597,9 @@ def test_catalog_verify_of_another_kind_computes_one_complement(monkeypatch, cap
 
 def test_analyze_computes_one_complement(monkeypatch, capsys, tmp_path):
     """analyze of a 2x2x2 catalog entry, or of its state file, hands one
-    complement to the SLOCC resource flag and the report: one
-    orthogonal_complement call, and the report prints the bytes it printed
-    when the flag computed its own."""
+    complement to the SLOCC block and the report: one orthogonal_complement
+    call, and the report prints the bytes it printed when the resource flag
+    computed its own complement and classified every member again."""
     calls = []
     complement = uebkit.states.orthogonal_complement
 
@@ -582,20 +607,63 @@ def test_analyze_computes_one_complement(monkeypatch, capsys, tmp_path):
         calls.append(args[0].dim)
         return complement(*args, **kwargs)
 
-    path = tmp_path / "eq6.json"
-    save_state_file(path, build_entry("eq6-mixed-ueb"), kind=BasisKind.UEB_ALL_CUTS, name="eq6-mixed-ueb")
+    monkeypatch.chdir(tmp_path)
+    save_state_file("eq6.json", build_entry("eq6-mixed-ueb"), kind=BasisKind.UEB_ALL_CUTS, name="eq6-mixed-ueb")
     for mod in (uebkit.subspaces, uebkit.slocc, uebkit.cli):
         monkeypatch.setattr(mod, "orthogonal_complement", counting)
-    flag = uebkit.slocc.resource_dimension_flag
-    for ref in ("eq6-mixed-ueb", str(path)):
+    for ref, digest in EQ6_ANALYZE_SHA256.items():
         calls.clear()
         assert uebkit.cli.main(["analyze", ref]) == 0
         assert calls == [7], ref
-        shared = capsys.readouterr().out
-        monkeypatch.setattr(uebkit.cli, "resource_dimension_flag",
-                            lambda st, tol, complement: flag(st, tol))
-        calls.clear()
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, ref
+
+
+def test_analyze_classifies_each_three_qubit_vector_once(monkeypatch, capsys, tmp_path):
+    """The slocc block reads the class labels of the states block and
+    classifies only a one-dimensional complement ray: eq6-mixed-ueb has 7
+    members and a complement ray, eq5-w-ueb 6 members and a complement plane."""
+    path = tmp_path / "eq6.json"
+    save_state_file(path, build_entry("eq6-mixed-ueb"), kind=BasisKind.UEB_ALL_CUTS, name="eq6-mixed-ueb")
+    classified, tables = [], []
+    classify, table = uebkit.slocc.classify_from_ranks, uebkit.cuts.schmidt_rank_table
+
+    def counting_classify(*args, **kwargs):
+        classified.append(args[0])
+        return classify(*args, **kwargs)
+
+    def counting_table(*args, **kwargs):
+        tables.append(len(args[0]))
+        return table(*args, **kwargs)
+
+    for mod in (uebkit.slocc, uebkit.report):
+        monkeypatch.setattr(mod, "classify_from_ranks", counting_classify)
+    for mod in (uebkit.subspaces, uebkit.report, uebkit.slocc):
+        monkeypatch.setattr(mod, "schmidt_rank_table", counting_table)
+    for ref, want in (("eq6-mixed-ueb", (8, [7, 1])), (str(path), (8, [7, 1])), ("eq5-w-ueb", (6, [6]))):
+        classified.clear()
+        tables.clear()
         assert uebkit.cli.main(["analyze", ref]) == 0
-        assert calls == [7, 7], ref
-        assert capsys.readouterr().out == shared
-        monkeypatch.setattr(uebkit.cli, "resource_dimension_flag", flag)
+        assert (len(classified), tables) == want, ref
+    capsys.readouterr()
+
+
+def test_analyze_slocc_block_is_invariant(capsys, tmp_path):
+    """Files of eq5-w-ueb and eq6-mixed-ueb written under each of the 6 party
+    permutations and seeded local unitaries print the catalog report's slocc
+    labels and resource flag, and its tangles within 1e-12."""
+    for entry in ("eq5-w-ueb", "eq6-mixed-ueb"):
+        assert uebkit.cli.main(["analyze", entry]) == 0
+        want = json.loads(capsys.readouterr().out)["slocc"]
+        st = build_entry(entry)
+        for i, perm in enumerate(itertools.permutations(range(3))):
+            rng = np.random.default_rng([45, i])
+            us = [uebkit.haar_unitary(2, rng) for _ in range(3)]
+            moved = StateSet(st.space, tuple(
+                uebkit.apply_local_unitaries(PureState(st.space, p.amps.reshape(2, 2, 2).transpose(perm).reshape(8)), us)
+                for p in st.states))
+            path = tmp_path / f"{entry}-{i}.json"
+            save_state_file(path, moved, kind=BasisKind.UEB_ALL_CUTS, name=entry)
+            assert uebkit.cli.main(["analyze", str(path)]) == 0, (entry, perm)
+            got = json.loads(capsys.readouterr().out)["slocc"]
+            assert (got["labels"], got["resource_dimension_flag"]) == (want["labels"], want["resource_dimension_flag"])
+            assert np.allclose(got["tangles"], want["tangles"], rtol=0.0, atol=1e-12), (entry, perm)

@@ -515,10 +515,10 @@ def test_zero_starts_reports_no_evidence():
     # and a rotated basis completes the full space with entangled states
     assert entangled_vector_search(span_of(SP23, 2, 5), single_cut(SP23)) is None
     got = max_orthogonal_set(full, single_cut(SP2), SetMode.ENTANGLED, cfg)
-    assert len(got.states.states) == 4
-    assert not got.refusal_exact
+    assert len(got.found.states) == 4
+    assert got.completable is Completable.YES
     assert got.reason == "subspace exhausted"
-    for st in got.states.states:
+    for st in got.found.states:
         assert schmidt(st, single_cut(SP2), TOL).rank == 2
 
 
@@ -591,15 +591,15 @@ def test_max_orthogonal_set_modes():
     comp = orthogonal_complement(triple.subspace(), TOL)
     cut = single_cut(SP23)
     got = max_orthogonal_set(comp, cut, SetMode.MAX_ENTANGLED, SearchConfig(starts=16, seed=0))
-    assert len(got.states.states) == 1
-    assert got.refusal_exact
+    assert len(got.found.states) == 1
+    assert got.completable is Completable.NO_EXACT
     got = max_orthogonal_set(comp, cut, SetMode.ENTANGLED, SearchConfig(starts=16, seed=0))
-    assert len(got.states.states) == 3
+    assert len(got.found.states) == 3
 
     ray = Subspace(SP2, (basis_state(SP2, 3),))
     got = max_orthogonal_set(ray, single_cut(SP2), SetMode.ENTANGLED)
-    assert len(got.states.states) == 0
-    assert got.refusal_exact
+    assert len(got.found.states) == 0
+    assert got.completable is Completable.NO_EXACT
 
 
 def test_product_count_reference_cases():
@@ -665,8 +665,16 @@ def test_completion_search_modes():
     assert got.completable is Completable.NO_EXACT
     assert len(got.found.states) == 1
 
-    with pytest.raises(ValueError):
-        completion_search(bell_meb(2), SetMode.ENTANGLED)
+    # a set that already spans the space is complete, whatever the mode
+    got = completion_search(bell_meb(2), SetMode.ENTANGLED)
+    assert got.completable is Completable.YES
+    assert (len(got.found), got.complement_dim) == (0, 0)
+    assert got.reason == "input already spans the space"
+    # so on more than two parties, where any other set needs a cut
+    every = StateSet(SP3, tuple(basis_state(SP3, i) for i in range(8)))
+    assert completion_search(every, SetMode.ENTANGLED).completable is Completable.YES
+    with pytest.raises(ValueError, match="needs --cut <mask>"):
+        completion_search(build_entry("eq6-mixed-ueb"), SetMode.ENTANGLED)
 
 
 def test_completion_search_refuses_unextendible_families():
@@ -807,6 +815,32 @@ def test_tolerance_boundary_applies_to_singular_values():
                 assert got.outcome is Outcome.REFUTED
                 assert v_cut.status is SubspaceStatus.CONTAINS_ENTANGLED
                 assert schmidt(v_cut.witness, cut, tol).rank == 2
+
+
+def test_a_refutation_without_a_witness_is_not_exact():
+    """A 2x3 Fourier set whose complement is span{|00>, (|01> + delta |11>)/n},
+    delta = 1.7 eps: the support ranks say 2, yet a vector a|00> + b(...) has
+    sigma_2 at most about delta / 2 = 0.85 eps, so the probe finds no witness
+    and nothing certifies either answer. The verdict is INCONCLUSIVE, never
+    REFUTED / EXACT without a witness, under local unitaries and the party swap."""
+    delta = 1.7 * TOL.eps
+    e = [basis_state(SP23, i).amps for i in range(6)]
+    st = _fourier_set(SP23, [e[2], e[3], e[5], (e[4] - delta * e[1]) / math.hypot(1.0, delta)])
+    sp32 = QuditDims((3, 2))
+    swapped = StateSet(sp32, tuple(PureState(sp32, p.amps.reshape(2, 3).T.reshape(-1)) for p in st.states))
+    variants = [st, swapped]
+    for seed in range(3):
+        rng = np.random.default_rng([44, seed])
+        for base in (st, swapped):
+            us = [haar_unitary(d, rng) for d in base.space.dims]
+            variants.append(StateSet(base.space, tuple(apply_local_unitaries(p, us) for p in base.states)))
+    for i, moved in enumerate(variants):
+        got = verify_basis(moved, BasisKind.UEB, tol=TOL)
+        assert (got.outcome, got.grade, got.complement_dim) == (Outcome.INCONCLUSIVE, Grade.NUMERICAL_EVIDENCE, 2), i
+        (v_cut,) = got.per_cut
+        assert (v_cut.status, v_cut.grade, v_cut.witness) == (SubspaceStatus.CONTAINS_ENTANGLED,
+                                                              Grade.NUMERICAL_EVIDENCE, None), i
+        assert schmidt_rank_upper_bound(got.complement, v_cut.cut, TOL) == 2, i
 
 
 def _norm(v):
