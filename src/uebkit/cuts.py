@@ -146,8 +146,8 @@ def _usable_cpus() -> int:
 
 # The routes of schmidt_rank_table: tau = _TAU * eps bounds the dropped tail
 # of R, and delta = tau + _ROUNDING * D * u * |A|_F (u the unit roundoff) is
-# the margin around eps inside which no bound, slice value or closed-form
-# value decides a count.
+# the margin around eps inside which neither the triangle bound nor a
+# closed-form value decides a count.
 _TAU = 1e-3
 _ROUNDING = 4.0
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
@@ -180,10 +180,6 @@ def _svd_ranks(stack: np.ndarray, eps: float) -> np.ndarray:
     return (np.linalg.svd(stack, compute_uv=False) > eps).sum(axis=1)
 
 
-def _slice_values(slices: np.ndarray) -> np.ndarray:
-    return np.linalg.svd(slices, compute_uv=False)
-
-
 def _qr_ranks(amps: np.ndarray, cut: Bipartition, buffer: np.ndarray, eps: float) -> np.ndarray:
     """Schmidt ranks of every row of amps at cut, equal to _svd_ranks of its stack.
 
@@ -195,9 +191,7 @@ def _qr_ranks(amps: np.ndarray, cut: Bipartition, buffer: np.ndarray, eps: float
 
         |det T_i| * ((h_i - 1) / |R_i|_F^2)^((h_i - 1) / 2) <= sigma_min(T_i)
 
-    exceeds eps + delta_i. The members it cannot decide take one slice SVD
-    of their kept rows per height h, and those with a slice value within
-    delta_i of eps, or with delta_i >= eps, take the SVD of their own
+    exceeds eps + delta_i. Every other member takes the SVD of its own
     matrix. schmidt_rank_table states why each count is the SVD's.
     """
     stack = reshape_rows(amps, cut, out=buffer, tall=True)
@@ -218,16 +212,8 @@ def _qr_ranks(amps: np.ndarray, cut: Bipartition, buffer: np.ndarray, eps: float
     factors[:, 0] = np.abs(r[:, 0, 0])
     factors[np.arange(n) >= heights[:, None]] = 1.0
     counts = heights.copy()
-    full = delta >= eps
-    undecided = np.flatnonzero((factors.prod(axis=1) <= eps + delta) & ~full)
-    for h in sorted(set(heights[undecided].tolist())):  # np.unique: +0.8 MB resident on first use
-        rows = undecided[heights[undecided] == h]
-        sv = _slice_values(r[rows, :h])
-        counts[rows] = (sv > eps).sum(axis=1)
-        # the n - h dropped values, all at most tau, lie outside the window since delta < eps
-        full[rows] = (np.abs(sv - eps) <= delta[rows, None]).any(axis=1)
-    if full.any():
-        rows = np.flatnonzero(full)
+    rows = np.flatnonzero((delta >= eps) | (factors.prod(axis=1) <= eps + delta))
+    if rows.size:
         counts[rows] = _svd_ranks(reshape_rows(amps[rows], cut), eps)
     return counts
 
@@ -270,7 +256,7 @@ def _sparse_ranks(amps: np.ndarray, cuts: Sequence[Bipartition], eps: float) -> 
 
 
 def _dense_ranks(amps: np.ndarray, cuts: Sequence[Bipartition], eps: float) -> np.ndarray:
-    """(k, len(cuts)) ranks by the SVD and QR routes, threaded as schmidt_rank_table states."""
+    """(k, len(cuts)) ranks by the QR route, threaded as schmidt_rank_table states."""
     ranks = np.empty((amps.shape[0], len(cuts)), dtype=int)
     inline = amps.shape[0] <= 1 or amps.size < _THREADED_MIN_SIZE
     width = 1 if inline else max(1, min(len(cuts), _usable_cpus()))
@@ -280,11 +266,7 @@ def _dense_ranks(amps: np.ndarray, cuts: Sequence[Bipartition], eps: float) -> n
     def share(w: int) -> None:
         try:
             for j in range(w, len(cuts), width):
-                cut = cuts[j]
-                if min(cut.dim_a, cut.dim_b) <= 2:
-                    ranks[:, j] = _svd_ranks(reshape_rows(amps, cut, out=buffers[w]), eps)
-                else:
-                    ranks[:, j] = _qr_ranks(amps, cut, buffers[w], eps)
+                ranks[:, j] = _qr_ranks(amps, cuts[j], buffers[w], eps)
         except BaseException as exc:
             errors[w] = exc
 
@@ -323,18 +305,17 @@ def schmidt_rank_table(
     member with a value within the margin delta (below) of eps, or with
     delta >= eps, goes to the dense route instead.
 
-    The dense route counts every other member. A cut with min(dim_a, dim_b)
-    <= 2 takes that SVD. Any other cut takes the QR route (_qr_ranks): one
-    batched Householder QR of the tall orientation of the stack (singular
-    values do not change under transposition), then for each member A the
-    trailing rows of R whose Frobenius norm is at most tau = _TAU * eps are
-    dropped, leaving the member's own kept height h. By Weyl's inequality
-    the dropped rows move each singular value by at most tau, and the
-    rounding of the QR and of the SVDs adds a few ulps of |A|_F; the margin
-    delta = tau + _ROUNDING * D * u * |A|_F (u the unit roundoff) covers
-    both. With delta < eps, A's values past the h-th (at most tau, plus
-    rounding) stay below eps, so the count is h whenever the h-th singular
-    value of the kept rows exceeds eps + delta.
+    The dense route counts every other member, at every cut by the QR route
+    (_qr_ranks): one batched Householder QR of the tall orientation of the
+    stack (singular values do not change under transposition), then for
+    each member A the trailing rows of R whose Frobenius norm is at most
+    tau = _TAU * eps are dropped, leaving the member's own kept height h.
+    By Weyl's inequality the dropped rows move each singular value by at
+    most tau, and the rounding of the QR adds a few ulps of |A|_F; the
+    margin delta = tau + _ROUNDING * D * u * |A|_F (u the unit roundoff)
+    covers both. With delta < eps, A's values past the h-th (at most tau,
+    plus rounding) stay below eps, so the count is h whenever the h-th
+    singular value of the kept rows exceeds eps + delta.
 
     That value is at least sigma_min(T) of the leading h x h triangle T of
     R, since deleting columns never raises singular values, and sigma_min(T)
@@ -343,14 +324,13 @@ def schmidt_rank_table(
     h - 1 of them multiply to at most (|R|_F^2 / (h - 1))^((h - 1) / 2).
     |det T| is the product of R's first h diagonal entries, so this bound
     costs a few vector operations per stack and certifies the count h of
-    almost every member of a rotated n-qubit family. A member the bound
-    cannot decide is counted from the singular values of its kept h x n
-    rows, one slice SVD per height; a member with such a value within delta
-    of eps, or with delta >= eps, is counted by the SVD of its own matrix.
-    The route pays when the Schmidt ranks sit well below min(dim_a, dim_b),
-    as across most cuts of a multipartite family: a dense rank-2 16 x 16
-    matrix costs LAPACK's SVD about as much as a full-rank one, its QR
-    about a third of that.
+    almost every member of a rotated n-qubit family. A member with delta >=
+    eps, or whose bound does not exceed eps + delta, is counted by the SVD
+    of its own matrix, which is the reference count itself. The route pays
+    when the Schmidt ranks sit well below min(dim_a, dim_b), as across most
+    cuts of a multipartite family: a dense rank-2 16 x 16 matrix costs
+    LAPACK's SVD about as much as a full-rank one, its QR about a third of
+    that, and a thin cut's two-column stack takes two Householder steps.
 
     The dense route deals the cuts round-robin to width = min(len(cuts),
     usable CPUs) shares: share w takes the cuts j with j % width == w, the

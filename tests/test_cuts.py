@@ -325,16 +325,16 @@ def test_rank_table_threads_under_fast_switching(monkeypatch):
 def test_rank_table_reraises_a_worker_failure(monkeypatch):
     st = _rotated_family(4, 63)
     cuts = enumerate_cuts(st.space)
-    svd = np.linalg.svd
+    qr = uebkit.cuts._qr_in_place
 
-    def failing_svd(a, *args, **kwargs):
+    def failing_qr(stack):
         if threading.current_thread() is not threading.main_thread():
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return svd(a, *args, **kwargs)
+            raise np.linalg.LinAlgError("QR did not converge")
+        return qr(stack)
 
     monkeypatch.setattr(uebkit.cuts, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(uebkit.cuts, "_THREADED_MIN_SIZE", 0)
-    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    monkeypatch.setattr(uebkit.cuts, "_qr_in_place", failing_qr)
     baseline = threading.active_count()
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         schmidt_rank_table(st.matrix(), cuts, TOL)
@@ -349,22 +349,19 @@ def _svd_loop(amps: np.ndarray, cuts, eps: float) -> list[list[int]]:
 
 class _Routes:
     """Spies on the routes of schmidt_rank_table: the rows left to the dense route, QR
-    stacks, slice SVDs and SVD fallbacks.
+    stacks and SVD fallbacks.
 
     A member with at most two nonzero amplitudes outside the rounding margin
-    takes the closed form and never reaches the dense route. A QR-route
-    member the triangle bound certifies takes neither a slice SVD nor a
-    fallback. A fallback is an SVD of a stack whose smaller dimension
-    exceeds 2; the other SVDs are those of the cuts with min(dim_a, dim_b) <= 2.
+    takes the closed form and never reaches the dense route. Every cut of the
+    dense route takes the QR route, and a member the triangle bound certifies
+    takes no fallback. A fallback is an SVD of a member's own matrix, at any cut.
     """
 
     def __init__(self, monkeypatch) -> None:
         self.dense: list[np.ndarray] = []
         self.qr: list[tuple[int, ...]] = []
-        self.slices: list[np.ndarray] = []
         self.fallbacks: list[np.ndarray] = []
-        dense_ranks, qr = uebkit.cuts._dense_ranks, uebkit.cuts._qr_in_place
-        slice_values, svd_ranks = uebkit.cuts._slice_values, uebkit.cuts._svd_ranks
+        dense_ranks, qr, svd_ranks = uebkit.cuts._dense_ranks, uebkit.cuts._qr_in_place, uebkit.cuts._svd_ranks
 
         def spy_dense(amps, cuts, eps):
             self.dense.append(amps.copy())
@@ -374,43 +371,26 @@ class _Routes:
             self.qr.append(stack.shape)
             return qr(stack)
 
-        def spy_slice(slices):
-            sv = slice_values(slices)
-            self.slices.append(sv)
-            return sv
-
         def spy_svd(stack, eps):
-            if min(stack.shape[1:]) > 2:
-                self.fallbacks.append(stack.copy())
+            self.fallbacks.append(stack.copy())
             return svd_ranks(stack, eps)
 
         monkeypatch.setattr(uebkit.cuts, "_dense_ranks", spy_dense)
         monkeypatch.setattr(uebkit.cuts, "_qr_in_place", spy_qr)
-        monkeypatch.setattr(uebkit.cuts, "_slice_values", spy_slice)
         monkeypatch.setattr(uebkit.cuts, "_svd_ranks", spy_svd)
 
     def clear(self) -> None:
         self.dense.clear()
         self.qr.clear()
-        self.slices.clear()
         self.fallbacks.clear()
 
     def certified_share(self) -> float:
         """The share of QR-route members counted by the triangle bound alone."""
         members = sum(shape[0] for shape in self.qr)
-        undecided = sum(len(sv) for sv in self.slices) + sum(len(stack) for stack in self.fallbacks)
-        return 1 - undecided / members
-
-    def sliced(self, value: float) -> bool:
-        """Some slice SVD returned value, to within 1e-3 of it."""
-        return any(np.isclose(sv, value, rtol=1e-3, atol=0).any() for sv in self.slices)
+        return 1 - sum(len(stack) for stack in self.fallbacks) / members
 
     def fell_back_on(self, matrix: np.ndarray) -> bool:
         return any(any(np.array_equal(m, matrix) for m in stack) for stack in self.fallbacks)
-
-
-def _qr_cuts(cuts) -> list[Bipartition]:
-    return [c for c in cuts if min(c.dim_a, c.dim_b) > 2]
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-9, 1e-5])
@@ -422,11 +402,14 @@ def test_rank_table_matches_the_svd_loop(monkeypatch, eps):
         cuts = enumerate_cuts(QuditDims((2,) * n))
         routes.clear()
         assert schmidt_rank_table(amps, cuts, eps).tolist() == _svd_loop(amps, cuts, eps)
-        # the rotated members are dense: every wide cut went through the QR route with all
-        # of them, none fell back, and the triangle bound alone counted almost every member
+        # the rotated members are dense: every cut went through the QR route with all
+        # of them, and the triangle bound alone counted almost every member. None fell back
+        # but at eps = 1e-12, where tau = 1e-15 sits at the QR's own rounding of R's tail
+        # (1.0-2.1e-15 for 9 of the 8001 n = 7 members), so those keep a noise row
         assert sorted(routes.qr) == sorted((len(amps), max(c.dim_a, c.dim_b), min(c.dim_a, c.dim_b))
-                                           for c in _qr_cuts(cuts))
-        assert not routes.fallbacks
+                                           for c in cuts)
+        if eps >= 1e-9:
+            assert not routes.fallbacks
         assert routes.certified_share() >= 0.95
     # unrotated, the two-amplitude members take the closed form and only the others
     # (the three-amplitude triple and the weight-1 and weight-5 superpositions) reach the QR route
@@ -437,13 +420,12 @@ def test_rank_table_matches_the_svd_loop(monkeypatch, eps):
     two = (amps != 0).sum(axis=1) == 2
     assert two.sum() == 49
     assert len(routes.dense) == 1 and np.array_equal(routes.dense[0], amps[~two])
-    assert sorted(routes.qr) == sorted((14, max(c.dim_a, c.dim_b), min(c.dim_a, c.dim_b)) for c in _qr_cuts(cuts))
+    assert sorted(routes.qr) == sorted((14, max(c.dim_a, c.dim_b), min(c.dim_a, c.dim_b)) for c in cuts)
     rng = np.random.default_rng(74)
     for dims in ((2,) * 6, (3, 3, 2)):
         sp = QuditDims(dims)
         amps = np.array([random_state(sp, rng).amps for _ in range(sp.total - 1)])
         cuts = enumerate_cuts(sp)
-        assert _qr_cuts(cuts)
         table = schmidt_rank_table(amps, cuts, eps).tolist()
         assert table == _svd_loop(amps, cuts, eps)
         assert all(k == min(c.dim_a, c.dim_b) for row in table for k, c in zip(row, cuts))  # full rank
@@ -481,9 +463,8 @@ def _planted(dims: tuple[int, ...], mask: int, sigma2: float, seed: int) -> tupl
 @pytest.mark.parametrize("dims, mask", [((2, 2, 2, 2), 0b0011), ((2,) * 6, 0b000111)])
 def test_rank_table_near_the_tolerance(monkeypatch, dims, mask):
     """sigma_2 planted at 0.1 eps, 10 eps and eps (1 -+ 1e-4) in 4x4 and 8x8 cuts, in rows of
-    norm 1 and 1e3: the rank flips only across eps, the triangle bound certifies no planted
-    value inside the margin (each takes the slice SVD, then the fallback), and only those
-    values take the fallback."""
+    norm 1 and 1e3: the rank flips only across eps, and the triangle bound certifies no planted
+    value inside the margin, so each of those members takes its own SVD."""
     eps = TOL.eps
     routes = _Routes(monkeypatch)
     for factor, rank, in_margin in ((0.1, 1, False), (1 - 1e-4, 1, True), (1 + 1e-4, 2, True), (10.0, 2, False)):
@@ -497,20 +478,28 @@ def test_rank_table_near_the_tolerance(monkeypatch, dims, mask):
                 table = schmidt_rank_table(amps, cuts, TOL).tolist()
                 assert table == _svd_loop(amps, cuts, eps)
                 assert table[0][cuts.index(cut)] == rank
-                assert routes.fell_back_on(reshape_rows(amps, cut)[0]) is in_margin
                 if in_margin:
-                    assert routes.sliced(factor * eps)
+                    assert routes.fell_back_on(reshape_rows(amps, cut)[0])
 
 
 def test_rank_table_below_the_rounding_margin(monkeypatch):
-    """At eps = 1e-15 the margin delta, a few ulps of |A|_F times D, is at least eps, so
-    neither the triangle bound nor a slice SVD may count: every member takes its own SVD."""
+    """Where the margin delta, a few ulps of |A|_F times D, is at least eps, the triangle bound
+    may not count: every member takes its own SVD, at every cut, thin ones included."""
     amps = _rotated_family(5, 77).matrix()
     cuts = enumerate_cuts(QuditDims((2,) * 5))
     routes = _Routes(monkeypatch)
     assert schmidt_rank_table(amps, cuts, 1e-15).tolist() == _svd_loop(amps, cuts, 1e-15)
-    assert routes.qr and not routes.slices
+    assert len(routes.qr) == len(cuts)
     assert sum(len(stack) for stack in routes.fallbacks) == sum(shape[0] for shape in routes.qr)
+    # at eps = 5e-15 delta is about 1.42e-14, inside [eps, 10 eps): full-rank Haar rows, which
+    # the bound would certify, must still take their own SVDs
+    sp = QuditDims((2,) * 5)
+    rng = np.random.default_rng(78)
+    amps = np.array([random_state(sp, rng).amps for _ in range(8)])
+    routes.clear()
+    assert schmidt_rank_table(amps, cuts, 5e-15).tolist() == _svd_loop(amps, cuts, 5e-15)
+    assert len(routes.qr) == len(cuts)
+    assert sum(len(stack) for stack in routes.fallbacks) == sum(shape[0] for shape in routes.qr) == 8 * len(cuts)
     # nor may the closed form: every member of the unrotated family reaches the dense route
     amps = n_qubit_ueb(5).matrix()
     routes.clear()
@@ -636,6 +625,24 @@ def test_rank_table_truncation_keeps_tails_above_tau():
     # the two b entries in two rows: the last kept one is the tail of norm 0.8 eps
     buffer = np.empty(sp.total, dtype=np.complex128)
     assert uebkit.cuts._qr_ranks(p.amps[None], cut, buffer, TOL.eps).tolist() == [2]
+
+
+def test_rank_table_bound_inside_the_margin_falls_back(monkeypatch):
+    """A triangle bound above eps but within delta of it certifies nothing: R = diag(a, 1/2, c)
+    gives the bound 2abc / |R|_F^2 = ac = eps (1 + 5e-4), inside eps + delta (delta about
+    1e-3 eps), so the member takes its own SVD although its count, 3, is the kept height."""
+    sp = QuditDims((2, 2, 2, 2))
+    cut = Bipartition(sp, 0b0011)
+    eps = TOL.eps
+    bound = eps * (1 + 5e-4)
+    a = math.sqrt(0.75 - bound * bound / 0.75)
+    m = np.zeros((4, 4))
+    m[0, 0], m[1, 1], m[2, 2] = a, 0.5, bound / a
+    amps = PureState(sp, unreshape(m, cut)).amps[None]
+    assert eps < bound < eps + uebkit.cuts._margin(eps, sp.total, np.float64(1.0))
+    routes = _Routes(monkeypatch)
+    assert schmidt_rank_table(amps, [cut], TOL).tolist() == [[3]] == _svd_loop(amps, [cut], eps)
+    assert routes.fell_back_on(reshape_rows(amps, cut)[0])
 
 
 def test_rank_table_without_the_in_place_qr(monkeypatch):

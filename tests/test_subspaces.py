@@ -20,6 +20,7 @@ from uebkit import (
     StateSet,
     Subspace,
     SubspaceStatus,
+    SubspaceVerdict,
     Tolerance,
     apply_local_unitaries,
     basis_state,
@@ -386,6 +387,24 @@ def test_snapped_witness_has_no_negative_zeros():
         assert not np.signbit(w.real[zero]).any() and not np.signbit(w.imag).any(), seed
 
 
+def test_snapped_witness_lies_in_the_subspace():
+    """psi = cos t |phi+> + sin t |phi-> sits in the _TOL_ME band without being maximally
+    entangled at eps; rounding it gives |phi+>, exactly maximally entangled but about t off
+    span{psi}, so the snap must refuse it and the witness stays in the subspace."""
+    t = 5e-8
+    phi_p = np.array([1, 0, 0, 1]) / math.sqrt(2)
+    phi_m = np.array([1, 0, 0, -1]) / math.sqrt(2)
+    psi = math.cos(t) * phi_p + math.sin(t) * phi_m
+    s = orthonormalize(SP2, [psi])
+    cut = single_cut(SP2)
+    assert not is_maximally_entangled(PureState(SP2, s.matrix()[0]), cut, TOL)
+    got = find_maximally_entangled(s, cut, tol=TOL)
+    assert (got.status, got.grade) == (SubspaceStatus.ME_FOUND, Grade.NUMERICAL_EVIDENCE)
+    basis = s.matrix()
+    w = got.witness.amps
+    assert np.linalg.norm(w - (basis.conj() @ w) @ basis) <= 1e-12
+
+
 def test_newton_polish_lands_on_a_maximally_entangled_vector():
     """From 1e-5 off a planted maximally entangled vector of a 2x4 span, a
     start first-order steps would crawl from, the Gauss-Newton steps verify."""
@@ -602,6 +621,19 @@ def test_max_orthogonal_set_modes():
     assert got.completable is Completable.NO_EXACT
 
 
+def test_max_entangled_completion_keeps_only_exact_witnesses(monkeypatch):
+    """A maximally entangled witness graded NUMERICAL_EVIDENCE is no member: with every
+    search returning one (a vector of its own subspace), nothing is found."""
+
+    def unverified(s, cut, cfg=None, tol=None):
+        return SubspaceVerdict(cut, SubspaceStatus.ME_FOUND, Grade.NUMERICAL_EVIDENCE, witness=s.basis[0], score=0.5)
+
+    monkeypatch.setattr(subspaces, "find_maximally_entangled", unverified)
+    got = max_orthogonal_set(span_of(SP2, 0, 1), single_cut(SP2), SetMode.MAX_ENTANGLED, tol=TOL)
+    assert got.completable is Completable.NO_EVIDENCE
+    assert not got.found.states
+
+
 def test_product_count_reference_cases():
     psi_p = combo(SP2, {"01": 1, "10": 1})
     one = Subspace(SP2, (psi_p, basis_state(SP2, 0)))
@@ -623,6 +655,11 @@ def test_verify_basis_flags_product_member_first():
     assert got.outcome is Outcome.REFUTED
     assert got.offending_state == 0
     assert got.grade is Grade.EXACT
+    # under UMEB the member check is maximal entanglement: a Schmidt-rank-2 member that is
+    # not maximally entangled is the one refuted, before any search of the complement
+    st = StateSet(SP2, (combo(SP2, {"00": 1, "11": 1}), combo(SP2, {"01": 0.6, "10": 0.8})))
+    got = verify_basis(st, BasisKind.UMEB)
+    assert (got.outcome, got.grade, got.offending_state, got.per_cut) == (Outcome.REFUTED, Grade.EXACT, 1, ())
 
 
 def test_verify_basis_complete_basis_shortcut():
