@@ -7,12 +7,15 @@ tests that must fail once it is applied. For every mutant the runner copies
 src/, tests/ and pyproject.toml into a fresh temporary directory, applies
 the replacement there (its old text must occur exactly once in the file),
 and runs the named tests against the copy. The mutant is killed when they
-fail; it survives when they all pass. The working tree is never touched.
+fail; it survives when they all pass. Before any mutant, the union of the
+named tests must pass on an unmutated copy, so that a kill shows the
+mutation and not a test that fails anyway. The working tree is never touched.
 
     python tools/mutants.py
 
-Exit status 0 when every mutant is killed, 1 when any survives or cannot
-be run (old text missing or repeated, unknown test id, timeout). Stdlib only.
+Exit status 0 when every mutant is killed, 1 when the named tests fail
+unmutated or any mutant survives or cannot be run (old text missing or
+repeated, unknown test id, timeout). Stdlib only.
 """
 
 from __future__ import annotations
@@ -120,33 +123,48 @@ MUTANTS = [
 ]
 
 
-def run_mutant(m: Mutant) -> tuple[str, str]:
-    """('killed' | 'survived' | 'error', detail) for one mutant."""
+def run_tests(m: Mutant | None, tests: tuple[str, ...]) -> tuple[int | None, str]:
+    """(pytest exit status, last output line) of tests run on a fresh copy with mutant m
+    applied, or on an unmutated copy when m is None. The status is None when the
+    mutant cannot be applied or the tests time out, with the reason as the line."""
     with tempfile.TemporaryDirectory(prefix="uebkit-mutant-") as tmp:
         work = Path(tmp)
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, work / name, ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
-        target = work / m.file
-        text = target.read_text()
-        if text.count(m.old) != 1:
-            return "error", f"old text occurs {text.count(m.old)} times in {m.file}"
-        target.write_text(text.replace(m.old, m.new))
+        if m is not None:
+            target = work / m.file
+            text = target.read_text()
+            if text.count(m.old) != 1:
+                return None, f"old text occurs {text.count(m.old)} times in {m.file}"
+            target.write_text(text.replace(m.old, m.new))
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
-        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *m.tests]
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
         try:
             done = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            return "error", f"named tests ran over {TIMEOUT_S} s"
-    tail = done.stdout.strip().splitlines()[-1:] or [""]
-    if done.returncode == 1:  # pytest: some test failed
-        return "killed", tail[0]
-    if done.returncode == 0:
-        return "survived", tail[0]
-    return "error", f"pytest exit {done.returncode}: {tail[0]}"
+            return None, f"tests ran over {TIMEOUT_S} s"
+    return done.returncode, (done.stdout.strip().splitlines()[-1:] or [""])[0]
+
+
+def run_mutant(m: Mutant) -> tuple[str, str]:
+    """('killed' | 'survived' | 'error', detail) for one mutant."""
+    status, tail = run_tests(m, m.tests)
+    if status == 1:  # pytest: some test failed
+        return "killed", tail
+    if status == 0:
+        return "survived", tail
+    return "error", tail if status is None else f"pytest exit {status}: {tail}"
 
 
 def main() -> int:
+    # a kill only shows the mutation when the named tests pass without it
+    named = tuple(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+    status, tail = run_tests(None, named)
+    print(f"{'unmutated':18} {'passed' if status == 0 else 'failed':8} {tail}", flush=True)
+    if status != 0:
+        print("the named tests must pass on an unmutated copy before any mutant counts")
+        return 1
     survived = 0
     for m in MUTANTS:
         start = time.perf_counter()
