@@ -22,7 +22,6 @@ from .states import (
     PureState,
     QuditDims,
     StateSet,
-    Subspace,
     Tolerance,
     basis_state,
     check_complement_size,
@@ -353,8 +352,8 @@ def recognize_padded_square_meb(st: StateSet, tol: Tolerance | float | None = No
     cut = single_cut(st.space)
     if not all(is_maximally_entangled(s, cut, tol) for s in st.states):
         return None
-    block = Subspace(st.space, tuple(basis_state(st.space, (j, c)) for j in range(d) for c in range(d)))
-    return d if span_equal(st.subspace(), block, tol) else None
+    block = StateSet(st.space, tuple(basis_state(st.space, (j, c)) for j in range(d) for c in range(d)))
+    return d if span_equal(st, block, tol) else None
 
 
 def extend_padded_square_meb(st: StateSet, d: int) -> StateSet:

@@ -222,7 +222,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         else:
             strong = {"status": "OUT_OF_SCOPE"}
     if complement is None:
-        complement = orthogonal_complement(st.subspace(), args.tol)
+        complement = orthogonal_complement(st, args.tol)
     indist = None
     if st.space.dims == (2, 2, 2):
         try:

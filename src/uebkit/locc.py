@@ -19,7 +19,7 @@ import numpy as np
 
 from .catalog import three_qubit_mixed_ueb
 from .cuts import Bipartition, is_product, single_cut
-from .states import PureState, QuditDims, StateSet, Subspace, Tolerance, _eps, inner
+from .states import PureState, QuditDims, StateSet, Tolerance, _eps, inner
 from .subspaces import Grade
 
 
@@ -59,7 +59,7 @@ class ProjectionResult:
 def project_two_qubit(
     states: StateSet | Sequence[PureState],
     lone_party: int,
-    plane: np.ndarray | Subspace | None = None,
+    plane: np.ndarray | StateSet | None = None,
     tol: Tolerance | float | None = None,
 ) -> ProjectionResult:
     """Project every state's non-lone parties onto a two-dimensional plane.
@@ -90,7 +90,7 @@ def project_two_qubit(
         if drest != 4:
             raise ValueError("the default plane needs a four-dimensional remainder")
         plane = symmetric_bell_plane()
-    elif isinstance(plane, Subspace):
+    elif isinstance(plane, StateSet):
         plane = plane.matrix()
     w = np.asarray(plane, dtype=np.complex128)
     if w.shape != (2, drest):

@@ -17,7 +17,7 @@ import numpy as np
 from .cuts import enumerate_cuts, schmidt_rank_table
 from .slocc import classify_from_ranks, spans_ghz_and_w
 from .statefile import LoadedStateFile, complex_vector, state_file_chunks
-from .states import StateSet, Subspace, Tolerance, canonical_phase
+from .states import StateSet, Tolerance, canonical_phase
 from .subspaces import (
     BasisKind,
     BasisVerdict,
@@ -89,11 +89,11 @@ def state_diagnostics(
     return out
 
 
-def complement_payload(comp: Subspace, tol: Tolerance | float | None = None) -> dict:
+def complement_payload(comp: StateSet, tol: Tolerance | float | None = None) -> dict:
     """Dimension and phase-fixed basis of a set's orthogonal complement comp."""
     return {
-        "dim": comp.dim,
-        "basis": [complex_vector(canonical_phase(b, tol).amps) for b in comp.basis],
+        "dim": len(comp),
+        "basis": [complex_vector(canonical_phase(b, tol).amps) for b in comp.states],
     }
 
 
@@ -151,7 +151,7 @@ def analyze_report(
     cfg: SearchConfig,
     eps: float,
     st: StateSet,
-    complement: Subspace,
+    complement: StateSet,
     completion: dict | None = None,
     extended_space: dict | None = None,
     local_indistinguishability: dict | None = None,

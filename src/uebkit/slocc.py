@@ -20,7 +20,6 @@ from .states import (
     PureState,
     QuditDims,
     StateSet,
-    Subspace,
     Tolerance,
     _eps,
     orthogonal_complement,
@@ -156,7 +155,7 @@ def ghz_w_range_witness(
     return counts[0], counts[1]
 
 
-def spans_ghz_and_w(labels: Iterable[str], complement: Subspace, tol: Tolerance | float | None = None) -> bool:
+def spans_ghz_and_w(labels: Iterable[str], complement: StateSet, tol: Tolerance | float | None = None) -> bool:
     """The resource dimension rule: whether a three-qubit set whose members
     carry the given class labels, and whose orthogonal complement at tol is
     complement, spans both genuinely entangled classes.
@@ -166,8 +165,8 @@ def spans_ghz_and_w(labels: Iterable[str], complement: Subspace, tol: Tolerance 
     at least one W-class vector appear.
     """
     seen = set(labels)
-    if complement.dim == 1:
-        seen.add(classify_three_qubit(complement.basis[0], tol).label)
+    if len(complement) == 1:
+        seen.add(classify_three_qubit(complement.states[0], tol).label)
     return {SloccClass.GHZ_CLASS.value, SloccClass.W_CLASS.value} <= seen
 
 
@@ -178,4 +177,4 @@ def resource_dimension_flag(st: StateSet, tol: Tolerance | float | None = None) 
         raise ValueError(f"the flag is defined for three qubits, got {st.space}")
     ranks = schmidt_rank_table(st.matrix(), enumerate_cuts(st.space), tol)
     labels = [classify_from_ranks(m, r).label for m, r in zip(st.states, ranks)]
-    return spans_ghz_and_w(labels, orthogonal_complement(st.subspace(), tol), tol)
+    return spans_ghz_and_w(labels, orthogonal_complement(st, tol), tol)

@@ -138,6 +138,8 @@ def parse_state_file(
     states_raw = doc.get("states")
     if not isinstance(states_raw, list) or not states_raw:
         raise StateFileError("states must be a nonempty list")
+    if len(states_raw) > space.total:  # no repair can help, so refused before any row is read
+        raise StateFileError(f"{len(states_raw)} states cannot be orthogonal in dimension {space.total}")
     vectors: list[np.ndarray] = []
     for i, raw in enumerate(states_raw):
         vectors.append(_pair_vector(raw, space.total, f"state {i}"))
@@ -153,11 +155,11 @@ def parse_state_file(
         if not gram_fix:
             raise StateFileError(f"{exc} (pass the gram-fix option to re-orthonormalize)") from exc
         repaired = orthonormalize(space, [s.amps for s in states], tol)
-        if repaired.dim != len(states):
+        if len(repaired) != len(states):
             raise StateFileError(
-                f"gram fix failed: {len(states)} states span only {repaired.dim} dimensions"
+                f"gram fix failed: {len(states)} states span only {len(repaired)} dimensions"
             ) from exc
-        state_set = StateSet(space, repaired.basis, name=name)
+        state_set = StateSet(space, repaired.states, name=name)
     planes_raw = doc.get("planes")
     planes: dict[int, np.ndarray] = {}
     if planes_raw is not None:

@@ -150,7 +150,7 @@ def inner(a: PureState, b: PureState) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class StateSet:
-    """A finite, pairwise-orthogonal collection of states on one space.
+    """A finite orthonormal collection of states on one space, and the subspace it spans.
 
     Empty sets are permitted so searches can report size-zero results.
     """
@@ -184,56 +184,27 @@ class StateSet:
             return np.zeros((0, self.space.total), dtype=np.complex128)
         return np.array([st.amps for st in self.states])
 
-    def subspace(self) -> "Subspace":
-        return Subspace(self.space, self.states)
-
-
-@dataclass(frozen=True, eq=False)
-class Subspace:
-    """A linear subspace carried by an explicit orthonormal basis."""
-
-    space: QuditDims
-    basis: tuple[PureState, ...]
-
-    def __post_init__(self) -> None:
-        basis = tuple(self.basis)
-        object.__setattr__(self, "basis", basis)
-        if len(basis) > self.space.total:
-            raise ValueError(f"basis of size {len(basis)} exceeds dimension {self.space.total}")
-        for st in basis:
-            if st.space != self.space:
-                raise ValueError(f"space mismatch: {st.space} vs {self.space}")
-        if basis:
-            m = self.matrix()
-            gram = np.conj(m) @ m.T
-            worst = float(np.abs(gram - np.eye(len(basis))).max())
-            if worst > DEFAULT_EPS:
-                raise ValueError(f"basis is not orthonormal (worst deviation {worst:.3e})")
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    def matrix(self) -> np.ndarray:
-        """(dim, D) array with one basis vector per row."""
-        if not self.basis:
-            return np.zeros((0, self.space.total), dtype=np.complex128)
-        return np.array([st.amps for st in self.basis])
-
     def projector(self) -> np.ndarray:
         m = self.matrix()
         return m.T @ np.conj(m)
 
     def vector(self, coeffs: np.ndarray) -> np.ndarray:
-        """Raw amplitude vector for a coefficient vector over this basis."""
+        """Raw amplitude vector for a coefficient vector over this set."""
         return np.asarray(coeffs, dtype=np.complex128) @ self.matrix()
+
+
+# The former name of the subspace role, kept as an alias of the one type: the
+# benchmark's complement-search workload (perfbench/workloads.py) builds its
+# inputs as Subspace(space, states), and perfbench/tracing.py looks the class
+# up under both names.
+Subspace = StateSet
 
 
 def orthonormalize(
     space: QuditDims,
     vectors: Iterable[object],
     tol: Tolerance | float | None = None,
-) -> Subspace:
+) -> StateSet:
     """Modified Gram-Schmidt with re-orthogonalization.
 
     Vectors whose residual norm falls below the tolerance are dropped, so the
@@ -249,7 +220,7 @@ def orthonormalize(
         n = float(np.linalg.norm(v))
         if n >= eps:
             kept.append(v / n)
-    return Subspace(space, tuple(PureState(space, u) for u in kept))
+    return StateSet(space, tuple(PureState(space, u) for u in kept))
 
 
 # orthogonal_complement builds a D x D complex128 array (16 D^2 bytes) for a
@@ -276,17 +247,17 @@ def check_complement_size(dims: Iterable[int]) -> None:
                              f" MAX_COMPLEMENT_BYTES cap of {MAX_COMPLEMENT_BYTES} bytes (1 GiB)")
 
 
-def orthogonal_complement(s: Subspace, tol: Tolerance | float | None = None) -> Subspace:
+def orthogonal_complement(s: StateSet, tol: Tolerance | float | None = None) -> StateSet:
     """Orthogonal complement within the full space."""
     eps = _eps(tol)
     d = s.space.total
-    if s.dim == 0:
-        return Subspace(s.space, tuple(basis_state(s.space, i) for i in range(d)))
+    if len(s) == 0:
+        return StateSet(s.space, tuple(basis_state(s.space, i) for i in range(d)))
     b = np.conj(s.matrix())
     _, sv, vh = np.linalg.svd(b, full_matrices=True)
     rank = int((sv > eps).sum())
     comp = np.conj(vh[rank:])
-    return Subspace(s.space, tuple(PureState(s.space, row) for row in comp))
+    return StateSet(s.space, tuple(PureState(s.space, row) for row in comp))
 
 
 def canonical_phase(p: PureState, tol: Tolerance | float | None = None) -> PureState:
@@ -308,7 +279,7 @@ def canonical_phase(p: PureState, tol: Tolerance | float | None = None) -> PureS
     return PureState(p.space, out)
 
 
-def span_equal(a: Subspace, b: Subspace, tol: Tolerance | float | None = None) -> bool:
+def span_equal(a: StateSet, b: StateSet, tol: Tolerance | float | None = None) -> bool:
     """Whether two subspaces coincide, via Frobenius distance of projectors."""
     if a.space != b.space:
         raise ValueError(f"space mismatch: {a.space} vs {b.space}")

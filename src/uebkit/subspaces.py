@@ -70,7 +70,6 @@ from .cuts import (
 from .states import (
     PureState,
     StateSet,
-    Subspace,
     Tolerance,
     _eps,
     canonical_phase,
@@ -142,6 +141,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.starts < 0:
             raise ValueError("starts must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,14 +170,14 @@ class BasisVerdict:
     kind: BasisKind
     outcome: Outcome
     per_cut: tuple[SubspaceVerdict, ...]
-    complement: Subspace
+    complement: StateSet
     offending_state: int | None = None
     grade: Grade = Grade.EXACT
     rank_table: np.ndarray | None = None
 
     @property
     def complement_dim(self) -> int:
-        return self.complement.dim
+        return len(self.complement)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,12 +188,12 @@ class CompletionResult:
 
     found: StateSet
     completable: Completable
-    complement: Subspace
+    complement: StateSet
     reason: str
 
     @property
     def complement_dim(self) -> int:
-        return self.complement.dim
+        return len(self.complement)
 
 
 _STREAM_PRODUCT = 1
@@ -240,7 +241,7 @@ def _random_starts(seed: int, stream: int, count: int, k: int) -> np.ndarray:
     return v / _norms(v)[:, None]
 
 
-def _reshapes(s: Subspace, cut: Bipartition) -> np.ndarray:
+def _reshapes(s: StateSet, cut: Bipartition) -> np.ndarray:
     """(dim, dim_a, dim_b) stack of reshaped basis vectors."""
     return reshape_rows(s.matrix(), cut)
 
@@ -270,7 +271,7 @@ def _entangled_probe(r_stack: np.ndarray, eps: float) -> np.ndarray | None:
     return None
 
 
-def only_product_across_cut(s: Subspace, cut: Bipartition, tol: Tolerance | float | None = None) -> bool:
+def only_product_across_cut(s: StateSet, cut: Bipartition, tol: Tolerance | float | None = None) -> bool:
     """Exact decision: does the subspace contain only product vectors at the cut?
 
     By the lemma above this is a Schmidt-rank bound of at most 1.
@@ -278,13 +279,13 @@ def only_product_across_cut(s: Subspace, cut: Bipartition, tol: Tolerance | floa
     return schmidt_rank_upper_bound(s, cut, tol) <= 1
 
 
-def schmidt_rank_upper_bound(s: Subspace, cut: Bipartition, tol: Tolerance | float | None = None) -> int:
+def schmidt_rank_upper_bound(s: StateSet, cut: Bipartition, tol: Tolerance | float | None = None) -> int:
     """Exact upper bound on the Schmidt rank attainable inside the subspace.
 
     Rows of every M(c) live in the span of all basis-reshape rows, columns in
     the span of all columns, so the rank is capped by both support dimensions.
     """
-    if s.dim == 0:
+    if len(s) == 0:
         raise ValueError("empty subspace")
     eps = _eps(tol)
     r = _reshapes(s, cut)
@@ -507,12 +508,12 @@ def _minor_sum(sv: np.ndarray) -> float:
     return float(np.dot(s2[1:], np.cumsum(s2)[:-1]))
 
 
-def _coeff_state(s: Subspace, c: np.ndarray, tol) -> PureState:
+def _coeff_state(s: StateSet, c: np.ndarray, tol) -> PureState:
     return canonical_phase(PureState(s.space, s.vector(c)), tol)
 
 
 def _two_rounds(
-    s: Subspace,
+    s: StateSet,
     cut: Bipartition,
     r_stack: np.ndarray,
     vag: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
@@ -557,7 +558,7 @@ def _two_rounds(
 
 
 def find_product_state(
-    s: Subspace,
+    s: StateSet,
     cut: Bipartition,
     cfg: SearchConfig | None = None,
     tol: Tolerance | float | None = None,
@@ -578,7 +579,7 @@ def find_product_state(
     (dA-1)(dB-1), where every subspace holds a product vector
     (Parthasarathy 2004), its reason names that bound.
     """
-    if s.dim == 0:
+    if len(s) == 0:
         raise ValueError("empty subspace")
     eps = _eps(tol)
     cfg = cfg or SearchConfig()
@@ -589,15 +590,15 @@ def find_product_state(
     lin, retract = _rank_one_newton(r_stack)
     witness, _, sv = _two_rounds(
         s, cut, r_stack, _impurity_vag(r_stack), 0.0,
-        lambda cs: _gauss_newton(lin, retract, _rank_one_start(r_stack, cs))[:, :s.dim],
+        lambda cs: _gauss_newton(lin, retract, _rank_one_start(r_stack, cs))[:, :len(s)],
         lambda sv: sv[:, 1] <= 2.0 * eps, is_product,
-        _random_starts(cfg.seed, _STREAM_PRODUCT, cfg.starts, s.dim), _MAX_ITER, tol)
+        _random_starts(cfg.seed, _STREAM_PRODUCT, cfg.starts, len(s)), _MAX_ITER, tol)
     if witness is not None:
         return SubspaceVerdict(cut, SubspaceStatus.PRODUCT_FOUND, Grade.EXACT, witness=witness,
                                score=_minor_sum(schmidt(witness, cut, tol).coefficients))
     bound = (cut.dim_a - 1) * (cut.dim_b - 1)
     reason = (f"no product vector found, though every subspace of dimension > (dA-1)(dB-1) = {bound}"
-              " holds one") if s.dim > bound else None
+              " holds one") if len(s) > bound else None
     return SubspaceVerdict(cut, SubspaceStatus.NO_PRODUCT_FOUND, Grade.NUMERICAL_EVIDENCE,
                            score=min(_minor_sum(row) for row in sv), reason=reason)
 
@@ -607,7 +608,7 @@ def _in_me_band(sv: np.ndarray, tol_me: float) -> bool:
     return bool(np.all(np.abs(sv - 1.0 / math.sqrt(len(sv))) <= tol_me))
 
 
-def _lattice_snap(s: Subspace, cut: Bipartition, amps: np.ndarray) -> PureState | None:
+def _lattice_snap(s: StateSet, cut: Bipartition, amps: np.ndarray) -> PureState | None:
     """Replace a converged witness by a nearby exact lattice vector, if one verifies.
 
     The smallest singular value is flat to second order around a maximally
@@ -643,7 +644,7 @@ def _lattice_snap(s: Subspace, cut: Bipartition, amps: np.ndarray) -> PureState 
 
 
 def find_maximally_entangled(
-    s: Subspace,
+    s: StateSet,
     cut: Bipartition,
     cfg: SearchConfig | None = None,
     tol: Tolerance | float | None = None,
@@ -674,7 +675,7 @@ def find_maximally_entangled(
     _OUTSIDE_BAND when the smallest coefficient is within _TOL_ME of
     1/sqrt(d), so the miss is near rather than far.
     """
-    if s.dim == 0:
+    if len(s) == 0:
         raise ValueError("empty subspace")
     cfg = cfg or SearchConfig()
     dmin = min(cut.dim_a, cut.dim_b)
@@ -695,7 +696,7 @@ def find_maximally_entangled(
         s, cut, r_stack, _impurity_vag(r_stack, 1.0), (1.0 - 1.0 / dmin) / 2.0,
         lambda cs: _gauss_newton(lin, retract, cs),
         lambda sv: np.ptp(sv, axis=1) < 2.0 * eps, is_maximally_entangled,
-        _random_starts(cfg.seed, _STREAM_ME, cfg.starts, s.dim), _SMOOTH_STEPS, tol)
+        _random_starts(cfg.seed, _STREAM_ME, cfg.starts, len(s)), _SMOOTH_STEPS, tol)
     if witness is None:
         witness = _coeff_state(s, polished[np.argmax(sv[:, dmin - 1])], tol)
     sv = np.linalg.svd(reshape(witness, cut), compute_uv=False)
@@ -714,7 +715,7 @@ def find_maximally_entangled(
 
 
 def max_schmidt_rank_in_subspace(
-    s: Subspace,
+    s: StateSet,
     cut: Bipartition,
     cfg: SearchConfig | None = None,
     tol: Tolerance | float | None = None,
@@ -728,16 +729,16 @@ def max_schmidt_rank_in_subspace(
     rotated-basis ENTANGLED route). The value is a lower bound on r, and
     schmidt_rank_upper_bound gives an exact upper bound.
     """
-    if s.dim == 0:
+    if len(s) == 0:
         raise ValueError("empty subspace")
     cfg = cfg or SearchConfig()
-    cs = _random_starts(cfg.seed, _STREAM_RANK, _SAMPLES, s.dim)
+    cs = _random_starts(cfg.seed, _STREAM_RANK, _SAMPLES, len(s))
     sv = np.linalg.svd(_m_stack(_reshapes(s, cut), cs), compute_uv=False)
     return int((sv > _eps(tol)).sum(axis=1).max())
 
 
 def entangled_vector_search(
-    s: Subspace,
+    s: StateSet,
     cut: Bipartition,
     tol: Tolerance | float | None = None,
 ) -> PureState | None:
@@ -749,19 +750,19 @@ def entangled_vector_search(
     pair sum is entangled, so None means the span is only-product; the
     returned vector's own sigma_2 > eps is its certificate.
     """
-    if s.dim == 0:
+    if len(s) == 0:
         raise ValueError("empty subspace")
     c = _entangled_probe(_reshapes(s, cut), _eps(tol))
     return None if c is None else _coeff_state(s, c, tol)
 
 
-def _deflate(s: Subspace, amps: np.ndarray, eps: float) -> Subspace:
+def _deflate(s: StateSet, amps: np.ndarray, eps: float) -> StateSet:
     """Orthogonal complement of one vector within the subspace."""
-    residue = [b.amps - np.vdot(amps, b.amps) * amps for b in s.basis]
+    residue = [b.amps - np.vdot(amps, b.amps) * amps for b in s.states]
     return orthonormalize(s.space, residue, eps)
 
 
-def _rotated_basis(s: Subspace, cut: Bipartition, seed: int, tol: Tolerance | float | None) -> StateSet | None:
+def _rotated_basis(s: StateSet, cut: Bipartition, seed: int, tol: Tolerance | float | None) -> StateSet | None:
     """A Haar-rotated orthonormal basis of s whose every member has Schmidt
     rank >= 2 at the cut; None when all _ROTATION_DRAWS draws miss.
 
@@ -771,7 +772,7 @@ def _rotated_basis(s: Subspace, cut: Bipartition, seed: int, tol: Tolerance | fl
     """
     basis = s.matrix()
     for i in range(_ROTATION_DRAWS):
-        u = haar_unitary(s.dim, np.random.default_rng([seed, _STREAM_ROTATION, i]))
+        u = haar_unitary(len(s), np.random.default_rng([seed, _STREAM_ROTATION, i]))
         found = StateSet(s.space, tuple(canonical_phase(PureState(s.space, row), tol) for row in u @ basis))
         if schmidt_rank_table(found.matrix(), [cut], tol).min() >= 2:
             return found
@@ -779,7 +780,7 @@ def _rotated_basis(s: Subspace, cut: Bipartition, seed: int, tol: Tolerance | fl
 
 
 def max_orthogonal_set(
-    s: Subspace,
+    s: StateSet,
     cut: Bipartition,
     mode: SetMode,
     cfg: SearchConfig | None = None,
@@ -806,7 +807,7 @@ def max_orthogonal_set(
     removes one dimension), else NO_EXACT when the search ended on an exact
     refusal, else NO_EVIDENCE; complement is s.
     """
-    if s.dim == 0:
+    if len(s) == 0:
         raise ValueError("empty subspace")
     eps = _eps(tol)
     cfg = cfg or SearchConfig()
@@ -822,7 +823,7 @@ def max_orthogonal_set(
         return CompletionResult(rotated, Completable.YES, s, "subspace exhausted")
     current = s
     found: list[PureState] = []
-    while current.dim >= 1:
+    while len(current) >= 1:
         v = find_maximally_entangled(current, cut, cfg, tol)
         if v.status is not SubspaceStatus.ME_FOUND or v.grade is not Grade.EXACT:
             exact = v.status is SubspaceStatus.NO_ME_FOUND and v.grade is Grade.EXACT
@@ -834,7 +835,7 @@ def max_orthogonal_set(
     return CompletionResult(StateSet(s.space, tuple(found)), Completable.YES, s, "subspace exhausted")
 
 
-def count_product_states_2d_2x2(s: Subspace, tol: Tolerance | float | None = None) -> ProductCount:
+def count_product_states_2d_2x2(s: StateSet, tol: Tolerance | float | None = None) -> ProductCount:
     """Count product rays in a 2-dimensional subspace of a 2x2 space.
 
     det(a*M1 + b*M2) is a binary quadratic; identically zero means every ray
@@ -844,11 +845,11 @@ def count_product_states_2d_2x2(s: Subspace, tol: Tolerance | float | None = Non
     """
     if s.space.dims != (2, 2):
         raise ValueError(f"space must be 2x2, got {s.space}")
-    if s.dim != 2:
-        raise ValueError(f"subspace must be 2-dimensional, got dim {s.dim}")
+    if len(s) != 2:
+        raise ValueError(f"subspace must be 2-dimensional, got dim {len(s)}")
     eps = _eps(tol)
     cut = single_cut(s.space)
-    m1, m2 = (reshape(b, cut) for b in s.basis)
+    m1, m2 = (reshape(b, cut) for b in s.states)
     alpha = complex(np.linalg.det(m1))
     gamma = complex(np.linalg.det(m2))
     beta = complex(np.linalg.det(m1 + m2)) - alpha - gamma
@@ -906,14 +907,14 @@ def verify_basis(
     cfg = cfg or SearchConfig()
     space = st.space
     if kind is BasisKind.COMPLETE:
-        comp = orthogonal_complement(st.subspace(), tol)
-        outcome = Outcome.COMPLETE_BASIS if comp.dim == 0 else Outcome.REFUTED
+        comp = orthogonal_complement(st, tol)
+        outcome = Outcome.COMPLETE_BASIS if len(comp) == 0 else Outcome.REFUTED
         return BasisVerdict(kind, outcome, (), comp)
     if kind in (BasisKind.UEB, BasisKind.UMEB):
         cuts = [cut if cut is not None else single_cut(space)]
     else:
         cuts = enumerate_cuts(space)
-    comp = orthogonal_complement(st.subspace(), tol)
+    comp = orthogonal_complement(st, tol)
     table = None
     if kind is BasisKind.UMEB:
         weak = [i for i, psi in enumerate(st.states) if not is_maximally_entangled(psi, cuts[0], tol)]
@@ -925,7 +926,7 @@ def verify_basis(
             table = ranks
     if weak:
         return BasisVerdict(kind, Outcome.REFUTED, (), comp, offending_state=weak[0], rank_table=table)
-    if comp.dim == 0:
+    if len(comp) == 0:
         return BasisVerdict(kind, Outcome.COMPLETE_BASIS, (), comp, rank_table=table)
     if kind is BasisKind.UMEB:
         v = find_maximally_entangled(comp, cuts[0], cfg, tol)
@@ -973,8 +974,8 @@ def completion_search(
     across cut, which defaults to the one cut of two parties and must be
     given for more parties.
     """
-    comp = orthogonal_complement(st.subspace(), tol)
-    if comp.dim == 0:
+    comp = orthogonal_complement(st, tol)
+    if len(comp) == 0:
         return CompletionResult(StateSet(st.space, ()), Completable.YES, comp, "input already spans the space")
     if cut is None:
         if st.space.parties > 2:

@@ -73,11 +73,11 @@ def test_two_qubit_families_verify_exact_and_share_span():
         v = verify_basis(st, BasisKind.UEB)
         assert v.outcome is Outcome.VERIFIED
         assert v.grade is Grade.EXACT
-        comp = orthogonal_complement(st.subspace(), TOL)
-        assert comp.dim == 1
+        comp = orthogonal_complement(st, TOL)
+        assert len(comp) == 1
         ray = orthonormalize(SP2, [basis_state(SP2, "11").amps])
         assert span_equal(comp, ray, TOL)
-    assert span_equal(real.subspace(), fourier.subspace(), TOL)
+    assert span_equal(real, fourier, TOL)
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -91,9 +91,9 @@ def test_general_two_qubit_family_over_200_seeds():
         assert verdict.kind is BasisKind.UEB
         assert verdict.outcome is Outcome.VERIFIED
         assert verdict.complement_dim == 1
-        comp = orthogonal_complement(st.subspace(), TOL)
-        assert comp.dim == 1
-        assert is_product(comp.basis[0], single_cut(SP2), TOL)
+        comp = orthogonal_complement(st, TOL)
+        assert len(comp) == 1
+        assert is_product(comp.states[0], single_cut(SP2), TOL)
         assert walgate_flag(st).value is True
     assert time.perf_counter() - t0 < 10.0
 
@@ -106,7 +106,7 @@ def test_embedded_square_meb_grid():
             v = verify_basis(st, BasisKind.UMEB)
             assert v.outcome is Outcome.VERIFIED, (d, n)
             assert v.grade is Grade.EXACT, (d, n)
-            comp = orthogonal_complement(st.subspace(), TOL)
+            comp = orthogonal_complement(st, TOL)
             assert max_schmidt_rank_in_subspace(comp, single_cut(st.space)) == n, (d, n)
     assert time.perf_counter() - t0 < 10.0
 
@@ -134,7 +134,7 @@ def test_me_deficient_triple_separates_completion_modes():
     triple = me_triple_2x3()
     space = triple.space
     cut = single_cut(space)
-    comp = orthogonal_complement(triple.subspace(), TOL)
+    comp = orthogonal_complement(triple, TOL)
     cfg = SearchConfig(starts=64, seed=0)
 
     best_me = max_orthogonal_set(comp, cut, SetMode.MAX_ENTANGLED, cfg, TOL)
@@ -321,5 +321,5 @@ def test_oracle_equivalence_suite():
         sub = orthonormalize(SP2, [rng.standard_normal(4) + 1j * rng.standard_normal(4)
                                    for _ in range(2)])
         got = count_product_states_2d_2x2(sub)
-        want = _root_count_oracle(sub.basis[0].amps.reshape(2, 2), sub.basis[1].amps.reshape(2, 2))
+        want = _root_count_oracle(sub.states[0].amps.reshape(2, 2), sub.states[1].amps.reshape(2, 2))
         assert got == want, i

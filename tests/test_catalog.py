@@ -18,7 +18,6 @@ from uebkit import (
     Outcome,
     QuditDims,
     StateSet,
-    Subspace,
     Tolerance,
     basis_state,
     bell_meb,
@@ -90,9 +89,9 @@ def test_first_family_closed_form():
     ]
     for member, ref in zip(st.states, want):
         assert np.abs(member.amps - ref).max() < 1e-12
-    comp = orthogonal_complement(st.subspace(), TOL)
-    assert comp.dim == 1
-    assert abs(abs(inner(comp.basis[0], basis_state(SP2, 3))) - 1.0) < 1e-12
+    comp = orthogonal_complement(st, TOL)
+    assert len(comp) == 1
+    assert abs(abs(inner(comp.states[0], basis_state(SP2, 3))) - 1.0) < 1e-12
 
 
 def test_second_family_members_equally_entangled():
@@ -106,8 +105,8 @@ def test_second_family_members_equally_entangled():
 
 
 def test_two_qubit_families_share_their_span():
-    a = build_entry("eq1-ueb").subspace()
-    b = build_entry("eq2-ueb").subspace()
+    a = build_entry("eq1-ueb")
+    b = build_entry("eq2-ueb")
     assert span_equal(a, b, TOL)
 
 
@@ -131,9 +130,9 @@ def test_general_family_complement_is_product_ray():
     for seed in rng_seeds:
         st, verdict = two_qubit_ueb_general(seed=seed)
         assert verdict.outcome is Outcome.VERIFIED
-        comp = orthogonal_complement(st.subspace(), TOL)
-        assert comp.dim == 1
-        assert is_product(comp.basis[0], single_cut(SP2), TOL)
+        comp = orthogonal_complement(st, TOL)
+        assert len(comp) == 1
+        assert is_product(comp.states[0], single_cut(SP2), TOL)
 
 
 def test_real_variant_is_real_and_verified():
@@ -210,15 +209,15 @@ def test_triple_registered_as_parameterless_generator():
 def test_three_qubit_families_and_complements():
     w6 = three_qubit_w_ueb()
     assert len(w6.states) == 6
-    comp = orthogonal_complement(w6.subspace(), TOL)
+    comp = orthogonal_complement(w6, TOL)
     ref = orthonormalize(SP3, [basis_state(SP3, 0b011).amps, basis_state(SP3, 0b111).amps])
     assert span_equal(comp, ref, TOL)
 
     m7 = three_qubit_mixed_ueb()
     assert len(m7.states) == 7
-    comp = orthogonal_complement(m7.subspace(), TOL)
-    assert comp.dim == 1
-    assert abs(abs(inner(comp.basis[0], basis_state(SP3, 0b111))) - 1.0) < 1e-12
+    comp = orthogonal_complement(m7, TOL)
+    assert len(comp) == 1
+    assert abs(abs(inner(comp.states[0], basis_state(SP3, 0b111))) - 1.0) < 1e-12
 
 
 def test_dft_superposition_properties():
@@ -241,9 +240,9 @@ def test_dft_superposition_properties():
 def test_n_qubit_generator_bounds():
     st = n_qubit_ueb(4)
     assert len(st.states) == 15
-    comp = orthogonal_complement(st.subspace(), TOL)
-    assert comp.dim == 1
-    assert abs(abs(inner(comp.basis[0], basis_state(st.space, 15))) - 1.0) < 1e-12
+    comp = orthogonal_complement(st, TOL)
+    assert len(comp) == 1
+    assert abs(abs(inner(comp.states[0], basis_state(st.space, 15))) - 1.0) < 1e-12
     with pytest.raises(ValueError):
         n_qubit_ueb(3)
     with pytest.raises(ValueError):
@@ -253,7 +252,7 @@ def test_n_qubit_generator_bounds():
 def test_n_qubit_variants_share_complement():
     a = n_qubit_ueb(4)
     b = n_qubit_ueb(4, CoeffVariant.HADAMARD_IF_POWER_OF_TWO)
-    assert span_equal(a.subspace(), b.subspace(), TOL)
+    assert span_equal(a, b, TOL)
 
 
 def test_padded_square_recognition_and_extension():

@@ -12,7 +12,6 @@ from uebkit import (
     ProjectionResult,
     QuditDims,
     StateSet,
-    Subspace,
     Tolerance,
     VanishingProjectionError,
     all_cut_indistinguishability_flag,
@@ -113,7 +112,7 @@ def test_default_plane_needs_two_qubit_rest():
 
 def test_subspace_plane_matches_matrix_plane():
     w = symmetric_bell_plane()
-    sub = Subspace(SP2, tuple(
+    sub = StateSet(SP2, tuple(
         state_from_combination(SP2, {"00": 1, "11": 1}) if k == 0 else
         state_from_combination(SP2, {"01": 1, "10": 1}) for k in range(2)))
     a = project_two_qubit([w_state(3)], 0, w)

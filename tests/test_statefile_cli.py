@@ -76,9 +76,8 @@ def test_round_trip_is_amplitude_exact(tmp_path):
     rng = np.random.default_rng(51)
     space = QuditDims((2, 2, 2))
     from uebkit import orthonormalize
-    sub = orthonormalize(space, [rng.standard_normal(8) + 1j * rng.standard_normal(8)
-                                 for _ in range(3)])
-    st = StateSet(space, sub.basis, name="random-triple")
+    st = dataclasses.replace(orthonormalize(space, [rng.standard_normal(8) + 1j * rng.standard_normal(8)
+                                                    for _ in range(3)]), name="random-triple")
     path = tmp_path / "triple.json"
     save_state_file(path, st, kind=BasisKind.UEB, planes={1: symmetric_bell_plane()})
     loaded = load_state_file(path)
@@ -237,6 +236,19 @@ def test_parse_gram_fix_restores_orthogonality():
     assert np.abs(m @ m.conj().T - np.eye(2)).max() < 1e-12
 
 
+def test_parse_refuses_more_states_than_the_dimension_before_reading_rows(monkeypatch):
+    rows = [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]] * 5
+    doc = json.dumps({"dims": [2, 2], "states": rows})
+    seen = []
+    real = uebkit.statefile._pair_vector
+    monkeypatch.setattr(uebkit.statefile, "_pair_vector", lambda *a: seen.append(a) or real(*a))
+    for gram_fix in (False, True):
+        with pytest.raises(StateFileError) as err:
+            parse_state_file(doc, gram_fix=gram_fix)
+        assert str(err.value) == "5 states cannot be orthogonal in dimension 4"
+    assert seen == []
+
+
 def test_cli_exit_codes(tmp_path):
     two = tmp_path / "two.json"
     save_state_file(two, bell_pair())
@@ -249,6 +261,12 @@ def test_cli_exit_codes(tmp_path):
     assert cli("verify", str(bad), "--kind", "ueb").returncode == 3
     assert cli("verify", "no-such-entry").returncode == 3
     assert cli("verify", str(two)).returncode == 3  # kind neither stored nor given
+
+
+def test_cli_refuses_a_negative_seed_before_any_output():
+    for args in (("verify", "eq1-ueb"), ("analyze", "prop2a-set", "--completion", "entangled")):
+        got = cli(*args, "--seed", "-1")
+        assert (got.returncode, got.stdout, got.stderr) == (3, "", "error: seed must be >= 0\n"), args
 
 
 def test_cli_verify_report_shape():
@@ -582,7 +600,7 @@ def test_catalog_verify_of_another_kind_computes_one_complement(monkeypatch, cap
     complement = uebkit.states.orthogonal_complement
 
     def counting(*args, **kwargs):
-        calls.append(args[0].dim)
+        calls.append(len(args[0]))
         return complement(*args, **kwargs)
 
     for mod in (uebkit.subspaces, uebkit.slocc, uebkit.cli):
@@ -604,7 +622,7 @@ def test_analyze_computes_one_complement(monkeypatch, capsys, tmp_path):
     complement = uebkit.states.orthogonal_complement
 
     def counting(*args, **kwargs):
-        calls.append(args[0].dim)
+        calls.append(len(args[0]))
         return complement(*args, **kwargs)
 
     monkeypatch.chdir(tmp_path)

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import uebkit
 from uebkit import (
     DEFAULT_EPS,
     PureState,
     QuditDims,
     StateSet,
-    Subspace,
     Tolerance,
     apply_local_unitary,
     basis_state,
@@ -125,15 +125,25 @@ def test_state_set_requires_orthonormal_members():
     tilted = state_from_combination(SP2, {"00": 1, "01": 1})
     with pytest.raises(ValueError):
         StateSet(SP2, (phi_p, tilted))
+    kets = tuple(basis_state(SP2, k) for k in range(4))
+    with pytest.raises(ValueError, match="^5 states cannot be orthogonal in dimension 4$"):
+        StateSet(SP2, kets + (phi_p,))
+    with pytest.raises(ValueError, match=r"^space mismatch: 2x3 vs 2x2$"):
+        StateSet(SP2, (phi_p, basis_state(SP23, 5)))
 
 
 def test_state_set_subspace_matrix_shape():
     phi_p = state_from_combination(SP2, {"00": 1, "11": 1})
-    sub = StateSet(SP2, (phi_p,)).subspace()
-    assert sub.dim == 1
+    sub = StateSet(SP2, (phi_p,))
+    assert len(sub) == 1
     assert sub.matrix().shape == (1, 4)
     v = sub.vector(np.array([1.0]))
     assert np.abs(v - phi_p.amps).max() < 1e-15
+    # Subspace(space, states), as the benchmark builds its search inputs, is the same type
+    assert uebkit.Subspace is uebkit.StateSet
+    rows = haar_unitary(6, np.random.default_rng(3))[:2]
+    sub = uebkit.Subspace(SP23, tuple(PureState(SP23, r) for r in rows))
+    assert len(sub) == 2 and np.array_equal(sub.matrix(), rows)
 
 
 def test_orthonormalize_gram_identity():
@@ -146,12 +156,12 @@ def test_orthonormalize_gram_identity():
         if trial % 3 == 0 and k >= 2:
             vecs.append(vecs[0] * 2.0)  # dependent row must be dropped, not kept
         sub = orthonormalize(sp, vecs)
-        assert sub.dim <= min(len(vecs), 6)
+        assert len(sub) <= min(len(vecs), 6)
         m = sub.matrix()
         gram = m @ m.conj().T
-        assert np.abs(gram - np.eye(sub.dim)).max() < 1e-12
+        assert np.abs(gram - np.eye(len(sub))).max() < 1e-12
         if trial % 3 == 0 and k >= 2:
-            assert sub.dim == k
+            assert len(sub) == k
 
 
 def test_orthogonal_complement_involution():
@@ -162,7 +172,7 @@ def test_orthogonal_complement_involution():
         vecs = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(k)]
         sub = orthonormalize(SP23, vecs)
         comp = orthogonal_complement(sub, tol)
-        assert sub.dim + comp.dim == 6
+        assert len(sub) + len(comp) == 6
         again = orthogonal_complement(comp, tol)
         assert span_equal(sub, again, tol)
 

@@ -18,7 +18,6 @@ from uebkit import (
     SearchConfig,
     SetMode,
     StateSet,
-    Subspace,
     SubspaceStatus,
     SubspaceVerdict,
     Tolerance,
@@ -89,7 +88,7 @@ def test_only_product_on_constructed_product_planes():
         b1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         b2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         sub = orthonormalize(SP23, [np.kron(a, b1), np.kron(a, b2)])
-        assert sub.dim == 2
+        assert len(sub) == 2
         assert only_product_across_cut(sub, single_cut(SP23), TOL)
 
 
@@ -108,14 +107,14 @@ def test_find_product_state_verdicts():
     assert is_product(got.witness, cut, TOL)
 
     phi_p = combo(SP2, {"00": 1, "11": 1})
-    lone = Subspace(SP2, (phi_p,))
+    lone = StateSet(SP2, (phi_p,))
     got = find_product_state(lone, cut)
     assert got.status is SubspaceStatus.NO_PRODUCT_FOUND
     # absence claims from this search are evidence, never exact
     assert got.grade is Grade.NUMERICAL_EVIDENCE
 
     psi_p = combo(SP2, {"01": 1, "10": 1})
-    mixed = Subspace(SP2, (phi_p, psi_p))
+    mixed = StateSet(SP2, (phi_p, psi_p))
     got = find_product_state(mixed, cut)
     assert got.status is SubspaceStatus.PRODUCT_FOUND
     assert is_product(got.witness, cut, TOL)
@@ -132,7 +131,7 @@ def _haar_rows(total, k, rng):
 
 
 def _subspace_of(space, rows):
-    return Subspace(space, tuple(PureState(space, r) for r in rows))
+    return StateSet(space, tuple(PureState(space, r) for r in rows))
 
 
 def test_product_search_finds_the_above_bound_near_misses():
@@ -197,14 +196,14 @@ def test_find_maximally_entangled_exact_refusals():
     assert got.grade is Grade.EXACT
 
     # rank cap below the smaller local dimension refuses without any search
-    comp = orthogonal_complement(embed_meb(3, 2).subspace(), TOL)
+    comp = orthogonal_complement(embed_meb(3, 2), TOL)
     got = find_maximally_entangled(comp, single_cut(QuditDims((3, 5))))
     assert got.status is SubspaceStatus.NO_ME_FOUND
     assert got.grade is Grade.EXACT
 
 
 def test_find_maximally_entangled_in_full_space():
-    full = Subspace(SP2, tuple(basis_state(SP2, k) for k in range(4)))
+    full = StateSet(SP2, tuple(basis_state(SP2, k) for k in range(4)))
     got = find_maximally_entangled(full, single_cut(SP2), SearchConfig(starts=16, seed=3))
     assert got.status is SubspaceStatus.ME_FOUND
     assert is_maximally_entangled(got.witness, single_cut(SP2), TOL)
@@ -376,7 +375,7 @@ def test_stalled_rows_end_the_second_round_early(monkeypatch):
 def test_snapped_witness_has_no_negative_zeros():
     """Exact zeros of the lattice-snapped |phi+> print as 0.0 on every seed."""
     st = build_generator("prop2a-set")
-    comp = orthogonal_complement(st.subspace(), TOL)
+    comp = orthogonal_complement(st, TOL)
     cut = single_cut(comp.space)
     for seed in range(8):
         got = find_maximally_entangled(comp, cut, SearchConfig(seed=seed), TOL)
@@ -518,7 +517,7 @@ def test_umeb_witness_outside_the_band_is_inconclusive(monkeypatch):
 
 
 def test_zero_starts_reports_no_evidence():
-    full = Subspace(SP2, tuple(basis_state(SP2, k) for k in range(4)))
+    full = StateSet(SP2, tuple(basis_state(SP2, k) for k in range(4)))
     cfg = SearchConfig(starts=0, seed=1)
     got = find_maximally_entangled(full, single_cut(SP2), cfg)
     assert got.status is SubspaceStatus.NO_ME_FOUND
@@ -542,7 +541,7 @@ def test_zero_starts_reports_no_evidence():
 
 
 def test_search_is_deterministic_for_fixed_seed():
-    full = Subspace(SP23, tuple(basis_state(SP23, k) for k in range(6)))
+    full = StateSet(SP23, tuple(basis_state(SP23, k) for k in range(6)))
     cfg = SearchConfig(starts=8, seed=5)
     a = find_maximally_entangled(full, single_cut(SP23), cfg)
     b = find_maximally_entangled(full, single_cut(SP23), cfg)
@@ -568,11 +567,11 @@ def test_witnesses_satisfy_their_claims():
 
 def test_max_schmidt_rank_and_upper_bound():
     for d, n in ((2, 1), (3, 1), (3, 2), (4, 3)):
-        comp = orthogonal_complement(embed_meb(d, n).subspace(), TOL)
+        comp = orthogonal_complement(embed_meb(d, n), TOL)
         cut = single_cut(comp.space)
         assert max_schmidt_rank_in_subspace(comp, cut) == n
         assert schmidt_rank_upper_bound(comp, cut, TOL) >= n
-    full = Subspace(SP2, tuple(basis_state(SP2, k) for k in range(4)))
+    full = StateSet(SP2, tuple(basis_state(SP2, k) for k in range(4)))
     assert max_schmidt_rank_in_subspace(full, single_cut(SP2)) == 2
 
 
@@ -589,7 +588,7 @@ def test_max_schmidt_rank_of_odd_antisymmetric_spans():
         us = [haar_unitary(d, rng) for _ in range(2)]
         sub = orthonormalize(space, [apply_local_unitaries(combo(space, {f"{i}{j}": 1, f"{j}{i}": -1}), us).amps
                                      for i in range(d) for j in range(i + 1, d)])
-        assert sub.dim == d * (d - 1) // 2
+        assert len(sub) == d * (d - 1) // 2
         assert schmidt_rank_upper_bound(sub, cut, TOL) == d
         for seed in range(3):
             assert max_schmidt_rank_in_subspace(sub, cut, SearchConfig(seed=seed), TOL) == d - 1, (d, seed)
@@ -607,7 +606,7 @@ def test_entangled_vector_search_finds_rank_two():
 
 def test_max_orthogonal_set_modes():
     triple = build_generator("prop2a-set")
-    comp = orthogonal_complement(triple.subspace(), TOL)
+    comp = orthogonal_complement(triple, TOL)
     cut = single_cut(SP23)
     got = max_orthogonal_set(comp, cut, SetMode.MAX_ENTANGLED, SearchConfig(starts=16, seed=0))
     assert len(got.found.states) == 1
@@ -615,7 +614,7 @@ def test_max_orthogonal_set_modes():
     got = max_orthogonal_set(comp, cut, SetMode.ENTANGLED, SearchConfig(starts=16, seed=0))
     assert len(got.found.states) == 3
 
-    ray = Subspace(SP2, (basis_state(SP2, 3),))
+    ray = StateSet(SP2, (basis_state(SP2, 3),))
     got = max_orthogonal_set(ray, single_cut(SP2), SetMode.ENTANGLED)
     assert len(got.found.states) == 0
     assert got.completable is Completable.NO_EXACT
@@ -626,7 +625,7 @@ def test_max_entangled_completion_keeps_only_exact_witnesses(monkeypatch):
     search returning one (a vector of its own subspace), nothing is found."""
 
     def unverified(s, cut, cfg=None, tol=None):
-        return SubspaceVerdict(cut, SubspaceStatus.ME_FOUND, Grade.NUMERICAL_EVIDENCE, witness=s.basis[0], score=0.5)
+        return SubspaceVerdict(cut, SubspaceStatus.ME_FOUND, Grade.NUMERICAL_EVIDENCE, witness=s.states[0], score=0.5)
 
     monkeypatch.setattr(subspaces, "find_maximally_entangled", unverified)
     got = max_orthogonal_set(span_of(SP2, 0, 1), single_cut(SP2), SetMode.MAX_ENTANGLED, tol=TOL)
@@ -636,7 +635,7 @@ def test_max_entangled_completion_keeps_only_exact_witnesses(monkeypatch):
 
 def test_product_count_reference_cases():
     psi_p = combo(SP2, {"01": 1, "10": 1})
-    one = Subspace(SP2, (psi_p, basis_state(SP2, 0)))
+    one = StateSet(SP2, (psi_p, basis_state(SP2, 0)))
     assert count_product_states_2d_2x2(one) is ProductCount.ONE
     two = span_of(SP2, 0, 3)
     assert count_product_states_2d_2x2(two) is ProductCount.TWO
@@ -645,7 +644,7 @@ def test_product_count_reference_cases():
     with pytest.raises(ValueError):
         count_product_states_2d_2x2(span_of(SP23, 0, 1))
     with pytest.raises(ValueError):
-        count_product_states_2d_2x2(Subspace(SP2, (psi_p,)))
+        count_product_states_2d_2x2(StateSet(SP2, (psi_p,)))
 
 
 def test_verify_basis_flags_product_member_first():
@@ -738,12 +737,12 @@ def test_entangled_completion_of_a_product_block_plus_one_direction():
         block = [np.kron(fixed, b) if side == 0 else np.kron(b, fixed) for b in spread]
         for extra, want in (([], Completable.NO_EXACT), ([random_state(space, rng).amps], Completable.YES)):
             comp = orthonormalize(space, block + extra)
-            st = StateSet(space, orthogonal_complement(comp, TOL).basis)
+            st = orthogonal_complement(comp, TOL)
             cfg = SearchConfig(starts=0, seed=trial)
             got = completion_search(st, SetMode.ENTANGLED, cfg, TOL)
-            assert (got.completable, got.complement_dim) == (want, comp.dim), (dims, trial)
+            assert (got.completable, got.complement_dim) == (want, len(comp)), (dims, trial)
             added = got.found.matrix()
-            assert len(added) == (comp.dim if want is Completable.YES else 0)
+            assert len(added) == (len(comp) if want is Completable.YES else 0)
             assert np.allclose(added.conj() @ added.T, np.eye(len(added)), rtol=0.0, atol=1e-9)
             for amps in added:
                 assert _in_span(comp, amps)
@@ -753,7 +752,7 @@ def test_entangled_completion_of_a_product_block_plus_one_direction():
             us = [haar_unitary(d, rng) for d in dims]
             moved = StateSet(space, tuple(apply_local_unitaries(p, us) for p in st.states))
             again = completion_search(moved, SetMode.ENTANGLED, cfg, TOL)
-            assert (again.completable, again.complement_dim, len(again.found)) == (want, comp.dim, len(added))
+            assert (again.completable, again.complement_dim, len(again.found)) == (want, len(comp), len(added))
 
 
 def test_entangled_completion_near_the_tolerance():
@@ -766,7 +765,7 @@ def test_entangled_completion_near_the_tolerance():
                                (100.0, Completable.YES, 2)):
         delta = scale * TOL.eps
         comp = orthonormalize(SP2, [basis_state(SP2, 0).amps, np.array([0.0, 1.0, delta, 0.0])])
-        st = StateSet(SP2, orthogonal_complement(comp, TOL).basis)
+        st = orthogonal_complement(comp, TOL)
         got = completion_search(st, SetMode.ENTANGLED, SearchConfig(starts=0), TOL)
         assert (got.completable, len(got.found)) == (want, found), scale
         if want is Completable.NO_EVIDENCE:
@@ -778,11 +777,13 @@ def test_entangled_completion_near_the_tolerance():
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(starts=-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SearchConfig(seed=-1)
 
 
 def test_empty_subspace_rejected():
     with pytest.raises(ValueError):
-        find_maximally_entangled(Subspace(SP2, ()), single_cut(SP2))
+        find_maximally_entangled(StateSet(SP2, ()), single_cut(SP2))
 
 
 def _in_span(sub, amps):
@@ -806,12 +807,12 @@ def test_pair_step_of_the_lemma():
     b, c, e = v[:, 0], v[:, 1], v[:, 2]
     cases = [
         (span_of(SP2, 0, 3), [basis_state(SP2, 1).amps, basis_state(SP2, 2).amps]),
-        (Subspace(SP23, tuple(PureState(SP23, np.kron(x, y)) for x, y in ((a, b), (a, c), (d, b)))),
+        (StateSet(SP23, tuple(PureState(SP23, np.kron(x, y)) for x, y in ((a, b), (a, c), (d, b)))),
          [np.kron(a, e), np.kron(d, c), np.kron(d, e)]),
     ]
     for sub, rest in cases:
         cut = single_cut(sub.space)
-        assert all(is_product(x, cut, TOL) for x in sub.basis)
+        assert all(is_product(x, cut, TOL) for x in sub.states)
         assert not only_product_across_cut(sub, cut, TOL)
         w = entangled_vector_search(sub, cut, TOL)
         assert w is not None
@@ -837,7 +838,7 @@ def test_tolerance_boundary_applies_to_singular_values():
         for scale, only in ((0.1, True), (10.0, False)):
             delta = scale * tol.eps
             ray = np.array([1.0, 0.0, 0.0, delta]) / np.hypot(1.0, delta)
-            sub = Subspace(SP2, (PureState(SP2, ray),))
+            sub = StateSet(SP2, (PureState(SP2, ray),))
             assert only_product_across_cut(sub, cut, tol) is only
             # the complement of an entangled set around the ray is that ray again
             other = np.array([delta, 0.0, 0.0, -1.0]) / np.hypot(1.0, delta)
