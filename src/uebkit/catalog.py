@@ -19,10 +19,10 @@ import numpy as np
 
 from .cuts import is_maximally_entangled, single_cut
 from .states import (
+    DEFAULT_EPS,
     PureState,
     QuditDims,
     StateSet,
-    Tolerance,
     basis_state,
     check_complement_size,
     haar_unitary,
@@ -41,8 +41,8 @@ def _gate(
     st: StateSet,
     label: str,
     claim: CatalogEntry | GeneratorEntry,
-    cfg: SearchConfig | None,
-    tol: Tolerance | float | None,
+    cfg: SearchConfig,
+    tol: float,
 ) -> BasisVerdict:
     """The claim gate: verify_basis(st, claim.kind, cfg, tol) at the default cut
     must return claim.expected; ConstructionError naming the family otherwise."""
@@ -118,8 +118,8 @@ def two_qubit_ueb_general(
     basis_a: np.ndarray | None = None,
     vec_b: np.ndarray | None = None,
     seed: int = 0,
-    cfg: SearchConfig | None = None,
-    tol: Tolerance | float | None = None,
+    cfg: SearchConfig = SearchConfig(),
+    tol: float = DEFAULT_EPS,
 ) -> tuple[StateSet, BasisVerdict]:
     """General-position variant of the two-qubit family, verdict attached.
 
@@ -319,8 +319,8 @@ def _n_qubit_family(n: int, coeff_variant: CoeffVariant) -> StateSet:
 def n_qubit_ueb(
     n: int,
     coeff_variant: CoeffVariant = CoeffVariant.DFT,
-    cfg: SearchConfig | None = None,
-    tol: Tolerance | float | None = None,
+    cfg: SearchConfig = SearchConfig(),
+    tol: float = DEFAULT_EPS,
 ) -> StateSet:
     """2^n - 1 genuinely entangled n-qubit states whose complement is the ray |1...1>.
 
@@ -336,7 +336,7 @@ def n_qubit_ueb(
     return st
 
 
-def recognize_padded_square_meb(st: StateSet, tol: Tolerance | float | None = None) -> int | None:
+def recognize_padded_square_meb(st: StateSet, tol: float = DEFAULT_EPS) -> int | None:
     """d when the set is a complete maximally entangled d x d basis zero-padded
     into d x (d+n) with 1 <= n <= d; None otherwise.
 
@@ -430,8 +430,8 @@ CATALOG: dict[str, CatalogEntry] = {
 
 def build_entry(
     entry_id: str,
-    cfg: SearchConfig | None = None,
-    tol: Tolerance | float | None = None,
+    cfg: SearchConfig = SearchConfig(),
+    tol: float = DEFAULT_EPS,
 ) -> StateSet:
     """Build a registered family and run its verification gate."""
     return build_entry_with_verdict(entry_id, cfg, tol)[0]
@@ -439,8 +439,8 @@ def build_entry(
 
 def build_entry_with_verdict(
     entry_id: str,
-    cfg: SearchConfig | None = None,
-    tol: Tolerance | float | None = None,
+    cfg: SearchConfig = SearchConfig(),
+    tol: float = DEFAULT_EPS,
     gate: bool = True,
 ) -> tuple[StateSet, BasisVerdict | None]:
     """build_entry, also returning the gate's verdict (None for entries without a kind).
@@ -489,8 +489,8 @@ GENERATORS: dict[str, GeneratorEntry] = {
 
 def build_generator(
     name: str,
-    cfg: SearchConfig | None = None,
-    tol: Tolerance | float | None = None,
+    cfg: SearchConfig = SearchConfig(),
+    tol: float = DEFAULT_EPS,
     *,
     d: int | None = None,
     n: int | None = None,

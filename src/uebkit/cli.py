@@ -197,6 +197,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.cut is not None and args.completion is None:
+        raise ValueError("--cut names the cut of the completion search; pass --completion too, or drop --cut")
     cfg = _config(args)
     st, _kind, planes, info, gate = _resolve_input(args, cfg)
     rank_table = gate.rank_table if gate is not None else None
@@ -226,7 +228,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     indist = None
     if st.space.dims == (2, 2, 2):
         try:
-            flags = all_cut_indistinguishability_flag(st, args.tol, planes=planes or None)
+            flags = all_cut_indistinguishability_flag(st, args.tol, planes=planes)
             indist = {
                 "per_cut": {
                     str(mask): {

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import PureState, QuditDims, Tolerance, _eps
+from .states import DEFAULT_EPS, PureState, QuditDims, _eps
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class SchmidtData:
     rank: int
 
 
-def schmidt(p: PureState, cut: Bipartition, tol: Tolerance | float | None = None) -> SchmidtData:
+def schmidt(p: PureState, cut: Bipartition, tol: float = DEFAULT_EPS) -> SchmidtData:
     """Schmidt decomposition via SVD of the cut reshape."""
     eps = _eps(tol)
     sv = np.linalg.svd(reshape(p, cut), compute_uv=False)
@@ -285,7 +285,7 @@ def _dense_ranks(amps: np.ndarray, cuts: Sequence[Bipartition], eps: float) -> n
 def schmidt_rank_table(
     amps: np.ndarray,
     cuts: Sequence[Bipartition],
-    tol: Tolerance | float | None = None,
+    tol: float = DEFAULT_EPS,
 ) -> np.ndarray:
     """(k, len(cuts)) Schmidt ranks of the k rows of amps: rank = #{sigma > eps}.
 
@@ -358,12 +358,12 @@ def schmidt_rank_table(
     return ranks
 
 
-def is_product(p: PureState, cut: Bipartition, tol: Tolerance | float | None = None) -> bool:
+def is_product(p: PureState, cut: Bipartition, tol: float = DEFAULT_EPS) -> bool:
     """Schmidt rank 1 at the cut."""
     return schmidt(p, cut, tol).rank == 1
 
 
-def is_maximally_entangled(p: PureState, cut: Bipartition, tol: Tolerance | float | None = None) -> bool:
+def is_maximally_entangled(p: PureState, cut: Bipartition, tol: float = DEFAULT_EPS) -> bool:
     """Full Schmidt rank with all coefficients equal within tolerance."""
     eps = _eps(tol)
     data = schmidt(p, cut, tol)
@@ -371,7 +371,7 @@ def is_maximally_entangled(p: PureState, cut: Bipartition, tol: Tolerance | floa
     return data.rank == k and float(data.coefficients[0] - data.coefficients[k - 1]) < eps
 
 
-def is_genuinely_entangled(p: PureState, tol: Tolerance | float | None = None) -> bool:
+def is_genuinely_entangled(p: PureState, tol: float = DEFAULT_EPS) -> bool:
     """Entangled (Schmidt rank >= 2) across every bipartition."""
     if p.space.parties < 2:
         raise ValueError("genuine entanglement needs at least two parties")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .catalog import three_qubit_mixed_ueb
 from .cuts import Bipartition, is_product, single_cut
-from .states import PureState, QuditDims, StateSet, Tolerance, _eps, inner
+from .states import DEFAULT_EPS, PureState, QuditDims, StateSet, _eps, inner
 from .subspaces import Grade
 
 
@@ -57,10 +57,10 @@ class ProjectionResult:
 
 
 def project_two_qubit(
-    states: StateSet | Sequence[PureState],
+    states: Sequence[PureState],
     lone_party: int,
-    plane: np.ndarray | StateSet | None = None,
-    tol: Tolerance | float | None = None,
+    plane: np.ndarray | None = None,
+    tol: float = DEFAULT_EPS,
 ) -> ProjectionResult:
     """Project every state's non-lone parties onto a two-dimensional plane.
 
@@ -72,12 +72,11 @@ def project_two_qubit(
     survivors lose pairwise orthogonality.
     """
     eps = _eps(tol)
-    seq = tuple(states.states) if isinstance(states, StateSet) else tuple(states)
-    if not seq:
+    if not states:
         raise ValueError("need at least one state")
-    space = seq[0].space
+    space = states[0].space
     dims = space.dims
-    if any(st.space != space for st in seq):
+    if any(st.space != space for st in states):
         raise ValueError("states live on different spaces")
     if space.parties < 3:
         raise ValueError("the reduction needs at least three parties")
@@ -90,8 +89,6 @@ def project_two_qubit(
         if drest != 4:
             raise ValueError("the default plane needs a four-dimensional remainder")
         plane = symmetric_bell_plane()
-    elif isinstance(plane, StateSet):
-        plane = plane.matrix()
     w = np.asarray(plane, dtype=np.complex128)
     if w.shape != (2, drest):
         raise ValueError(f"plane shape {w.shape} does not match (2, {drest})")
@@ -99,7 +96,7 @@ def project_two_qubit(
         raise ValueError("plane rows must be orthonormal")
     raw: list[np.ndarray] = []
     probs: list[float] = []
-    for i, st in enumerate(seq):
+    for i, st in enumerate(states):
         t = st.amps.reshape(dims)
         s = np.moveaxis(t, lone_party, 0).reshape(2, drest)
         t_eff = s @ w.conj().T
@@ -128,7 +125,7 @@ class RuleFlag:
     reason: str
 
 
-def walgate_flag(obj: ProjectionResult | StateSet, tol: Tolerance | float | None = None) -> RuleFlag:
+def walgate_flag(states: StateSet, tol: float = DEFAULT_EPS) -> RuleFlag:
     """Local-indistinguishability flag for orthogonal two-qubit states.
 
     Cites the rule that three or more mutually orthogonal entangled two-qubit
@@ -136,7 +133,6 @@ def walgate_flag(obj: ProjectionResult | StateSet, tol: Tolerance | float | None
     always do). True means the threshold is met; the grade records that the
     rule is cited, not re-proved here.
     """
-    states = obj.states if isinstance(obj, ProjectionResult) else obj
     if states.space.dims != (2, 2):
         raise ValueError(f"the rule applies to two-qubit states, got {states.space}")
     if len(states) < 3:
@@ -166,7 +162,7 @@ class CutProjectionFlag:
 
 def all_cut_indistinguishability_flag(
     st: StateSet,
-    tol: Tolerance | float | None = None,
+    tol: float = DEFAULT_EPS,
     planes: dict[int, np.ndarray] | None = None,
 ) -> dict[int, CutProjectionFlag]:
     """Per-cut projection certificates for a three-qubit set, keyed by cut mask.
@@ -194,6 +190,6 @@ def all_cut_indistinguishability_flag(
         mask = mask_isolating(lone)
         plane = planes.get(mask) if planes else None
         proj = project_two_qubit([st.states[i] for i in idxs], lone, plane, tol)
-        sub = walgate_flag(proj, tol)
+        sub = walgate_flag(proj.states, tol)
         out[mask] = CutProjectionFlag(sub, idxs, proj.probabilities, lone)
     return out

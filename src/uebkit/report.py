@@ -17,7 +17,7 @@ import numpy as np
 from .cuts import enumerate_cuts, schmidt_rank_table
 from .slocc import classify_from_ranks, spans_ghz_and_w
 from .statefile import LoadedStateFile, complex_vector, state_file_chunks
-from .states import StateSet, Tolerance, canonical_phase
+from .states import DEFAULT_EPS, StateSet, canonical_phase
 from .subspaces import (
     BasisKind,
     BasisVerdict,
@@ -37,7 +37,7 @@ def input_payload(path: str | Path, loaded: LoadedStateFile) -> dict:
     return {
         "path": str(path),
         "sha256": loaded.sha256,
-        "name": loaded.name,
+        "name": loaded.states.name,
         "dims": list(loaded.states.space.dims),
         "count": len(loaded.states),
     }
@@ -59,7 +59,7 @@ def catalog_input_payload(entry_id: str, st: StateSet, kind: BasisKind | None) -
 
 def state_diagnostics(
     st: StateSet,
-    tol: Tolerance | float | None = None,
+    tol: float = DEFAULT_EPS,
     rank_table: np.ndarray | None = None,
 ) -> list[dict]:
     """Per-state Schmidt ranks across every cut, genuine-entanglement flag, class label.
@@ -89,7 +89,7 @@ def state_diagnostics(
     return out
 
 
-def complement_payload(comp: StateSet, tol: Tolerance | float | None = None) -> dict:
+def complement_payload(comp: StateSet, tol: float = DEFAULT_EPS) -> dict:
     """Dimension and phase-fixed basis of a set's orthogonal complement comp."""
     return {
         "dim": len(comp),
@@ -239,8 +239,6 @@ def _flatten(value: object, key: str, out: list[tuple[str, str]]) -> None:
         for k, v in value.items():
             _flatten(v, f"{key}.{k}" if key else str(k), out)
     elif isinstance(value, list) and any(isinstance(x, dict) for x in value):
-        if not value:
-            out.append((key, "[]"))
         for i, v in enumerate(value):
             _flatten(v, f"{key}[{i}]", out)
     else:

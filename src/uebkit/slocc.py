@@ -17,10 +17,10 @@ import numpy as np
 
 from .cuts import Bipartition, enumerate_cuts, schmidt_rank_table
 from .states import (
+    DEFAULT_EPS,
     PureState,
     QuditDims,
     StateSet,
-    Tolerance,
     _eps,
     orthogonal_complement,
     orthonormalize,
@@ -77,7 +77,7 @@ def three_tangle(p: PureState) -> float:
     return float(4.0 * abs(d1 - 2.0 * d2 + 4.0 * d3))
 
 
-def classify_three_qubit(p: PureState, tol: Tolerance | float | None = None) -> SloccVerdict:
+def classify_three_qubit(p: PureState, tol: float = DEFAULT_EPS) -> SloccVerdict:
     """SEP / BISEP(cut) / GHZ / W assignment for a three-qubit pure state."""
     if p.space.dims != (2, 2, 2):
         raise ValueError(f"classification is defined for three qubits, got {p.space}")
@@ -131,7 +131,7 @@ def ghz_state(n: int) -> PureState:
 
 def ghz_w_range_witness(
     n: int,
-    tol: Tolerance | float | None = None,
+    tol: float = DEFAULT_EPS,
 ) -> tuple[ProductCount, ProductCount]:
     """Product-ray counts in the two-party reduced ranges of the n-qubit W and GHZ states.
 
@@ -155,7 +155,7 @@ def ghz_w_range_witness(
     return counts[0], counts[1]
 
 
-def spans_ghz_and_w(labels: Iterable[str], complement: StateSet, tol: Tolerance | float | None = None) -> bool:
+def spans_ghz_and_w(labels: Iterable[str], complement: StateSet, tol: float = DEFAULT_EPS) -> bool:
     """The resource dimension rule: whether a three-qubit set whose members
     carry the given class labels, and whose orthogonal complement at tol is
     complement, spans both genuinely entangled classes.
@@ -170,7 +170,7 @@ def spans_ghz_and_w(labels: Iterable[str], complement: StateSet, tol: Tolerance 
     return {SloccClass.GHZ_CLASS.value, SloccClass.W_CLASS.value} <= seen
 
 
-def resource_dimension_flag(st: StateSet, tol: Tolerance | float | None = None) -> bool:
+def resource_dimension_flag(st: StateSet, tol: float = DEFAULT_EPS) -> bool:
     """Whether the set spans both genuinely entangled classes of three qubits
     (spans_ghz_and_w on its members' labels and its complement)."""
     if st.space.dims != (2, 2, 2):

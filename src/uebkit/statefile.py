@@ -10,9 +10,10 @@ Schema (one object per file):
       "planes": { "<cut mask>": [row, row] }          optional
     }
 
-Amplitudes are [re, im] pairs. Floats pass through Python's shortest
-round-trip repr, so a save/load cycle reproduces the stored amplitudes
-bit-exactly. States whose norm drifts from 1 by more than 1e-6 are rejected;
+A plane is read under its cut's canonical mask (Bipartition.mask), and a
+second key naming the same cut is refused. Amplitudes are [re, im] pairs.
+Floats pass through Python's shortest round-trip repr, so a save/load cycle
+reproduces the stored amplitudes bit-exactly. States whose norm drifts from 1 by more than 1e-6 are rejected;
 smaller drift is renormalized on load. A space over the complement cap
 (states.MAX_COMPLEMENT_BYTES, dimension above 8192) is refused before any
 amplitude is read. A file is read once, as UTF-8 bytes, and carries the
@@ -33,7 +34,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .cuts import Bipartition
-from .states import PureState, QuditDims, StateSet, Tolerance, check_complement_size, orthonormalize
+from .states import DEFAULT_EPS, PureState, QuditDims, StateSet, check_complement_size, orthonormalize
 from .subspaces import BasisKind
 
 
@@ -43,7 +44,6 @@ class StateFileError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LoadedStateFile:
-    name: str | None
     states: StateSet
     kind: BasisKind | None
     planes: dict[int, np.ndarray]
@@ -90,7 +90,7 @@ def complex_vector(amps: np.ndarray) -> list[list[float]]:
 
 def load_state_file(
     path: str | Path,
-    tol: Tolerance | float | None = None,
+    tol: float = DEFAULT_EPS,
     gram_fix: bool = False,
 ) -> LoadedStateFile:
     """Parse and validate a state file; gram_fix re-orthonormalizes drifted sets."""
@@ -108,7 +108,7 @@ def load_state_file(
 
 def parse_state_file(
     text: str,
-    tol: Tolerance | float | None = None,
+    tol: float = DEFAULT_EPS,
     gram_fix: bool = False,
 ) -> LoadedStateFile:
     try:
@@ -179,9 +179,11 @@ def parse_state_file(
                 raise StateFileError(f"plane key {key}: the cut must isolate a single party")
             if not isinstance(rows, list) or len(rows) != 2:
                 raise StateFileError(f"plane {key}: expected exactly two rows")
+            if cut.mask in planes:
+                raise StateFileError(f"plane key {key}: the cut {cut.label} already has a plane")
             width = space.total // space.dims[singles[0][0]]
-            planes[mask] = np.stack([_pair_vector(r, width, f"plane {key} row {j}") for j, r in enumerate(rows)])
-    return LoadedStateFile(name=name, states=state_set, kind=kind, planes=planes)
+            planes[cut.mask] = np.stack([_pair_vector(r, width, f"plane {key} row {j}") for j, r in enumerate(rows)])
+    return LoadedStateFile(states=state_set, kind=kind, planes=planes)
 
 
 def save_state_file(
@@ -193,15 +195,6 @@ def save_state_file(
 ) -> None:
     with open(path, "w") as f:
         f.writelines(state_file_chunks(states, kind=kind, planes=planes, name=name))
-
-
-def dumps_state_file(
-    states: StateSet,
-    kind: BasisKind | None = None,
-    planes: dict[int, np.ndarray] | None = None,
-    name: str | None = None,
-) -> str:
-    return "".join(state_file_chunks(states, kind=kind, planes=planes, name=name))
 
 
 def _rows(rows: Iterable[np.ndarray], depth: int) -> Iterator[str]:

@@ -22,24 +22,12 @@ _EXACT_SLACK = 1e-12
 _NORM_SLACK = 1e-6
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical tolerance for orthogonality, rank cutoffs and zero tests."""
-
-    eps: float = DEFAULT_EPS
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps < 1e-3:
-            raise ValueError(f"tolerance must lie in (0, 1e-3), got {self.eps!r}")
-
-
-def _eps(tol: Tolerance | float | None) -> float:
-    """Coerce a tolerance argument to a validated float."""
-    if tol is None:
-        return DEFAULT_EPS
-    if isinstance(tol, Tolerance):
-        return tol.eps
-    return Tolerance(float(tol)).eps
+def _eps(tol: float) -> float:
+    """The numerical tolerance for orthogonality, rank cutoffs and zero tests, validated."""
+    eps = float(tol)
+    if not 0.0 < eps < 1e-3:
+        raise ValueError(f"tolerance must lie in (0, 1e-3), got {eps!r}")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -203,7 +191,7 @@ Subspace = StateSet
 def orthonormalize(
     space: QuditDims,
     vectors: Iterable[object],
-    tol: Tolerance | float | None = None,
+    tol: float = DEFAULT_EPS,
 ) -> StateSet:
     """Modified Gram-Schmidt with re-orthogonalization.
 
@@ -247,7 +235,7 @@ def check_complement_size(dims: Iterable[int]) -> None:
                              f" MAX_COMPLEMENT_BYTES cap of {MAX_COMPLEMENT_BYTES} bytes (1 GiB)")
 
 
-def orthogonal_complement(s: StateSet, tol: Tolerance | float | None = None) -> StateSet:
+def orthogonal_complement(s: StateSet, tol: float = DEFAULT_EPS) -> StateSet:
     """Orthogonal complement within the full space."""
     eps = _eps(tol)
     d = s.space.total
@@ -260,7 +248,7 @@ def orthogonal_complement(s: StateSet, tol: Tolerance | float | None = None) -> 
     return StateSet(s.space, tuple(PureState(s.space, row) for row in comp))
 
 
-def canonical_phase(p: PureState, tol: Tolerance | float | None = None) -> PureState:
+def canonical_phase(p: PureState, tol: float = DEFAULT_EPS) -> PureState:
     """Rotate the global phase so the first significant amplitude is real positive.
 
     Idempotent exactly: reapplying returns the stored amplitudes unchanged.
@@ -279,7 +267,7 @@ def canonical_phase(p: PureState, tol: Tolerance | float | None = None) -> PureS
     return PureState(p.space, out)
 
 
-def span_equal(a: StateSet, b: StateSet, tol: Tolerance | float | None = None) -> bool:
+def span_equal(a: StateSet, b: StateSet, tol: float = DEFAULT_EPS) -> bool:
     """Whether two subspaces coincide, via Frobenius distance of projectors."""
     if a.space != b.space:
         raise ValueError(f"space mismatch: {a.space} vs {b.space}")

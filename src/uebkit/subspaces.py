@@ -68,9 +68,9 @@ from .cuts import (
     single_cut,
 )
 from .states import (
+    DEFAULT_EPS,
     PureState,
     StateSet,
-    Tolerance,
     _eps,
     canonical_phase,
     haar_unitary,
@@ -254,9 +254,7 @@ def _entangled_probe(r_stack: np.ndarray, eps: float) -> np.ndarray | None:
     entangled unless the span is only-product, so the pair scan runs to the
     end only on only-product spans.
     """
-    k, da, db = r_stack.shape
-    if da < 2 or db < 2:
-        return None
+    k = len(r_stack)
     c = np.zeros(k, dtype=np.complex128)
     hit = np.flatnonzero(np.linalg.svd(r_stack, compute_uv=False)[:, 1] > eps)
     if hit.size:
@@ -271,7 +269,7 @@ def _entangled_probe(r_stack: np.ndarray, eps: float) -> np.ndarray | None:
     return None
 
 
-def only_product_across_cut(s: StateSet, cut: Bipartition, tol: Tolerance | float | None = None) -> bool:
+def only_product_across_cut(s: StateSet, cut: Bipartition, tol: float = DEFAULT_EPS) -> bool:
     """Exact decision: does the subspace contain only product vectors at the cut?
 
     By the lemma above this is a Schmidt-rank bound of at most 1.
@@ -279,7 +277,7 @@ def only_product_across_cut(s: StateSet, cut: Bipartition, tol: Tolerance | floa
     return schmidt_rank_upper_bound(s, cut, tol) <= 1
 
 
-def schmidt_rank_upper_bound(s: StateSet, cut: Bipartition, tol: Tolerance | float | None = None) -> int:
+def schmidt_rank_upper_bound(s: StateSet, cut: Bipartition, tol: float = DEFAULT_EPS) -> int:
     """Exact upper bound on the Schmidt rank attainable inside the subspace.
 
     Rows of every M(c) live in the span of all basis-reshape rows, columns in
@@ -508,7 +506,7 @@ def _minor_sum(sv: np.ndarray) -> float:
     return float(np.dot(s2[1:], np.cumsum(s2)[:-1]))
 
 
-def _coeff_state(s: StateSet, c: np.ndarray, tol) -> PureState:
+def _coeff_state(s: StateSet, c: np.ndarray, tol: float) -> PureState:
     return canonical_phase(PureState(s.space, s.vector(c)), tol)
 
 
@@ -520,10 +518,10 @@ def _two_rounds(
     peak: float,
     polish: Callable[[np.ndarray], np.ndarray],
     accept: Callable[[np.ndarray], np.ndarray],
-    check: Callable[[PureState, Bipartition, Tolerance | float | None], bool],
+    check: Callable[[PureState, Bipartition, float], bool],
     starts: np.ndarray,
     long_steps: int,
-    tol: Tolerance | float | None,
+    tol: float,
 ) -> tuple[PureState | None, np.ndarray | None, np.ndarray | None]:
     """The multi-start driver of both witness searches.
 
@@ -560,8 +558,8 @@ def _two_rounds(
 def find_product_state(
     s: StateSet,
     cut: Bipartition,
-    cfg: SearchConfig | None = None,
-    tol: Tolerance | float | None = None,
+    cfg: SearchConfig = SearchConfig(),
+    tol: float = DEFAULT_EPS,
 ) -> SubspaceVerdict:
     """Multi-start search for a product vector of the subspace; never an exact refusal.
 
@@ -582,7 +580,6 @@ def find_product_state(
     if len(s) == 0:
         raise ValueError("empty subspace")
     eps = _eps(tol)
-    cfg = cfg or SearchConfig()
     if cfg.starts == 0:
         return SubspaceVerdict(cut, SubspaceStatus.NO_PRODUCT_FOUND, Grade.NUMERICAL_EVIDENCE,
                                score=None, reason="search disabled (0 starts)")
@@ -625,7 +622,6 @@ def _lattice_snap(s: StateSet, cut: Bipartition, amps: np.ndarray) -> PureState 
         return None
     aligned = amps * (abs(pivot) / pivot)
     basis = s.matrix()
-    strict = Tolerance(1e-12)
     for n in range(1, 65):
         z = np.round(aligned * math.sqrt(n))
         total = float(np.sum(np.abs(z) ** 2))
@@ -638,7 +634,7 @@ def _lattice_snap(s: StateSet, cut: Bipartition, amps: np.ndarray) -> PureState 
         if float(np.linalg.norm(cand - inside)) > 1e-12:
             continue
         state = PureState(s.space, cand)
-        if is_maximally_entangled(state, cut, strict):
+        if is_maximally_entangled(state, cut, 1e-12):
             return state
     return None
 
@@ -646,8 +642,8 @@ def _lattice_snap(s: StateSet, cut: Bipartition, amps: np.ndarray) -> PureState 
 def find_maximally_entangled(
     s: StateSet,
     cut: Bipartition,
-    cfg: SearchConfig | None = None,
-    tol: Tolerance | float | None = None,
+    cfg: SearchConfig = SearchConfig(),
+    tol: float = DEFAULT_EPS,
 ) -> SubspaceVerdict:
     """Search for a maximally entangled vector of the subspace.
 
@@ -677,7 +673,6 @@ def find_maximally_entangled(
     """
     if len(s) == 0:
         raise ValueError("empty subspace")
-    cfg = cfg or SearchConfig()
     dmin = min(cut.dim_a, cut.dim_b)
     bound = schmidt_rank_upper_bound(s, cut, tol)
     if bound <= 1:
@@ -717,8 +712,8 @@ def find_maximally_entangled(
 def max_schmidt_rank_in_subspace(
     s: StateSet,
     cut: Bipartition,
-    cfg: SearchConfig | None = None,
-    tol: Tolerance | float | None = None,
+    cfg: SearchConfig = SearchConfig(),
+    tol: float = DEFAULT_EPS,
 ) -> int:
     """Largest Schmidt rank over _SAMPLES seeded coefficient vectors: the
     span's generic rank, as numerical evidence.
@@ -731,7 +726,6 @@ def max_schmidt_rank_in_subspace(
     """
     if len(s) == 0:
         raise ValueError("empty subspace")
-    cfg = cfg or SearchConfig()
     cs = _random_starts(cfg.seed, _STREAM_RANK, _SAMPLES, len(s))
     sv = np.linalg.svd(_m_stack(_reshapes(s, cut), cs), compute_uv=False)
     return int((sv > _eps(tol)).sum(axis=1).max())
@@ -740,7 +734,7 @@ def max_schmidt_rank_in_subspace(
 def entangled_vector_search(
     s: StateSet,
     cut: Bipartition,
-    tol: Tolerance | float | None = None,
+    tol: float = DEFAULT_EPS,
 ) -> PureState | None:
     """A Schmidt-rank >= 2 vector of the subspace; None exactly when it is only-product.
 
@@ -762,7 +756,7 @@ def _deflate(s: StateSet, amps: np.ndarray, eps: float) -> StateSet:
     return orthonormalize(s.space, residue, eps)
 
 
-def _rotated_basis(s: StateSet, cut: Bipartition, seed: int, tol: Tolerance | float | None) -> StateSet | None:
+def _rotated_basis(s: StateSet, cut: Bipartition, seed: int, tol: float) -> StateSet | None:
     """A Haar-rotated orthonormal basis of s whose every member has Schmidt
     rank >= 2 at the cut; None when all _ROTATION_DRAWS draws miss.
 
@@ -783,8 +777,8 @@ def max_orthogonal_set(
     s: StateSet,
     cut: Bipartition,
     mode: SetMode,
-    cfg: SearchConfig | None = None,
-    tol: Tolerance | float | None = None,
+    cfg: SearchConfig = SearchConfig(),
+    tol: float = DEFAULT_EPS,
 ) -> CompletionResult:
     """Largest orthonormal set of the requested kind found inside the subspace.
 
@@ -810,7 +804,6 @@ def max_orthogonal_set(
     if len(s) == 0:
         raise ValueError("empty subspace")
     eps = _eps(tol)
-    cfg = cfg or SearchConfig()
     empty = StateSet(s.space, ())
     if mode is SetMode.ENTANGLED:
         if only_product_across_cut(s, cut, tol):
@@ -835,7 +828,7 @@ def max_orthogonal_set(
     return CompletionResult(StateSet(s.space, tuple(found)), Completable.YES, s, "subspace exhausted")
 
 
-def count_product_states_2d_2x2(s: StateSet, tol: Tolerance | float | None = None) -> ProductCount:
+def count_product_states_2d_2x2(s: StateSet, tol: float = DEFAULT_EPS) -> ProductCount:
     """Count product rays in a 2-dimensional subspace of a 2x2 space.
 
     det(a*M1 + b*M2) is a binary quadratic; identically zero means every ray
@@ -865,8 +858,8 @@ def count_product_states_2d_2x2(s: StateSet, tol: Tolerance | float | None = Non
 def verify_basis(
     st: StateSet,
     kind: BasisKind,
-    cfg: SearchConfig | None = None,
-    tol: Tolerance | float | None = None,
+    cfg: SearchConfig = SearchConfig(),
+    tol: float = DEFAULT_EPS,
     cut: Bipartition | None = None,
 ) -> BasisVerdict:
     """Check an unextendibility claim for an orthogonal set of states.
@@ -904,7 +897,6 @@ def verify_basis(
     """
     if len(st) == 0:
         raise ValueError("empty state set")
-    cfg = cfg or SearchConfig()
     space = st.space
     if kind is BasisKind.COMPLETE:
         comp = orthogonal_complement(st, tol)
@@ -963,8 +955,8 @@ def verify_basis(
 def completion_search(
     st: StateSet,
     mode: SetMode,
-    cfg: SearchConfig | None = None,
-    tol: Tolerance | float | None = None,
+    cfg: SearchConfig = SearchConfig(),
+    tol: float = DEFAULT_EPS,
     cut: Bipartition | None = None,
 ) -> CompletionResult:
     """Try to extend the set to a full orthogonal basis of the requested kind.

@@ -13,6 +13,7 @@ import numpy as np
 from uebkit import (
     BasisKind,
     CoeffVariant,
+    DEFAULT_EPS,
     Grade,
     Outcome,
     ProductCount,
@@ -23,7 +24,6 @@ from uebkit import (
     SloccClass,
     StateSet,
     SubspaceStatus,
-    Tolerance,
     all_cut_indistinguishability_flag,
     basis_state,
     bell_meb,
@@ -62,7 +62,7 @@ from uebkit import (
 )
 
 SP2 = QuditDims((2, 2))
-TOL = Tolerance()
+TOL = DEFAULT_EPS
 
 
 def test_two_qubit_families_verify_exact_and_share_span():

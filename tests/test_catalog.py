@@ -13,12 +13,12 @@ from uebkit import (
     BasisKind,
     CoeffVariant,
     ConstructionError,
+    DEFAULT_EPS,
     GENERATORS,
     Grade,
     Outcome,
     QuditDims,
     StateSet,
-    Tolerance,
     basis_state,
     bell_meb,
     build_entry,
@@ -51,7 +51,7 @@ from uebkit import (
 
 SP2 = QuditDims((2, 2))
 SP3 = QuditDims((2, 2, 2))
-TOL = Tolerance()
+TOL = DEFAULT_EPS
 
 EXPECTED_SHAPE = {
     "eq1-ueb": ((2, 2), 3),

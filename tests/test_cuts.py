@@ -15,10 +15,10 @@ from uebkit import (
     BasisKind,
     Bipartition,
     CoeffVariant,
+    DEFAULT_EPS,
     PureState,
     QuditDims,
     StateSet,
-    Tolerance,
     apply_local_unitaries,
     basis_state,
     bell_meb,
@@ -51,7 +51,7 @@ from uebkit.report import state_diagnostics
 
 SP2 = QuditDims((2, 2))
 SP3 = QuditDims((2, 2, 2))
-TOL = Tolerance()
+TOL = DEFAULT_EPS
 
 
 def test_mask_canonicalization_keeps_first_party_left():
@@ -127,7 +127,7 @@ def test_schmidt_reconstruction():
         cut = single_cut(sp)
         m = reshape(p, cut)
         u, s, vh = np.linalg.svd(m, full_matrices=False)
-        assert np.abs(u @ np.diag(s) @ vh - m).max() < 10 * TOL.eps
+        assert np.abs(u @ np.diag(s) @ vh - m).max() < 10 * TOL
 
 
 def test_schmidt_invariant_under_local_unitaries():
@@ -138,7 +138,7 @@ def test_schmidt_invariant_under_local_unitaries():
         q = apply_local_unitaries(p, [haar_unitary(2, rng), haar_unitary(3, rng)])
         a = schmidt(p, single_cut(sp), TOL).coefficients
         b = schmidt(q, single_cut(sp), TOL).coefficients
-        assert max(abs(x - y) for x, y in zip(a, b)) < 10 * TOL.eps
+        assert max(abs(x - y) for x, y in zip(a, b)) < 10 * TOL
 
 
 def test_rank_agrees_with_marginal_spectrum():
@@ -156,7 +156,7 @@ def test_rank_agrees_with_marginal_spectrum():
         m = reshape(p, cut)
         # marginal on the smaller side, so zero eigenvalues are exact rather than noise
         rho = m @ m.conj().T if cut.dim_a <= cut.dim_b else m.conj().T @ m
-        gram_rank = int(np.sum(np.linalg.eigvalsh(rho) > TOL.eps**2))
+        gram_rank = int(np.sum(np.linalg.eigvalsh(rho) > TOL**2))
         assert schmidt(p, cut, TOL).rank == gram_rank
 
 
@@ -476,7 +476,7 @@ def test_rank_table_near_the_tolerance(monkeypatch, dims, mask):
     """sigma_2 planted at 0.1 eps, 10 eps and eps (1 -+ 1e-4) in 4x4 and 8x8 cuts, in rows of
     norm 1 and 1e3: the rank flips only across eps, and the triangle bound certifies no planted
     value inside the margin, so each of those members takes its own SVD."""
-    eps = TOL.eps
+    eps = TOL
     routes = _Routes(monkeypatch)
     for factor, rank, in_margin in ((0.1, 1, False), (1 - 1e-4, 1, True), (1 + 1e-4, 2, True), (10.0, 2, False)):
         for seed in range(4):
@@ -596,7 +596,7 @@ def test_sparse_route_near_the_tolerance(monkeypatch):
     rows of norm 1 and 1e3: counts are the SVD loop's, and exactly the members with a value
     inside the margin reach the dense route. A modulus that is no singular value at any cut
     (the pair shares a row or a column at each) sends no member there."""
-    eps = TOL.eps
+    eps = TOL
     sp = QuditDims((2, 3, 4))
     cuts = enumerate_cuts(sp)
     routes = _Routes(monkeypatch)
@@ -625,17 +625,17 @@ def test_rank_table_truncation_keeps_tails_above_tau():
     norm 0.8 eps sits under a sigma_2 of 1.13 eps, so it must be kept for the rank to be 2."""
     sp = QuditDims((2, 2, 2, 2))
     cut = Bipartition(sp, 0b0011)
-    b = 0.8 * TOL.eps
+    b = 0.8 * TOL
     m = np.zeros((4, 4))
     m[0, 0], m[1, 2], m[2, 2] = math.sqrt(1 - 2 * b * b), b, b  # already upper triangular: R = m
     p = PureState(sp, unreshape(m, cut))
-    assert np.linalg.svd(m, compute_uv=False)[1] > TOL.eps
+    assert np.linalg.svd(m, compute_uv=False)[1] > TOL
     table = schmidt_rank_table(p.amps[None], [cut], TOL)
-    assert table.tolist() == [[2]] == _svd_loop(p.amps[None], [cut], TOL.eps)
+    assert table.tolist() == [[2]] == _svd_loop(p.amps[None], [cut], TOL)
     # the member has three nonzero amplitudes, so it takes the QR route, where R = m keeps
     # the two b entries in two rows: the last kept one is the tail of norm 0.8 eps
     buffer = np.empty(sp.total, dtype=np.complex128)
-    assert uebkit.cuts._qr_ranks(p.amps[None], cut, buffer, TOL.eps).tolist() == [2]
+    assert uebkit.cuts._qr_ranks(p.amps[None], cut, buffer, TOL).tolist() == [2]
 
 
 def test_rank_table_bound_inside_the_margin_falls_back(monkeypatch):
@@ -644,7 +644,7 @@ def test_rank_table_bound_inside_the_margin_falls_back(monkeypatch):
     1e-3 eps), so the member takes its own SVD although its count, 3, is the kept height."""
     sp = QuditDims((2, 2, 2, 2))
     cut = Bipartition(sp, 0b0011)
-    eps = TOL.eps
+    eps = TOL
     bound = eps * (1 + 5e-4)
     a = math.sqrt(0.75 - bound * bound / 0.75)
     m = np.zeros((4, 4))
@@ -662,4 +662,4 @@ def test_rank_table_without_the_in_place_qr(monkeypatch):
     cuts = enumerate_cuts(QuditDims((2,) * 6))
     want = schmidt_rank_table(amps, cuts, TOL).tolist()
     monkeypatch.setattr(uebkit.cuts, "_geqrf", None)
-    assert schmidt_rank_table(amps, cuts, TOL).tolist() == want == _svd_loop(amps, cuts, TOL.eps)
+    assert schmidt_rank_table(amps, cuts, TOL).tolist() == want == _svd_loop(amps, cuts, TOL)

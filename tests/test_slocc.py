@@ -8,12 +8,12 @@ import pytest
 
 import uebkit
 from uebkit import (
+    DEFAULT_EPS,
     ProductCount,
     PureState,
     QuditDims,
     SloccClass,
     StateSet,
-    Tolerance,
     apply_local_unitaries,
     basis_state,
     build_entry,
@@ -34,7 +34,7 @@ from uebkit import (
 from uebkit.report import state_diagnostics
 
 SP3 = QuditDims((2, 2, 2))
-TOL = Tolerance()
+TOL = DEFAULT_EPS
 
 
 def permuted(p: PureState, perm: tuple[int, int, int]) -> PureState:
@@ -69,7 +69,7 @@ def test_tangle_invariant_under_local_unitaries():
         p = probes[trial % len(probes)]
         us = [haar_unitary(2, rng) for _ in range(3)]
         q = apply_local_unitaries(p, us)
-        assert abs(three_tangle(p) - three_tangle(q)) < 10 * TOL.eps
+        assert abs(three_tangle(p) - three_tangle(q)) < 10 * TOL
 
 
 def test_classification_reference_states():
@@ -153,7 +153,7 @@ def test_reduced_single_excitation_closed_form():
     for n in range(3, 9):
         rho = partial_trace(w_state(n), (0, 1))
         want = (2 * np.outer(psi_p, psi_p.conj()) + (n - 2) * np.outer(e00, e00.conj())) / n
-        assert np.abs(rho - want).max() < 10 * TOL.eps
+        assert np.abs(rho - want).max() < 10 * TOL
 
 
 def test_range_witness_counts():

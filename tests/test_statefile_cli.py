@@ -22,16 +22,15 @@ import uebkit.cli
 from uebkit import (
     BasisKind,
     CATALOG,
+    DEFAULT_EPS,
     Outcome,
     PureState,
     QuditDims,
     StateFileError,
     StateSet,
-    Tolerance,
     basis_state,
     bell_meb,
     build_entry,
-    dumps_state_file,
     load_state_file,
     parse_state_file,
     random_state,
@@ -41,9 +40,10 @@ from uebkit import (
     two_qubit_ueb_fourier,
     w_state,
 )
+from uebkit.statefile import state_file_chunks
 
 SP2 = QuditDims((2, 2))
-TOL = Tolerance()
+TOL = DEFAULT_EPS
 # sha256 of the report of `verify eq1-ueb --kind complete` as printed when the UEB gate ran first
 EQ1_COMPLETE_SHA256 = "6596f214097a96285bd34e67bd696d983aa52409edf264c9ffc550e080779cbc"
 # sha256 of the reports of `analyze eq6-mixed-ueb` and of `analyze eq6.json` for its written file,
@@ -81,7 +81,7 @@ def test_round_trip_is_amplitude_exact(tmp_path):
     path = tmp_path / "triple.json"
     save_state_file(path, st, kind=BasisKind.UEB, planes={1: symmetric_bell_plane()})
     loaded = load_state_file(path)
-    assert loaded.name == "random-triple"
+    assert loaded.states.name == "random-triple"
     assert loaded.kind is BasisKind.UEB
     assert set(loaded.planes) == {1}
     for a, b in zip(st.states, loaded.states.states):
@@ -91,8 +91,8 @@ def test_round_trip_is_amplitude_exact(tmp_path):
 
 def test_dumps_is_deterministic_with_trailing_newline():
     st = bell_pair()
-    a = dumps_state_file(st, kind=BasisKind.UMEB)
-    b = dumps_state_file(st, kind=BasisKind.UMEB)
+    a = "".join(state_file_chunks(st, kind=BasisKind.UMEB))
+    b = "".join(state_file_chunks(st, kind=BasisKind.UMEB))
     assert a == b
     assert a.endswith("\n")
     doc = json.loads(a)
@@ -109,7 +109,7 @@ def test_written_text_is_the_indent_2_json_dump(tmp_path):
     plane[0, 1] = complex(-0.0, 0.0)
     for planes in (None, {1: plane}):
         for name in (None, "named"):
-            text = dumps_state_file(st, kind=BasisKind.UEB, planes=planes, name=name)
+            text = "".join(state_file_chunks(st, kind=BasisKind.UEB, planes=planes, name=name))
             doc = json.loads(text)
             assert text == json.dumps(doc, indent=2) + "\n"
             assert doc["name"] == (name or st.name)
@@ -130,7 +130,7 @@ def test_save_streams_row_by_row(tmp_path):
         tracemalloc.stop()
     assert peak < 0.5e6
     text = path.read_text()
-    assert text == dumps_state_file(st, kind=BasisKind.UEB_ALL_CUTS) == json.dumps(json.loads(text), indent=2) + "\n"
+    assert text == "".join(state_file_chunks(st, kind=BasisKind.UEB_ALL_CUTS)) == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_verify_reads_a_state_file_once(tmp_path, monkeypatch, capsys):
@@ -348,6 +348,54 @@ def test_cli_analyze_completion_of_a_spanning_set(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: mask 99 does not describe a proper nonempty split of 2 parties\n"
+
+
+def test_cli_analyze_refuses_a_cut_without_completion(capsys):
+    """analyze uses a cut only for the completion search, so a --cut without
+    --completion is refused, a valid mask as much as an invalid one."""
+    for mask in ("99", "3"):
+        assert uebkit.cli.main(["analyze", "eq6-mixed-ueb", "--cut", mask]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --cut") and err.count("\n") == 1
+
+
+def _eq6_with_planes(path, keys):
+    """The eq6-mixed-ueb file with the plane span{|00>, (|01> + |10>)/sqrt 2} under each key."""
+    s = 1.0 / math.sqrt(2.0)
+    rows = [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [s, 0], [s, 0], [0, 0]]]
+    doc = json.loads("".join(state_file_chunks(build_entry("eq6-mixed-ueb"), kind=BasisKind.UEB_ALL_CUTS)))
+    doc["planes"] = {key: rows for key in keys}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_plane_key_is_stored_under_the_canonical_mask(tmp_path, capsys):
+    """Mask 6 on 2x2x2 is the cut 1|23, canonical mask 1: a plane keyed 6 is the
+    plane of that cut, and a second key naming the same cut is refused."""
+    reports = {}
+    for key in ("1", "6"):
+        path = _eq6_with_planes(tmp_path / f"k{key}.json", [key])
+        assert set(load_state_file(path).planes) == {1}
+        assert uebkit.cli.main(["analyze", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        reports[key] = json.loads(out)
+        del reports[key]["input"]
+    assert reports["6"] == reports["1"]
+    assert reports["1"]["local_indistinguishability"]["status"] == "NOT_APPLICABLE"
+
+    with pytest.raises(StateFileError, match=r"^plane key 6: the cut 1\|23 already has a plane$"):
+        load_state_file(_eq6_with_planes(tmp_path / "both.json", ["1", "6"]))
+    assert uebkit.cli.main(["analyze", str(tmp_path / "both.json")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: plane key 6: the cut 1|23 already has a plane\n"
+
+    path = tmp_path / "saved.json"
+    save_state_file(path, build_entry("eq6-mixed-ueb"), planes={6: symmetric_bell_plane()})
+    loaded = load_state_file(path)
+    assert set(loaded.planes) == {1}
+    assert np.array_equal(loaded.planes[1], symmetric_bell_plane())
 
 
 def test_cli_analyze_extended_space_block():

@@ -11,7 +11,6 @@ from uebkit import (
     PureState,
     QuditDims,
     StateSet,
-    Tolerance,
     apply_local_unitary,
     basis_state,
     canonical_phase,
@@ -69,11 +68,11 @@ def test_non_finite_amplitudes_rejected(bad):
 
 
 def test_tolerance_bounds_are_exclusive():
-    assert Tolerance().eps == DEFAULT_EPS == 1e-9
-    assert Tolerance(5e-4).eps == 5e-4
+    assert DEFAULT_EPS == 1e-9
+    assert len(orthonormalize(SP2, [[1, 0, 0, 0]], 5e-4)) == 1
     for bad in (0.0, -1e-9, 1e-3, 1.0):
-        with pytest.raises(ValueError):
-            Tolerance(bad)
+        with pytest.raises(ValueError, match=r"tolerance must lie in \(0, 1e-3\), got "):
+            orthonormalize(SP2, [[1, 0, 0, 0]], bad)
 
 
 def test_basis_state_addressing_forms():
@@ -166,7 +165,7 @@ def test_orthonormalize_gram_identity():
 
 def test_orthogonal_complement_involution():
     rng = np.random.default_rng(8)
-    tol = Tolerance()
+    tol = DEFAULT_EPS
     for _ in range(60):
         k = int(rng.integers(1, 6))
         vecs = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(k)]
@@ -193,7 +192,7 @@ def test_canonical_phase_idempotent_bit_exact():
 
 
 def test_span_equal_is_basis_independent():
-    tol = Tolerance()
+    tol = DEFAULT_EPS
     e = [basis_state(SP2, k) for k in range(4)]
     mixed = orthonormalize(SP2, [e[0].amps + e[3].amps, e[0].amps - e[3].amps])
     plain = orthonormalize(SP2, [e[0].amps, e[3].amps])

@@ -10,6 +10,7 @@ from uebkit import (
     BasisKind,
     Bipartition,
     Completable,
+    DEFAULT_EPS,
     Grade,
     Outcome,
     ProductCount,
@@ -20,7 +21,6 @@ from uebkit import (
     StateSet,
     SubspaceStatus,
     SubspaceVerdict,
-    Tolerance,
     apply_local_unitaries,
     basis_state,
     bell_meb,
@@ -60,7 +60,7 @@ from uebkit.subspaces import (
 SP2 = QuditDims((2, 2))
 SP23 = QuditDims((2, 3))
 SP3 = QuditDims((2, 2, 2))
-TOL = Tolerance()
+TOL = DEFAULT_EPS
 
 
 def span_of(space, *kets):
@@ -263,7 +263,7 @@ def test_product_search_decision_flips_only_across_the_accept_gate():
     under seeded local unitaries (and the party swap in 3x3): the search
     accepts the ray as PRODUCT_FOUND (EXACT) for f = 0.1 and 1 - 1e-4, and
     returns NO_PRODUCT_FOUND (NUMERICAL_EVIDENCE) for f = 1 + 1e-4 and 10."""
-    eps = TOL.eps
+    eps = TOL
     for dims, swaps in (((3, 3), (False, True)), ((2, 4), (False,))):
         d = min(dims)
         space = QuditDims(dims)
@@ -763,7 +763,7 @@ def test_entangled_completion_near_the_tolerance():
     cut = single_cut(SP2)
     for scale, want, found in ((0.5, Completable.NO_EXACT, 0), (2.0, Completable.NO_EVIDENCE, 0),
                                (100.0, Completable.YES, 2)):
-        delta = scale * TOL.eps
+        delta = scale * TOL
         comp = orthonormalize(SP2, [basis_state(SP2, 0).amps, np.array([0.0, 1.0, delta, 0.0])])
         st = orthogonal_complement(comp, TOL)
         got = completion_search(st, SetMode.ENTANGLED, SearchConfig(starts=0), TOL)
@@ -834,9 +834,9 @@ def test_pair_step_of_the_lemma():
 def test_tolerance_boundary_applies_to_singular_values():
     """sigma_2 = delta (to first order) decides against eps, not a quadratic minor."""
     cut = single_cut(SP2)
-    for tol in (Tolerance(), Tolerance(1e-6)):
+    for tol in (DEFAULT_EPS, 1e-6):
         for scale, only in ((0.1, True), (10.0, False)):
-            delta = scale * tol.eps
+            delta = scale * tol
             ray = np.array([1.0, 0.0, 0.0, delta]) / np.hypot(1.0, delta)
             sub = StateSet(SP2, (PureState(SP2, ray),))
             assert only_product_across_cut(sub, cut, tol) is only
@@ -861,7 +861,7 @@ def test_a_refutation_without_a_witness_is_not_exact():
     sigma_2 at most about delta / 2 = 0.85 eps, so the probe finds no witness
     and nothing certifies either answer. The verdict is INCONCLUSIVE, never
     REFUTED / EXACT without a witness, under local unitaries and the party swap."""
-    delta = 1.7 * TOL.eps
+    delta = 1.7 * TOL
     e = [basis_state(SP23, i).amps for i in range(6)]
     st = _fourier_set(SP23, [e[2], e[3], e[5], (e[4] - delta * e[1]) / math.hypot(1.0, delta)])
     sp32 = QuditDims((3, 2))
