@@ -153,25 +153,20 @@ def two_qubit_ueb_general(
         kron_amplitudes(basis_a[:, 1], vec_b),
     )
     w = np.exp(2j * np.pi / 3)
-    states = tuple(
-        PureState(space, (pillars[0] + w**r * pillars[1] + w ** (2 * r) * pillars[2]) / math.sqrt(3))
-        for r in range(3)
-    )
-    st = StateSet(space, states)
+    rows = [(pillars[0] + w**r * pillars[1] + w ** (2 * r) * pillars[2]) / math.sqrt(3) for r in range(3)]
+    st = StateSet(space, np.array(rows))
     return st, verify_basis(st, BasisKind.UEB, cfg, tol)
 
 
-def _fourier_pair_block(d: int, dim_b: int, offset: int) -> list[PureState]:
-    """Maximally entangled states (1/sqrt d) sum_j w^(jk) |j>|offset+(j+t) mod d>, ordered by (t, k)."""
-    space = QuditDims((d, dim_b))
+def _fourier_pair_block(d: int, dim_b: int, offset: int) -> np.ndarray:
+    """Rows of the maximally entangled states (1/sqrt d) sum_j w^(jk) |j>|offset+(j+t) mod d> of
+    d x dim_b, ordered by (t, k)."""
     w = np.exp(2j * np.pi / d)
-    out: list[PureState] = []
+    out = np.zeros((d * d, d * dim_b), dtype=np.complex128)
     for t in range(d):
         for k in range(d):
-            amps = np.zeros(space.total, dtype=np.complex128)
             for j in range(d):
-                amps[j * dim_b + offset + (j + t) % d] = w ** (j * k) / math.sqrt(d)
-            out.append(PureState(space, amps))
+                out[t * d + k, j * dim_b + offset + (j + t) % d] = w ** (j * k) / math.sqrt(d)
     return out
 
 
@@ -179,7 +174,7 @@ def bell_meb(d: int) -> StateSet:
     """Complete maximally entangled basis of d x d, ordered by (shift, phase)."""
     if d < 2:
         raise ValueError("local dimension must be at least 2")
-    return StateSet(QuditDims((d, d)), tuple(_fourier_pair_block(d, d, 0)))
+    return StateSet(QuditDims((d, d)), _fourier_pair_block(d, d, 0))
 
 
 def embed_meb(d: int, n: int) -> StateSet:
@@ -192,7 +187,7 @@ def embed_meb(d: int, n: int) -> StateSet:
         raise ValueError("local dimension must be at least 2")
     if not 1 <= n < d:
         raise ValueError(f"padding must satisfy 1 <= n < d, got n={n}, d={d}")
-    return StateSet(QuditDims((d, d + n)), tuple(_fourier_pair_block(d, d + n, 0)))
+    return StateSet(QuditDims((d, d + n)), _fourier_pair_block(d, d + n, 0))
 
 
 def meb_extension_completion(
@@ -218,19 +213,15 @@ def meb_extension_completion(
         raise ValueError("support vectors must be orthonormal")
     e0, e1 = np.eye(2, dtype=np.complex128)
     pair = (x, x_prime)
-    states = []
-    for t in range(2):
-        for k in range(2):
-            amps = (kron_amplitudes(e0, pair[t]) + (-1) ** k * kron_amplitudes(e1, pair[1 - t])) / math.sqrt(2)
-            states.append(PureState(space, amps))
-    return StateSet(space, tuple(states))
+    rows = [(kron_amplitudes(e0, pair[t]) + (-1) ** k * kron_amplitudes(e1, pair[1 - t])) / math.sqrt(2)
+            for t in range(2) for k in range(2)]
+    return StateSet(space, np.array(rows))
 
 
 def padded_meb_with_extension() -> StateSet:
     """Complete maximally entangled basis of 2 x 4: padded 2 x 2 block plus extension."""
-    space = QuditDims((2, 4))
-    states = tuple(_fourier_pair_block(2, 4, 0)) + meb_extension_completion().states
-    return StateSet(space, states)
+    rows = np.concatenate([_fourier_pair_block(2, 4, 0), meb_extension_completion().matrix()])
+    return StateSet(QuditDims((2, 4)), rows)
 
 
 def me_triple_2x3() -> StateSet:
@@ -257,10 +248,8 @@ def three_qubit_w_ueb() -> StateSet:
     plane spanned by |011> and |111>.
     """
     space = QuditDims((2, 2, 2))
-    states = tuple(dft_superposition(space, ["001", "010", "100"])) + tuple(
-        dft_superposition(space, ["000", "101", "110"])
-    )
-    return StateSet(space, states)
+    flipped = dft_superposition(space, ["000", "101", "110"])
+    return StateSet(space, dft_superposition(space, ["001", "010", "100"]) + flipped)
 
 
 def three_qubit_mixed_ueb() -> StateSet:
@@ -286,7 +275,6 @@ def _n_qubit_family(n: int, coeff_variant: CoeffVariant) -> StateSet:
     if n < 4:
         raise ValueError("the family needs at least four qubits")
     check_complement_size(repeat(2, n))
-    space = QuditDims((2,) * n)
     if coeff_variant is CoeffVariant.DFT:
         w = np.exp(2j * np.pi / n)
         coeff = np.array([[w ** (r * c) for c in range(n)] for r in range(n)]) / math.sqrt(n)
@@ -294,26 +282,18 @@ def _n_qubit_family(n: int, coeff_variant: CoeffVariant) -> StateSet:
         coeff = _hadamard_rows(n) / math.sqrt(n)
     full = (1 << n) - 1
     weight1 = [1 << i for i in range(n)]  # ascending as bit strings and as integers
-    states: list[PureState] = []
-    for block in (weight1, [full ^ s for s in weight1]):
-        for r in range(n):
-            amps = np.zeros(space.total, dtype=np.complex128)
-            for c, ket in enumerate(block):
-                amps[ket] = coeff[r, c]
-            states.append(PureState(space, amps))
+    rows = np.zeros((full, full + 1), dtype=np.complex128)
+    for b, block in enumerate((weight1, [full ^ s for s in weight1])):
+        rows[b * n:(b + 1) * n, block] = coeff
     reps = sorted(x for x in range(1, full) if 2 <= bin(x).count("1") <= n - 2 and x < full ^ x)
     x0 = reps[0]
     root2 = math.sqrt(2.0)
-    for signs in ((1, 1, 0), (1, -1, root2), (1, -1, -root2)):
-        amps = np.zeros(space.total, dtype=np.complex128)
-        amps[x0], amps[full ^ x0], amps[0] = signs
-        states.append(PureState(space, amps / np.linalg.norm(amps)))
-    for x in reps[1:]:
-        for sign in (1.0, -1.0):
-            amps = np.zeros(space.total, dtype=np.complex128)
-            amps[x], amps[full ^ x] = 1.0 / root2, sign / root2
-            states.append(PureState(space, amps))
-    return StateSet(space, tuple(states))
+    for r, signs in enumerate(((1, 1, 0), (1, -1, root2), (1, -1, -root2)), 2 * n):
+        rows[r, [x0, full ^ x0, 0]] = np.divide(signs, np.linalg.norm(signs))
+    for i, x in enumerate(reps[1:]):  # the plus row, then the minus row
+        r = 2 * n + 3 + 2 * i
+        rows[r:r + 2, [x, full ^ x]] = np.array([[1.0, 1.0], [1.0, -1.0]]) / root2
+    return StateSet(QuditDims((2,) * n), rows)
 
 
 def n_qubit_ueb(
@@ -365,14 +345,10 @@ def extend_padded_square_meb(st: StateSet, d: int) -> StateSet:
     old_b = st.space.dims[1]
     if st.space.dims[0] != d or old_b > 2 * d:
         raise ValueError(f"set on {st.space} does not fit the d x 2d extension for d={d}")
-    space = QuditDims((d, 2 * d))
-    padded: list[PureState] = []
-    for s in st.states:
-        m = s.amps.reshape(d, old_b)
-        big = np.zeros((d, 2 * d), dtype=np.complex128)
-        big[:, :old_b] = m
-        padded.append(PureState(space, big.reshape(-1)))
-    return StateSet(space, tuple(padded) + tuple(_fourier_pair_block(d, 2 * d, d)))
+    padded = np.zeros((len(st), d, 2 * d), dtype=np.complex128)
+    padded[:, :, :old_b] = st.matrix().reshape(len(st), d, old_b)
+    rows = np.concatenate([padded.reshape(len(st), -1), _fourier_pair_block(d, 2 * d, d)])
+    return StateSet(QuditDims((d, 2 * d)), rows)
 
 
 @dataclass(frozen=True)

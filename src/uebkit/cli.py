@@ -97,6 +97,8 @@ def _resolve_input(args: argparse.Namespace, cfg: SearchConfig, gate: bool = Tru
     if Path(ref).exists():
         loaded = load_state_file(ref, tol=args.tol, gram_fix=args.gram_fix)
         return loaded.states, loaded.kind, loaded.planes, input_payload(ref, loaded), None
+    if args.gram_fix and (ref in CATALOG or ref in GENERATORS):
+        raise ValueError(f"{ref} takes no --gram-fix: only a state file is re-orthonormalized")
     if ref in CATALOG:
         entry = CATALOG[ref]
         st, verdict = build_entry_with_verdict(ref, cfg, args.tol, gate=gate)
@@ -121,10 +123,17 @@ def _parse_cut(args: argparse.Namespace, space, kind: BasisKind) -> Bipartition 
         if kind is not BasisKind.UEB_ALL_CUTS:
             raise ValueError("--cut all is only meaningful for kind ueb-all-cuts")
         return None
-    mask = int(raw)
+    mask = _cut_mask(raw)
     if kind is BasisKind.UEB_ALL_CUTS:
         raise ValueError("kind ueb-all-cuts enumerates every cut; drop --cut or pass 'all'")
     return Bipartition(space, mask)
+
+
+def _cut_mask(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"--cut takes an integer cut mask, or 'all' for verify; got {raw!r}") from None
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
@@ -147,23 +156,20 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 def cmd_construct(args: argparse.Namespace) -> int:
     cfg = _config(args)
     name = args.name
+    if name not in CATALOG and name not in GENERATORS:
+        raise ValueError(f"unknown family {name!r}; run 'uebkit catalog list'")
+    takes = {"bell-meb": "d", "embed-meb": "d n", "nqubit-ueb": "n variant", "dft-superposition": "dims kets"}
+    for opt in ("d", "n", "variant", "dims", "kets"):
+        if getattr(args, opt) is not None and opt not in takes.get(name, "").split():
+            raise ValueError(f"{name} takes no --{opt}")
     if name in CATALOG:
         entry = CATALOG[name]
         st = build_entry(name, cfg, args.tol)
-    elif name in GENERATORS:
-        entry = GENERATORS[name]
-        st = build_generator(
-            name,
-            cfg,
-            args.tol,
-            d=args.d,
-            n=args.n,
-            variant=_VARIANTS[args.variant],
-            dims=tuple(int(x) for x in args.dims.split(",")) if args.dims else None,
-            kets=args.kets.split(",") if args.kets else None,
-        )
     else:
-        raise ValueError(f"unknown family {name!r}; run 'uebkit catalog list'")
+        entry = GENERATORS[name]
+        st = build_generator(name, cfg, args.tol, d=args.d, n=args.n, variant=_VARIANTS[args.variant or "dft"],
+                             dims=tuple(int(x) for x in args.dims.split(",")) if args.dims else None,
+                             kets=args.kets.split(",") if args.kets else None)
     gate = entry.expected.value if entry.expected else "ORTHONORMAL"
     if args.output:
         save_state_file(args.output, st, kind=entry.kind, name=name)
@@ -199,6 +205,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.cut is not None and args.completion is None:
         raise ValueError("--cut names the cut of the completion search; pass --completion too, or drop --cut")
+    mask = _cut_mask(args.cut) if args.cut is not None else None
     cfg = _config(args)
     st, _kind, planes, info, gate = _resolve_input(args, cfg)
     rank_table = gate.rank_table if gate is not None else None
@@ -207,7 +214,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     strong = None
     if args.completion is not None:
         mode = _MODES[args.completion]
-        cut = Bipartition(st.space, int(args.cut)) if args.cut is not None else None
+        cut = Bipartition(st.space, mask) if mask is not None else None
         result = completion_search(st, mode, cfg, args.tol, cut=cut)
         complement = result.complement
         completion = completion_payload(mode, result)
@@ -269,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("-o", "--output", default=None, help="write the result as a state file")
     p_con.add_argument("--d", type=int, default=None, help="local dimension for bell-meb / embed-meb")
     p_con.add_argument("--n", type=int, default=None, help="padding for embed-meb, qubit count for nqubit-ueb")
-    p_con.add_argument("--variant", choices=sorted(_VARIANTS), default="dft", help="coefficient variant for nqubit-ueb")
+    p_con.add_argument("--variant", choices=sorted(_VARIANTS), default=None,
+                       help="coefficient variant for nqubit-ueb (default dft)")
     p_con.add_argument("--dims", default=None, help="comma-separated dims for dft-superposition")
     p_con.add_argument("--kets", default=None, help="comma-separated kets for dft-superposition")
     _add_common(p_con)

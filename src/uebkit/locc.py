@@ -111,7 +111,7 @@ def project_two_qubit(
     if off > eps:
         raise ProjectionOrthogonalityError(f"normalized projections deviate from orthogonality by {off:.3e}")
     two = QuditDims((2, 2))
-    out = StateSet(two, tuple(PureState(two, r) for r in raw))
+    out = StateSet(two, m)
     cut = Bipartition(space, 1 << lone_party)
     return ProjectionResult(out, tuple(probs), lone_party, cut, w)
 

@@ -17,7 +17,7 @@ import numpy as np
 from .cuts import enumerate_cuts, schmidt_rank_table
 from .slocc import classify_from_ranks, spans_ghz_and_w
 from .statefile import LoadedStateFile, complex_vector, state_file_chunks
-from .states import DEFAULT_EPS, StateSet, canonical_phase
+from .states import DEFAULT_EPS, PureState, StateSet, canonical_phase
 from .subspaces import (
     BasisKind,
     BasisVerdict,
@@ -29,7 +29,7 @@ from .subspaces import (
 
 
 def states_payload(st: StateSet) -> list[list[list[float]]]:
-    return [complex_vector(s.amps) for s in st.states]
+    return [complex_vector(row) for row in st.matrix()]
 
 
 def input_payload(path: str | Path, loaded: LoadedStateFile) -> dict:
@@ -75,14 +75,14 @@ def state_diagnostics(
     ranks = rank_table.tolist()
     three_qubit = st.space.dims == (2, 2, 2)
     out: list[dict] = []
-    for i, s in enumerate(st.states):
+    for i, row in enumerate(st.matrix()):
         entry: dict = {
             "index": i,
             "schmidt_ranks": dict(zip(labels, ranks[i])),
             "genuinely_entangled": min(ranks[i]) >= 2,
         }
         if three_qubit:
-            v = classify_from_ranks(s, ranks[i])
+            v = classify_from_ranks(PureState(st.space, row), ranks[i])
             entry["slocc"] = v.label
             entry["tangle"] = v.tangle
         out.append(entry)

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .cuts import Bipartition
-from .states import DEFAULT_EPS, PureState, QuditDims, StateSet, check_complement_size, orthonormalize
+from .states import DEFAULT_EPS, QuditDims, StateSet, _unit_rows, check_complement_size, orthonormalize
 from .subspaces import BasisKind
 
 
@@ -140,26 +140,24 @@ def parse_state_file(
         raise StateFileError("states must be a nonempty list")
     if len(states_raw) > space.total:  # no repair can help, so refused before any row is read
         raise StateFileError(f"{len(states_raw)} states cannot be orthogonal in dimension {space.total}")
-    vectors: list[np.ndarray] = []
+    rows = np.empty((len(states_raw), space.total), dtype=np.complex128)
     for i, raw in enumerate(states_raw):
-        vectors.append(_pair_vector(raw, space.total, f"state {i}"))
-    states: list[PureState] = []
-    for i, v in enumerate(vectors):
-        try:
-            states.append(PureState(space, v))
-        except ValueError as exc:
-            raise StateFileError(f"state {i}: {exc}") from exc
+        rows[i] = _pair_vector(raw, space.total, f"state {i}")
     try:
-        state_set = StateSet(space, tuple(states), name=name)
+        state_set = StateSet(space, rows, name=name)
     except ValueError as exc:
+        try:
+            _unit_rows(rows)  # a state the amplitude rule refuses is refused as it is, gram fix or not
+        except ValueError:
+            raise StateFileError(str(exc)) from exc
         if not gram_fix:
             raise StateFileError(f"{exc} (pass the gram-fix option to re-orthonormalize)") from exc
-        repaired = orthonormalize(space, [s.amps for s in states], tol)
-        if len(repaired) != len(states):
+        repaired = orthonormalize(space, rows, tol)
+        if len(repaired) != len(rows):
             raise StateFileError(
-                f"gram fix failed: {len(states)} states span only {len(repaired)} dimensions"
+                f"gram fix failed: {len(rows)} states span only {len(repaired)} dimensions"
             ) from exc
-        state_set = StateSet(space, repaired.states, name=name)
+        state_set = replace(repaired, name=name)
     planes_raw = doc.get("planes")
     planes: dict[int, np.ndarray] = {}
     if planes_raw is not None:
@@ -226,7 +224,7 @@ def state_file_chunks(
         "kind": kind.value if kind is not None else None,
     }
     yield json.dumps(head, indent=2)[:-2] + ',\n  "states": [\n'
-    yield from _rows((s.amps for s in states.states), 2)
+    yield from _rows(states.matrix(), 2)
     yield "\n  ]"
     if planes:
         yield ',\n  "planes": {'

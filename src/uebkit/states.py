@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -63,6 +64,27 @@ def _as_amps(space: QuditDims, raw: object) -> np.ndarray:
     return amps
 
 
+def _unit(amps: np.ndarray) -> np.ndarray:
+    """The amplitude rule of every state: amps must be finite with norm within
+    _NORM_SLACK of 1, and is divided by its norm past _EXACT_SLACK."""
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite numbers")
+    norm = float(np.linalg.norm(amps))
+    if abs(norm - 1.0) > _NORM_SLACK:
+        raise ValueError(f"state norm {norm} deviates from 1 by more than {_NORM_SLACK}")
+    return amps / norm if abs(norm - 1.0) > _EXACT_SLACK else amps
+
+
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    """m with _unit applied to each row in place; the ValueError names the first bad row."""
+    for i, row in enumerate(m):
+        try:
+            m[i] = _unit(row)
+        except ValueError as exc:
+            raise ValueError(f"state {i}: {exc}") from None
+    return m
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """A unit-norm amplitude vector over a QuditDims space."""
@@ -71,14 +93,7 @@ class PureState:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = _as_amps(self.space, self.amps)
-        if not np.isfinite(amps).all():
-            raise ValueError("amplitudes must be finite numbers")
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > _NORM_SLACK:
-            raise ValueError(f"state norm {norm} deviates from 1 by more than {_NORM_SLACK}")
-        if abs(norm - 1.0) > _EXACT_SLACK:
-            amps = amps / norm
+        amps = _unit(_as_amps(self.space, self.amps))
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
@@ -140,51 +155,56 @@ def inner(a: PureState, b: PureState) -> complex:
 class StateSet:
     """A finite orthonormal collection of states on one space, and the subspace it spans.
 
-    Empty sets are permitted so searches can report size-zero results.
+    rows is a (k, D) array of amplitude rows or a sequence of PureStates on
+    the space. It is stored once, as the read-only complex128 (k, D) array
+    that matrix() returns, each row under PureState's amplitude rule. Empty
+    sets are permitted so searches can report size-zero results.
     """
 
     space: QuditDims
-    states: tuple[PureState, ...]
+    rows: np.ndarray
     name: str | None = None
 
     def __post_init__(self) -> None:
-        states = tuple(self.states)
-        object.__setattr__(self, "states", states)
-        if len(states) > self.space.total:
-            raise ValueError(f"{len(states)} states cannot be orthogonal in dimension {self.space.total}")
-        for st in states:
-            if st.space != self.space:
-                raise ValueError(f"space mismatch: {st.space} vs {self.space}")
-        if states:
-            m = self.matrix()
-            gram = np.conj(m) @ m.T
-            off = gram - np.eye(len(states))
-            worst = float(np.abs(off).max())
+        rows = self.rows if isinstance(self.rows, np.ndarray) else tuple(self.rows)
+        total = self.space.total
+        if len(rows) > total:
+            raise ValueError(f"{len(rows)} states cannot be orthogonal in dimension {total}")
+        if isinstance(rows, tuple):
+            for st in rows:
+                if st.space != self.space:
+                    raise ValueError(f"space mismatch: {st.space} vs {self.space}")
+            rows = [st.amps for st in rows]
+        m = _unit_rows(np.array(rows, dtype=np.complex128).reshape(len(rows), total))
+        if len(m):
+            worst = float(np.abs(np.conj(m) @ m.T - np.eye(len(m))).max())
             if worst > DEFAULT_EPS:
                 raise ValueError(f"states are not pairwise orthonormal (worst deviation {worst:.3e})")
+        m.setflags(write=False)
+        object.__setattr__(self, "rows", m)
+
+    @cached_property
+    def states(self) -> tuple[PureState, ...]:
+        """The members as PureStates, derived once from the rows."""
+        return tuple(PureState(self.space, row) for row in self.rows)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.rows)
 
     def matrix(self) -> np.ndarray:
-        """(count, D) array with one amplitude vector per row."""
-        if not self.states:
-            return np.zeros((0, self.space.total), dtype=np.complex128)
-        return np.array([st.amps for st in self.states])
+        """The stored read-only (count, D) array, one amplitude vector per row."""
+        return self.rows
 
     def projector(self) -> np.ndarray:
-        m = self.matrix()
-        return m.T @ np.conj(m)
+        return self.rows.T @ np.conj(self.rows)
 
     def vector(self, coeffs: np.ndarray) -> np.ndarray:
         """Raw amplitude vector for a coefficient vector over this set."""
         return np.asarray(coeffs, dtype=np.complex128) @ self.matrix()
 
 
-# The former name of the subspace role, kept as an alias of the one type: the
-# benchmark's complement-search workload (perfbench/workloads.py) builds its
-# inputs as Subspace(space, states), and perfbench/tracing.py looks the class
-# up under both names.
+# The former name of the subspace role: the benchmark builds its search inputs
+# as Subspace(space, states), and its tracer looks the class up under both names.
 Subspace = StateSet
 
 
@@ -208,7 +228,7 @@ def orthonormalize(
         n = float(np.linalg.norm(v))
         if n >= eps:
             kept.append(v / n)
-    return StateSet(space, tuple(PureState(space, u) for u in kept))
+    return StateSet(space, np.array(kept).reshape(len(kept), space.total))
 
 
 # orthogonal_complement builds a D x D complex128 array (16 D^2 bytes) for a
@@ -240,12 +260,9 @@ def orthogonal_complement(s: StateSet, tol: float = DEFAULT_EPS) -> StateSet:
     eps = _eps(tol)
     d = s.space.total
     if len(s) == 0:
-        return StateSet(s.space, tuple(basis_state(s.space, i) for i in range(d)))
-    b = np.conj(s.matrix())
-    _, sv, vh = np.linalg.svd(b, full_matrices=True)
-    rank = int((sv > eps).sum())
-    comp = np.conj(vh[rank:])
-    return StateSet(s.space, tuple(PureState(s.space, row) for row in comp))
+        return StateSet(s.space, np.eye(d))
+    _, sv, vh = np.linalg.svd(np.conj(s.matrix()), full_matrices=True)
+    return StateSet(s.space, np.conj(vh[int((sv > eps).sum()):]))
 
 
 def canonical_phase(p: PureState, tol: float = DEFAULT_EPS) -> PureState:

@@ -246,23 +246,24 @@ def _reshapes(s: StateSet, cut: Bipartition) -> np.ndarray:
     return reshape_rows(s.matrix(), cut)
 
 
-def _entangled_probe(r_stack: np.ndarray, eps: float) -> np.ndarray | None:
-    """Coefficients of the first basis vector with sigma_2 > eps, else of the
+def _entangled_probe(rows: np.ndarray, cut: Bipartition, eps: float) -> np.ndarray | None:
+    """Coefficients of the first basis row with sigma_2 > eps, else of the
     first normalized pair sum with sigma_2 > eps; None when neither exists.
+    Each sigma_2 > eps is a Schmidt rank of at least 2 in schmidt_rank_table.
 
     By the lemma above, when every basis vector is product some pair sum is
     entangled unless the span is only-product, so the pair scan runs to the
     end only on only-product spans.
     """
-    k = len(r_stack)
+    k = len(rows)
     c = np.zeros(k, dtype=np.complex128)
-    hit = np.flatnonzero(np.linalg.svd(r_stack, compute_uv=False)[:, 1] > eps)
+    hit = np.flatnonzero(schmidt_rank_table(rows, [cut], eps)[:, 0] >= 2)
     if hit.size:
         c[hit[0]] = 1.0
         return c
     for i in range(k - 1):
-        sums = (r_stack[i] + r_stack[i + 1:]) / math.sqrt(2.0)
-        hit = np.flatnonzero(np.linalg.svd(sums, compute_uv=False)[:, 1] > eps)
+        sums = (rows[i] + rows[i + 1:]) / math.sqrt(2.0)
+        hit = np.flatnonzero(schmidt_rank_table(sums, [cut], eps)[:, 0] >= 2)
         if hit.size:
             c[i] = c[i + 1 + hit[0]] = 1.0 / math.sqrt(2.0)
             return c
@@ -621,7 +622,6 @@ def _lattice_snap(s: StateSet, cut: Bipartition, amps: np.ndarray) -> PureState 
     if abs(pivot) < 1e-9:
         return None
     aligned = amps * (abs(pivot) / pivot)
-    basis = s.matrix()
     for n in range(1, 65):
         z = np.round(aligned * math.sqrt(n))
         total = float(np.sum(np.abs(z) ** 2))
@@ -630,7 +630,7 @@ def _lattice_snap(s: StateSet, cut: Bipartition, amps: np.ndarray) -> PureState 
         cand = z / math.sqrt(total)
         if float(np.linalg.norm(cand - aligned)) > 1e-4:
             continue
-        inside = (basis.conj() @ cand) @ basis
+        inside = (s.matrix().conj() @ cand) @ s.matrix()
         if float(np.linalg.norm(cand - inside)) > 1e-12:
             continue
         state = PureState(s.space, cand)
@@ -746,14 +746,14 @@ def entangled_vector_search(
     """
     if len(s) == 0:
         raise ValueError("empty subspace")
-    c = _entangled_probe(_reshapes(s, cut), _eps(tol))
+    c = _entangled_probe(s.matrix(), cut, _eps(tol))
     return None if c is None else _coeff_state(s, c, tol)
 
 
 def _deflate(s: StateSet, amps: np.ndarray, eps: float) -> StateSet:
     """Orthogonal complement of one vector within the subspace."""
-    residue = [b.amps - np.vdot(amps, b.amps) * amps for b in s.states]
-    return orthonormalize(s.space, residue, eps)
+    m = s.matrix()
+    return orthonormalize(s.space, m - np.outer(m @ np.conj(amps), amps), eps)
 
 
 def _rotated_basis(s: StateSet, cut: Bipartition, seed: int, tol: float) -> StateSet | None:
@@ -764,10 +764,9 @@ def _rotated_basis(s: StateSet, cut: Bipartition, seed: int, tol: float) -> Stat
     (seed, _STREAM_ROTATION, i) and keeps the phase-fixed rows only when one
     schmidt_rank_table call grades every one of them entangled.
     """
-    basis = s.matrix()
     for i in range(_ROTATION_DRAWS):
         u = haar_unitary(len(s), np.random.default_rng([seed, _STREAM_ROTATION, i]))
-        found = StateSet(s.space, tuple(canonical_phase(PureState(s.space, row), tol) for row in u @ basis))
+        found = StateSet(s.space, tuple(canonical_phase(PureState(s.space, row), tol) for row in u @ s.matrix()))
         if schmidt_rank_table(found.matrix(), [cut], tol).min() >= 2:
             return found
     return None
@@ -842,7 +841,7 @@ def count_product_states_2d_2x2(s: StateSet, tol: float = DEFAULT_EPS) -> Produc
         raise ValueError(f"subspace must be 2-dimensional, got dim {len(s)}")
     eps = _eps(tol)
     cut = single_cut(s.space)
-    m1, m2 = (reshape(b, cut) for b in s.states)
+    m1, m2 = _reshapes(s, cut)
     alpha = complex(np.linalg.det(m1))
     gamma = complex(np.linalg.det(m2))
     beta = complex(np.linalg.det(m1 + m2)) - alpha - gamma

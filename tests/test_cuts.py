@@ -236,7 +236,7 @@ def test_rank_table_matches_per_state_passes():
 def test_rank_table_is_the_same_for_every_thread_count(monkeypatch):
     """Shares of the cuts run in threads; the table equals the one-thread loop's."""
     st = _rotated_family(5, 62)
-    amps = st.matrix()
+    amps = st.matrix().copy()
     amps[3] = 0.0
     amps[3, 8] = amps[3, 16] = 1 / math.sqrt(2)  # (|01> + |10>)|000>: rank 1 wherever parties 1, 2 stay together
     cuts = enumerate_cuts(st.space)
@@ -296,7 +296,7 @@ def test_rank_table_threads_under_fast_switching(monkeypatch):
     st = _rotated_family(6, 64)
     cuts = enumerate_cuts(st.space)
     want = schmidt_rank_table(st.matrix(), cuts, TOL).tolist()
-    amps = st.matrix()
+    amps = st.matrix().copy()
     amps[:, ::7] *= 1e-12  # ranks now differ from cut to cut
     monkeypatch.setattr(uebkit.cuts, "_usable_cpus", lambda: 1)
     skewed = schmidt_rank_table(amps, cuts, TOL).tolist()
@@ -440,7 +440,7 @@ def test_rank_table_matches_the_svd_loop(monkeypatch, eps):
         table = schmidt_rank_table(amps, cuts, eps).tolist()
         assert table == _svd_loop(amps, cuts, eps)
         assert all(k == min(c.dim_a, c.dim_b) for row in table for k, c in zip(row, cuts))  # full rank
-    amps = _rotated_family(6, 75).matrix()
+    amps = _rotated_family(6, 75).matrix().copy()
     cuts = enumerate_cuts(QuditDims((2,) * 6))
     amps[4] = 0.0  # an exact zero row has rank 0 everywhere
     amps[5] = basis_state(QuditDims((2,) * 6), 9).amps  # a product row
@@ -448,7 +448,7 @@ def test_rank_table_matches_the_svd_loop(monkeypatch, eps):
     table = schmidt_rank_table(amps, cuts, eps).tolist()
     assert table == _svd_loop(amps, cuts, eps)
     assert table[4] == [0] * len(cuts) and table[5] == [1] * len(cuts)
-    amps = _rotated_family(6, 64).matrix()
+    amps = _rotated_family(6, 64).matrix().copy()
     amps[:, ::7] *= 1e-12  # singular values spread over many scales
     assert schmidt_rank_table(amps, cuts, eps).tolist() == _svd_loop(amps, cuts, eps)
 

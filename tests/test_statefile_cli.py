@@ -198,6 +198,25 @@ def test_parse_refuses_non_finite_amplitudes(literal, tmp_path):
         assert got.stderr == "error: state 0, component 2: amplitude is not a finite number\n"
 
 
+@pytest.mark.parametrize("gram_fix", [False, True])
+def test_state_file_row_errors_keep_their_messages(gram_fix, tmp_path, capsys):
+    """A state of norm 2, and a NaN in the second of three rows, are refused with exit 3,
+    nothing on stdout and one error line naming the state, with or without the gram fix."""
+    e = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+    cases = {
+        "norm2.json": ([[[2.0, 0.0]] + e[0][1:]],
+                       "error: state 0: state norm 2.0 deviates from 1 by more than 1e-06\n"),
+        "nan.json": ([e[0], [[0.0, 0.0], [math.nan, 0.0]] + e[1][2:], e[2]],
+                     "error: state 1, component 1: amplitude is not a finite number\n"),
+    }
+    for name, (states, message) in cases.items():
+        path = tmp_path / name
+        path.write_text(json.dumps({"name": None, "dims": [2, 2], "kind": "UEB", "states": states}))
+        for command in ("verify", "analyze"):
+            assert uebkit.cli.main([command, str(path)] + ["--gram-fix"] * gram_fix) == 3
+            assert capsys.readouterr() == ("", message), (name, command)
+
+
 def test_parse_mixed_int_and_float_pairs_exactly():
     big = 2**70 + 1  # not a float: rounds to the nearest one, as complex() does
     doc = {"dims": [2, 2], "states": [[[big, 0.25], [-3, 1e-300], [0, 0], [1.5, -2]]]}
@@ -358,6 +377,37 @@ def test_cli_analyze_refuses_a_cut_without_completion(capsys):
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: --cut") and err.count("\n") == 1
+
+
+def test_cli_refuses_a_non_integer_cut_mask(capsys):
+    """A --cut that is not an integer is refused with one error line naming --cut and what it takes."""
+    for argv in (["verify", "eq1-ueb", "--kind", "ueb", "--cut", "abc"],
+                 ["analyze", "prop2a-set", "--completion", "entangled", "--cut", "abc"]):
+        assert uebkit.cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err == "error: --cut takes an integer cut mask, or 'all' for verify; got 'abc'\n", argv
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["construct", "eq1-ueb", "--d", "5"], "--d"),
+    (["construct", "nqubit-ueb", "--n", "4", "--d", "3"], "--d"),
+    (["construct", "bell-meb", "--d", "2", "--kets", "0"], "--kets"),
+    (["construct", "eq1-ueb", "--variant", "hadamard"], "--variant"),
+    (["verify", "eq1-ueb", "--gram-fix"], "--gram-fix"),
+])
+def test_cli_refuses_options_the_request_does_not_use(argv, option, monkeypatch, capsys):
+    """An option the named family or input never reads is refused before anything is built."""
+    def refused(*args, **kwargs):
+        raise AssertionError("built a set for a request it should have refused")
+
+    for builder in ("build_entry", "build_entry_with_verdict", "build_generator"):
+        monkeypatch.setattr(uebkit.cli, builder, refused)
+    assert uebkit.cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {argv[1]} takes no {option}")
 
 
 def _eq6_with_planes(path, keys):

@@ -1,5 +1,6 @@
 """State and subspace primitives: normalization, spans, phases, complements."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -143,6 +144,42 @@ def test_state_set_subspace_matrix_shape():
     rows = haar_unitary(6, np.random.default_rng(3))[:2]
     sub = uebkit.Subspace(SP23, tuple(PureState(SP23, r) for r in rows))
     assert len(sub) == 2 and np.array_equal(sub.matrix(), rows)
+
+
+def test_state_set_stores_one_read_only_matrix():
+    """A set keeps its rows once: matrix() hands out the same read-only array on every
+    call, and a set of PureStates and a set of their stacked rows hold the same bits."""
+    rows = haar_unitary(6, np.random.default_rng(12))[:4]
+    rows[1] *= 1 + 1e-8  # drift that the amplitude rule renormalizes
+    members = tuple(PureState(SP23, r) for r in rows)
+    from_states, from_rows = StateSet(SP23, members), StateSet(SP23, rows)
+    for st in (from_states, from_rows):
+        assert st.matrix() is st.matrix()
+        assert not st.matrix().flags.writeable
+        with pytest.raises(ValueError):
+            st.matrix()[0, 0] = 0.0
+        assert st.states is st.states
+    assert from_rows.matrix().tobytes() == from_states.matrix().tobytes()
+    assert all(a.amps.tobytes() == b.amps.tobytes() for a, b in zip(from_rows.states, members))
+    rows[0] = 0.0  # the set holds its own copy of the caller's rows
+    assert from_rows.matrix().tobytes() == from_states.matrix().tobytes()
+    renamed = dataclasses.replace(from_rows, name="renamed")
+    assert renamed.name == "renamed" and renamed.matrix().tobytes() == from_rows.matrix().tobytes()
+    empty = StateSet(SP23, ())
+    assert len(empty) == 0 and empty.matrix().shape == (0, 6) and empty.states == ()
+
+
+def test_state_set_rows_follow_the_amplitude_rule_of_pure_states():
+    """Each row is checked by the rule PureState applies, and the message names the row."""
+    rows = np.zeros((3, 4), dtype=np.complex128)
+    rows[0, 0] = rows[2, 2] = 1.0
+    for bad, value in (("norm", 2.0), ("finite", np.nan)):
+        rows[1, 1] = value
+        with pytest.raises(ValueError) as alone:
+            PureState(SP2, rows[1])
+        with pytest.raises(ValueError) as in_set:
+            StateSet(SP2, rows)
+        assert str(in_set.value) == f"state 1: {alone.value}", bad
 
 
 def test_orthonormalize_gram_identity():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import uebkit
 from uebkit import (
     BasisKind,
     Bipartition,
@@ -30,6 +31,7 @@ from uebkit import (
     count_product_states_2d_2x2,
     embed_meb,
     entangled_vector_search,
+    enumerate_cuts,
     find_maximally_entangled,
     find_product_state,
     haar_unitary,
@@ -853,6 +855,59 @@ def test_tolerance_boundary_applies_to_singular_values():
                 assert got.outcome is Outcome.REFUTED
                 assert v_cut.status is SubspaceStatus.CONTAINS_ENTANGLED
                 assert schmidt(v_cut.witness, cut, tol).rank == 2
+
+
+def _svd_probe(rows, cut, eps):
+    """Reference probe: batched SVDs of the basis reshapes, then of the normalized pair sums."""
+    r = uebkit.cuts.reshape_rows(rows, cut)
+    c = np.zeros(len(r), dtype=np.complex128)
+    hit = np.flatnonzero(np.linalg.svd(r, compute_uv=False)[:, 1] > eps)
+    if hit.size:
+        c[hit[0]] = 1.0
+        return c
+    for i in range(len(r) - 1):
+        hit = np.flatnonzero(np.linalg.svd((r[i] + r[i + 1:]) / math.sqrt(2.0), compute_uv=False)[:, 1] > eps)
+        if hit.size:
+            c[i] = c[i + 1 + hit[0]] = 1.0 / math.sqrt(2.0)
+            return c
+    return None
+
+
+def test_entangled_probe_matches_the_svd_reference():
+    """The probe counts sigma_2 > eps with the shared Schmidt-rank table; its coefficients equal
+    the SVD reference's on Haar spans, on locally rotated kets (where only the pair scan can hit,
+    or nothing can) and on the two spans whose sigma_2 values sit near eps."""
+    rng = np.random.default_rng(29)
+    spans = []
+    for dims in ((2, 3), (3, 3), (2, 2, 2)):
+        sp = QuditDims(dims)
+        for k in (1, 2, sp.total - 2):
+            z = rng.standard_normal((2, k, sp.total))
+            spans.append(orthonormalize(sp, z[0] + 1j * z[1]))
+        local = np.eye(1)
+        for d in dims:
+            local = np.kron(local, haar_unitary(d, rng))
+        for kets in ([0, 1], [0, sp.total - 1], [1, 2, sp.total - 1]):
+            spans.append(StateSet(sp, local[:, kets].T))  # product rows
+    delta = 1.7 * TOL
+    e = [basis_state(SP23, i).amps for i in range(6)]
+    fourier = _fourier_set(SP23, [e[2], e[3], e[5], (e[4] - delta * e[1]) / math.hypot(1.0, delta)])
+    spans.append(orthogonal_complement(fourier, TOL))
+    sp28 = QuditDims((2, 8))
+    spans.append(orthonormalize(sp28, [basis_state(sp28, i).amps + 0.6 * TOL * basis_state(sp28, 12).amps
+                                      for i in range(4)]))
+    kinds = []
+    for sub in spans:
+        for cut in enumerate_cuts(sub.space):
+            got = subspaces._entangled_probe(sub.matrix(), cut, TOL)
+            want = _svd_probe(sub.matrix(), cut, TOL)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.tobytes() == want.tobytes()
+                kinds.append(int(np.count_nonzero(got)))
+            else:
+                kinds.append(0)
+    assert {0, 1, 2} <= set(kinds)  # no hit, a basis row, a pair sum
 
 
 def test_a_refutation_without_a_witness_is_not_exact():

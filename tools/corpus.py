@@ -6,10 +6,11 @@
 The working tree's src/ is compared against src/ at REV, unpacked with
 `git archive` into a temporary directory. The inputs (the benchmark's
 seed-11 rotated n-qubit files, built by perfbench/workloads.py's
-NQubitInput, a plane file and a malformed file) are built once per run
-with the working tree. Each command group then runs on both trees, the
-tree that goes first alternating from group to group, each time in a fresh
-work directory holding only the inputs its commands name. The commands of
+NQubitInput, a plane file, a malformed file and two files with a bad
+state) are built once per run with the working tree. Each command group
+then runs on both trees, the tree that goes first alternating from group to
+group, each time in a fresh work directory holding only the inputs its
+commands name. The commands of
 a group run in order in that directory, so a group can construct a file
 and then verify it. For every command, stdout, stderr, the exit code and
 every file in the work directory afterwards must be byte-identical across
@@ -59,6 +60,11 @@ doc = json.loads("".join(uebkit.statefile.state_file_chunks(uebkit.build_entry("
 doc["planes"] = {"6": [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [s, 0], [s, 0], [0, 0]]]}
 (here / "eq6-plane6.json").write_text(json.dumps(doc, indent=2) + "\\n")
 (here / "malformed.json").write_text("not json\\n")
+# a state of norm 2, and a NaN amplitude in the second of three states
+e = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+bad = {"norm2.json": [[[2.0, 0.0]] + e[0][1:]], "nan.json": [e[0], [[0.0, 0.0], [math.nan, 0.0]] + e[1][2:], e[2]]}
+for name, states in bad.items():
+    (here / name).write_text(json.dumps({"name": None, "dims": [2, 2], "kind": "UEB", "states": states}) + "\\n")
 """
 
 
@@ -81,6 +87,11 @@ def command_groups() -> list[list[list[str]]]:
         [["construct", "dft-superposition", "--dims", ",".join(["2"] * 8), "--kets", W8_KETS, "-o", "w8.json"],
          ["verify", "w8.json", "--kind", "ueb-all-cuts"]],
         [["verify", "malformed.json"]],
+        [["verify", "norm2.json"]],
+        [["analyze", "nan.json", "--gram-fix"]],
+        [["verify", "eq1-ueb", "--kind", "ueb", "--cut", "abc"]],
+        [["construct", "eq1-ueb", "--d", "5"]],
+        [["verify", "eq1-ueb", "--gram-fix"]],
         [["verify", "eq1-ueb", "--tol", "0"]],
         [["verify", "eq1-ueb", "--seed", "-1"]],
         [["verify", "eq1-ueb", "--kind", "umeb"]],

@@ -120,6 +120,18 @@ MUTANTS = [
         "weak = []",
         ("tests/test_subspaces.py::test_verify_basis_flags_product_member_first",),
     ),
+    Mutant(
+        "unit-rule", "src/uebkit/states.py",  # the amplitude check of states and sets keeps drifted norms
+        "return amps / norm if abs(norm - 1.0) > _EXACT_SLACK else amps",
+        "return amps",
+        ("tests/test_states.py::test_small_norm_drift_is_renormalized",),
+    ),
+    Mutant(
+        "gram-check", "src/uebkit/states.py",  # a set of non-orthogonal rows is accepted
+        "if worst > DEFAULT_EPS:",
+        "if worst > 1.0:",
+        ("tests/test_states.py::test_state_set_requires_orthonormal_members",),
+    ),
 ]
 
 
