@@ -180,31 +180,32 @@ def _svd_ranks(stack: np.ndarray, eps: float) -> np.ndarray:
     return (np.linalg.svd(stack, compute_uv=False) > eps).sum(axis=1)
 
 
-def _qr_ranks(amps: np.ndarray, cut: Bipartition, buffer: np.ndarray, eps: float) -> np.ndarray:
-    """Schmidt ranks of every row of amps at cut, equal to _svd_ranks of its stack.
+def _node_ranks(amps: np.ndarray, cut: Bipartition, stack: np.ndarray, eps: float, depth: int) -> tuple:
+    """Schmidt ranks of every row of amps at cut, equal to _svd_ranks of its stack, and the
+    kept rows of its R factors (a view of stack), which the walk of schmidt_rank_table takes.
 
-    The stack is factored in place in its tall orientation (m x n, m >= n).
-    Member i keeps the leading h_i rows of its R, those above a tail of
-    Frobenius norm at most tau; T_i is their leading h_i x h_i triangle.
-    Member i is counted as h_i, with no SVD, when delta_i < eps and the
-    triangle bound
+    stack, a private (k, m, n) array factored in place, holds the members'
+    singular values at cut up to (depth - 1) * tau. Member i keeps the
+    leading h_i rows of its R, those above a tail of Frobenius norm at most
+    tau; T_i is their leading h_i x h_i triangle. With delta_i the margin
+    times depth, member i is counted as h_i, with no SVD, when delta_i < eps
+    and the triangle bound
 
         |det T_i| * ((h_i - 1) / |R_i|_F^2)^((h_i - 1) / 2) <= sigma_min(T_i)
 
     exceeds eps + delta_i. Every other member takes the SVD of its own
     matrix. schmidt_rank_table states why each count is the SVD's.
     """
-    stack = reshape_rows(amps, cut, out=buffer, tall=True)
-    n = stack.shape[2]
+    n = min(stack.shape[1:])
     _qr_in_place(stack)
     r = stack[:, :n]
-    np.copyto(r, 0, where=np.tri(n, k=-1, dtype=bool))  # clear the Householder vectors
+    np.copyto(r, 0, where=np.tri(n, stack.shape[2], k=-1, dtype=bool))  # clear the Householder vectors
     flat = r.view(np.float64)
     tails = np.einsum("kij,kij->ki", flat, flat)[:, ::-1].cumsum(axis=1)[:, ::-1]
     tau = _TAU * eps
     heights = (tails > tau * tau).sum(axis=1)
     norm2 = tails[:, 0]
-    delta = _margin(eps, cut.space.total, np.sqrt(norm2))
+    delta = depth * _margin(eps, cut.space.total, np.sqrt(norm2))
     # the bound as d_0 * prod_{0 < j < h} (d_j * sqrt(h - 1) / |R|_F): no factor exceeds
     # sqrt(h - 1), so nothing overflows, and h = 0 (norm2 <= tau^2) takes no division
     scale = np.sqrt(np.maximum(heights - 1, 0) / np.where(heights > 0, norm2, 1.0))
@@ -215,7 +216,27 @@ def _qr_ranks(amps: np.ndarray, cut: Bipartition, buffer: np.ndarray, eps: float
     rows = np.flatnonzero((delta >= eps) | (factors.prod(axis=1) <= eps + delta))
     if rows.size:
         counts[rows] = _svd_ranks(reshape_rows(amps[rows], cut), eps)
-    return counts
+    kept = r[:, : max(heights.max(), 1)]
+    kept[np.arange(kept.shape[1]) >= heights[:, None]] = 0  # each member's own tail is dropped
+    return counts, kept
+
+
+def _qr_ranks(amps: np.ndarray, cut: Bipartition, buffer: np.ndarray, eps: float) -> np.ndarray:
+    """Ranks at a root cut without children, from its tall stack (m >= n) copied into buffer."""
+    return _node_ranks(amps, cut, reshape_rows(amps, cut, out=buffer, tall=True), eps, 1)[0]
+
+
+def _child_stack(y: np.ndarray, parent: Bipartition, p: int, tall: bool) -> np.ndarray:
+    """A new (k, d_p * h, d_B / d_p) stack (tall: in its tall orientation) of the cut parent + {p}
+    from y, parent's (k, h, d_B) kept rows: p's digit moves from the columns into the rows."""
+    k, h, b = *y.shape[:2], parent.block_b
+    t = y.reshape((k, h) + tuple(parent.space.dims[i] for i in b))
+    j = 2 + b.index(p)
+    rows, cols = (j, 1), tuple(i for i in range(2, t.ndim) if i != j)
+    m = math.prod(t.shape[i] for i in rows)
+    if tall and m * m < y[0].size:
+        rows, cols, m = cols, rows, y[0].size // m
+    return np.array(t.transpose((0,) + rows + cols), order="C").reshape(k, m, -1)  # a copy, even of a view
 
 
 def _sparse_ranks(amps: np.ndarray, cuts: Sequence[Bipartition], eps: float) -> tuple[np.ndarray, np.ndarray]:
@@ -256,17 +277,50 @@ def _sparse_ranks(amps: np.ndarray, cuts: Sequence[Bipartition], eps: float) -> 
 
 
 def _dense_ranks(amps: np.ndarray, cuts: Sequence[Bipartition], eps: float) -> np.ndarray:
-    """(k, len(cuts)) ranks by the QR route, threaded as schmidt_rank_table states."""
+    """(k, len(cuts)) ranks by the QR route over the cut tree, threaded as schmidt_rank_table states."""
     ranks = np.empty((amps.shape[0], len(cuts)), dtype=int)
+    columns: dict[int, list[int]] = {}
+    for j, c in enumerate(cuts):
+        columns.setdefault(c.mask, []).append(j)
+    cut = {mask: cuts[js[0]] for mask, js in columns.items()}
+    children: dict[int, list[int]] = {mask: [] for mask in columns}
+    roots: list[int] = []
+    for mask in columns:  # a cut's parent moves the highest party of block A back to block B
+        children.get(mask ^ 1 << mask.bit_length() - 1, roots).append(mask)
+
+    def count(mask: int, stack: np.ndarray, depth: int) -> np.ndarray | None:
+        counts, kept = _node_ranks(amps, cut[mask], stack, eps, depth)
+        ranks[:, columns[mask]] = counts[:, None]
+        return kept.copy() if children[mask] else None  # a copy, so that the stack is freed
+
+    def walk(mask: int, parent: int, y: np.ndarray, depth: int) -> None:
+        y = count(mask, _child_stack(y, cut[parent], mask.bit_length() - 1, not children[mask]), depth)
+        for child in children[mask]:
+            walk(child, mask, y, depth + 1)
+
+    def nodes(mask: int) -> int:
+        return 1 + sum(map(nodes, children[mask]))
+
+    tasks = []
+    for mask in roots:  # QR writes through read-only views, so a root factors a new copy of the members
+        copy = np.empty(amps.size, dtype=np.complex128)
+        if children[mask]:
+            y = count(mask, reshape_rows(amps, cut[mask], out=copy), 1)
+            tasks += [(child, mask, y, 2) for child in children[mask]]
+        else:
+            ranks[:, columns[mask]] = _qr_ranks(amps, cut[mask], copy, eps)[:, None]
+    copy = None  # freed before the walk
     inline = amps.shape[0] <= 1 or amps.size < _THREADED_MIN_SIZE
-    width = 1 if inline else max(1, min(len(cuts), _usable_cpus()))
-    buffers = [np.empty(amps.size, dtype=np.complex128) for _ in range(width)]
+    width = 1 if inline else max(1, min(len(tasks), _usable_cpus()))
+    shares: list[list[tuple]] = [[] for _ in range(width)]
+    for task in sorted(tasks, key=lambda task: -nodes(task[0])):  # largest subtree to the least loaded share
+        min(shares, key=lambda share: sum(nodes(t[0]) for t in share)).append(task)
     errors: list[BaseException | None] = [None] * width
 
     def share(w: int) -> None:
         try:
-            for j in range(w, len(cuts), width):
-                ranks[:, j] = _qr_ranks(amps, cuts[j], buffers[w], eps)
+            for task in shares[w]:
+                walk(*task)
         except BaseException as exc:
             errors[w] = exc
 
@@ -305,17 +359,25 @@ def schmidt_rank_table(
     member with a value within the margin delta (below) of eps, or with
     delta >= eps, goes to the dense route instead.
 
-    The dense route counts every other member, at every cut by the QR route
-    (_qr_ranks): one batched Householder QR of the tall orientation of the
-    stack (singular values do not change under transposition), then for
-    each member A the trailing rows of R whose Frobenius norm is at most
-    tau = _TAU * eps are dropped, leaving the member's own kept height h.
-    By Weyl's inequality the dropped rows move each singular value by at
-    most tau, and the rounding of the QR adds a few ulps of |A|_F; the
-    margin delta = tau + _ROUNDING * D * u * |A|_F (u the unit roundoff)
-    covers both. With delta < eps, A's values past the h-th (at most tau,
-    plus rounding) stay below eps, so the count is h whenever the h-th
-    singular value of the kept rows exceeds eps + delta.
+    The dense route counts every other member by the QR route over the cut
+    tree, whose node A|B has parent A minus its highest party; a requested
+    cut whose parent is not requested is a root ({0} for all cuts, the cut
+    itself for one). Each node takes one batched Householder QR, in place,
+    of its stack, block A as rows where it has children, else tall, and each
+    member keeps the leading h rows of R above a tail of Frobenius norm at
+    most tau = _TAU * eps. Y, the first max h rows of every R with each
+    member's tail zeroed, gives the member's matrix as X Y plus that tail, X
+    an isometry never formed; the child moving party p factors Y with p's
+    digit moved into the rows, (max h * d_p) x (d_B / d_p), its matrix up to
+    the isometry X (x) I_p, a row permutation and the tail. Dropping rows
+    never raises a singular value, and by Weyl's inequality a dropped tail
+    moves one by at most tau, so at depth t (roots have depth 1) the values
+    lie within (t - 1) * tau of the member's. The margin delta = tau +
+    _ROUNDING * D * u * |A|_F (u the unit roundoff) covers that and the QR's
+    rounding, a few ulps of |A|_F, at depth 1, and depth t counts with t *
+    delta: with t * delta < eps, A's values past the h-th stay below eps, so
+    the count is h whenever the h-th singular value of the kept rows
+    exceeds eps + t * delta.
 
     That value is at least sigma_min(T) of the leading h x h triangle T of
     R, since deleting columns never raises singular values, and sigma_min(T)
@@ -324,28 +386,19 @@ def schmidt_rank_table(
     h - 1 of them multiply to at most (|R|_F^2 / (h - 1))^((h - 1) / 2).
     |det T| is the product of R's first h diagonal entries, so this bound
     costs a few vector operations per stack and certifies the count h of
-    almost every member of a rotated n-qubit family. A member with delta >=
-    eps, or whose bound does not exceed eps + delta, is counted by the SVD
-    of its own matrix, which is the reference count itself. The route pays
-    when the Schmidt ranks sit well below min(dim_a, dim_b), as across most
-    cuts of a multipartite family: a dense rank-2 16 x 16 matrix costs
-    LAPACK's SVD about as much as a full-rank one, its QR about a third of
-    that, and a thin cut's two-column stack takes two Householder steps.
+    almost every member of a rotated n-qubit family. A member with t * delta
+    >= eps, or whose bound does not exceed eps + t * delta, is counted by
+    the SVD of its own matrix at that cut: the reference count itself.
 
-    The dense route deals the cuts round-robin to width = min(len(cuts),
-    usable CPUs) shares: share w takes the cuts j with j % width == w, the
-    calling thread runs share 0 and one thread runs each other share
-    (numpy's QR and SVD release the GIL). A one-cut table starts no
-    thread, nor does a dense route of one member or of fewer than
-    _THREADED_MIN_SIZE amplitudes: there a second thread costs more than
-    the work it would spread. Each share owns one flat k*D complex buffer
-    (k the route's members), allocated by the calling thread, copies every
-    cut's transpose into it and factors that buffer (the QR in place), so
-    the route costs width*k*D*16 bytes beyond its input and each share
-    writes only its own columns of the result. Every
-    factorization sees the same matrices as in a one-thread loop over the
-    cuts, so the table is identical to that loop's. An exception raised in
-    any share is re-raised here after every thread has joined.
+    The walk goes depth first and frees a node's stack once its Y is copied
+    out. Roots are factored on the calling thread; the subtrees under their
+    children go, largest first, to the least loaded (in cuts) of min(subtrees,
+    usable CPUs) shares, walked by the calling thread and one thread each
+    (numpy's QR and SVD release the GIL), unless there is one member or are
+    fewer than _THREADED_MIN_SIZE amplitudes. Every node factors a new stack,
+    a root a copy of the members (numpy's in-place QR writes through read-only
+    views); each share writes only its own columns, so the table is the
+    one-thread walk's, and a share's exception is re-raised once all joined.
     """
     eps = _eps(tol)
     closed, sparse = _sparse_ranks(amps, cuts, eps)

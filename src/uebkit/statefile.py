@@ -140,9 +140,14 @@ def parse_state_file(
         raise StateFileError("states must be a nonempty list")
     if len(states_raw) > space.total:  # no repair can help, so refused before any row is read
         raise StateFileError(f"{len(states_raw)} states cannot be orthogonal in dimension {space.total}")
-    rows = np.empty((len(states_raw), space.total), dtype=np.complex128)
-    for i, raw in enumerate(states_raw):
-        rows[i] = _pair_vector(raw, space.total, f"state {i}")
+    try:  # one conversion; it would take bool and numeric str leaves too, so their types are checked
+        pairs = np.array(states_raw, dtype=np.float64)
+        whole = pairs.shape == (len(states_raw), space.total, 2) and np.isfinite(pairs).all() and set(
+            map(type, chain.from_iterable(chain.from_iterable(states_raw)))) <= {int, float}
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    rows = pairs.view(np.complex128).reshape(len(pairs), -1) if whole else np.array(  # else row by row, naming
+        [_pair_vector(raw, space.total, f"state {i}") for i, raw in enumerate(states_raw)])  # the bad one
     try:
         state_set = StateSet(space, rows, name=name)
     except ValueError as exc:

@@ -155,8 +155,8 @@ def inner(a: PureState, b: PureState) -> complex:
 class StateSet:
     """A finite orthonormal collection of states on one space, and the subspace it spans.
 
-    rows is a (k, D) array of amplitude rows or a sequence of PureStates on
-    the space. It is stored once, as the read-only complex128 (k, D) array
+    rows is a (k, D) array (or nested sequence) of amplitude rows or a
+    sequence of PureStates on the space. It is stored once, as the read-only complex128 (k, D) array
     that matrix() returns, each row under PureState's amplitude rule. Empty
     sets are permitted so searches can report size-zero results.
     """
@@ -170,8 +170,10 @@ class StateSet:
         total = self.space.total
         if len(rows) > total:
             raise ValueError(f"{len(rows)} states cannot be orthogonal in dimension {total}")
-        if isinstance(rows, tuple):
+        if isinstance(rows, tuple) and any(isinstance(st, PureState) for st in rows):
             for st in rows:
+                if not isinstance(st, PureState):
+                    raise ValueError("rows must be amplitude rows or PureStates, not a mix of both")
                 if st.space != self.space:
                     raise ValueError(f"space mismatch: {st.space} vs {self.space}")
             rows = [st.amps for st in rows]

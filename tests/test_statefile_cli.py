@@ -198,6 +198,34 @@ def test_parse_refuses_non_finite_amplitudes(literal, tmp_path):
         assert got.stderr == "error: state 0, component 2: amplitude is not a finite number\n"
 
 
+def test_malformed_state_rows_keep_their_messages(tmp_path):
+    """The state rows are converted in one call; a row that call cannot take, or takes wrongly
+    (a bool or a numeric string would convert), is refused row by row with the message of
+    the first bad component and exit 3."""
+    e = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+    bad = "error: state 1, component 1: expected an [re, im] number pair\n"
+    finite = "error: state 1, component 1: amplitude is not a finite number\n"
+    cases = {
+        "ragged": ([e[0], e[1][:3]], "error: state 1 must be a list of 4 [re, im] pairs\n"),
+        "string": ([e[0], [[0.0, 0.0], ["1.0", 0.0]] + e[1][2:]], bad),
+        "bool": ([e[0], [[0.0, 0.0], [True, 0.0]] + e[1][2:]], bad),
+        "triple": ([e[0], [[0.0, 0.0], [1.0, 0.0, 0.0]] + e[1][2:]], bad),
+        "nan": ([e[0], [[0.0, 0.0], [math.nan, 0.0]] + e[1][2:]], finite),
+        "bigint": ([e[0], [[0.0, 0.0], ["BIG", 0.0]] + e[1][2:]], finite),
+        "inf": ([e[0], [[0.0, 0.0], ["INF", 0.0]] + e[1][2:]], finite),
+    }
+    for name, (states, message) in cases.items():
+        text = json.dumps({"name": None, "dims": [2, 2], "kind": "UEB", "states": states})
+        text = text.replace('"BIG"', "9" * 400).replace('"INF"', "1e999")  # literals json.dumps cannot write
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        got = cli("verify", str(path))
+        assert (got.returncode, got.stdout, got.stderr) == (3, "", message), name
+    good = [e[0], [[0, 0], [1, 0], [0, 0], [0, 0]]]  # integer literals convert as before
+    assert parse_state_file(json.dumps({"dims": [2, 2], "states": good})).states.matrix().tolist() == [
+        [1, 0, 0, 0], [0, 1, 0, 0]]
+
+
 @pytest.mark.parametrize("gram_fix", [False, True])
 def test_state_file_row_errors_keep_their_messages(gram_fix, tmp_path, capsys):
     """A state of norm 2, and a NaN in the second of three rows, are refused with exit 3,

@@ -169,6 +169,19 @@ def test_state_set_stores_one_read_only_matrix():
     assert len(empty) == 0 and empty.matrix().shape == (0, 6) and empty.states == ()
 
 
+def test_state_set_takes_nested_lists_as_rows():
+    """A nested list of amplitudes is read as rows, like the array it spells; a sequence
+    mixing PureStates and rows is refused with a ValueError."""
+    sp = QuditDims((2, 2))
+    st = StateSet(sp, [[1, 0, 0, 0], [0, 0, 1j, 0]])
+    assert st.matrix().tolist() == [[1, 0, 0, 0], [0, 0, 1j, 0]]
+    assert StateSet(sp, [[1, 0, 0, 0]]).matrix().tobytes() == StateSet(sp, np.array([[1, 0, 0, 0]])).matrix().tobytes()
+    with pytest.raises(ValueError, match="amplitude rows or PureStates"):
+        StateSet(sp, [PureState(sp, [1, 0, 0, 0]), [0, 1, 0, 0]])
+    with pytest.raises(ValueError, match="not pairwise orthonormal"):
+        StateSet(sp, [[1, 0, 0, 0], [1, 0, 0, 0]])
+
+
 def test_state_set_rows_follow_the_amplitude_rule_of_pure_states():
     """Each row is checked by the rule PureState applies, and the message names the row."""
     rows = np.zeros((3, 4), dtype=np.complex128)

@@ -86,6 +86,10 @@ def command_groups() -> list[list[list[str]]]:
         [["construct", "nqubit-ueb", "--n", "7", "-o", "n7.json"], ["verify", "n7.json"], ["analyze", "n7.json"]],
         [["construct", "dft-superposition", "--dims", ",".join(["2"] * 8), "--kets", W8_KETS, "-o", "w8.json"],
          ["verify", "w8.json", "--kind", "ueb-all-cuts"]],
+        [["construct", "dft-superposition", "--dims", "3,2,2", "--kets", "100,010,001,200", "-o", "q322.json"],
+         ["verify", "q322.json", "--kind", "ueb-all-cuts"], ["analyze", "q322.json"]],
+        [["construct", "dft-superposition", "--dims", "2,3,2", "--kets", "100,010,001,020", "-o", "q232.json"],
+         ["verify", "q232.json", "--kind", "ueb-all-cuts"], ["analyze", "q232.json"]],
         [["verify", "malformed.json"]],
         [["verify", "norm2.json"]],
         [["analyze", "nan.json", "--gram-fix"]],

@@ -79,6 +79,24 @@ MUTANTS = [
         ("tests/test_cuts.py::test_sparse_route_near_the_tolerance",),
     ),
     Mutant(
+        "root-copy", "src/uebkit/cuts.py",  # a root stack factored as a view of the read-only members
+        "return _node_ranks(amps, cut, reshape_rows(amps, cut, out=buffer, tall=True), eps, 1)[0]",
+        "return _node_ranks(amps, cut, reshape_rows(amps, cut, tall=True), eps, 1)[0]",
+        ("tests/test_cuts.py::test_rank_table_leaves_a_read_only_input_unchanged",),
+    ),
+    Mutant(
+        "tree-height", "src/uebkit/cuts.py",  # a node's children take one row fewer than its kept height
+        "kept = r[:, : max(heights.max(), 1)]",
+        "kept = r[:, : max(heights.max() - 1, 1)]",
+        ("tests/test_cuts.py::test_cut_tree_walk_matches_the_svd_loop",),
+    ),
+    Mutant(
+        "tree-digit", "src/uebkit/cuts.py",  # the moved party's digit stays in the columns
+        "rows, cols = (j, 1), tuple(i for i in range(2, t.ndim) if i != j)",
+        "rows, cols = (1,), tuple(i for i in range(2, t.ndim) if i != j) + (j,)",
+        ("tests/test_cuts.py::test_cut_tree_walk_matches_the_svd_loop",),
+    ),
+    Mutant(
         "me-grade", "src/uebkit/subspaces.py",  # every ME witness in the band graded EXACT
         "grade = Grade.EXACT if is_maximally_entangled(witness, cut, tol) else Grade.NUMERICAL_EVIDENCE",
         "grade = Grade.EXACT",
