@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -137,13 +135,6 @@ def schmidt(p: PureState, cut: Bipartition, tol: float = DEFAULT_EPS) -> Schmidt
     return SchmidtData(cut=cut, coefficients=sv, rank=int((sv > eps).sum()))
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 # The routes of schmidt_rank_table: tau = _TAU * eps bounds the dropped tail
 # of R, and delta = tau + _ROUNDING * D * u * |A|_F (u the unit roundoff) is
 # the margin around eps inside which neither the triangle bound nor a
@@ -156,11 +147,6 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 def _margin(eps: float, total: int, norm: np.ndarray) -> np.ndarray:
     return _TAU * eps + _ROUNDING * total * _UNIT_ROUNDOFF * norm
 
-
-# Tables of fewer amplitudes (rows x D) run on the calling thread. On 2 cores,
-# two threads lost to one on the n-qubit families with n <= 6 (k*D <= 4032)
-# and drew level or won from n = 7 (k*D = 16256) up.
-_THREADED_MIN_SIZE = 8192
 
 try:  # geqrf over a stack, in place: np.linalg.qr would copy the stack and its triangle
     from numpy.linalg._umath_linalg import qr_r_raw as _geqrf
@@ -221,11 +207,6 @@ def _node_ranks(amps: np.ndarray, cut: Bipartition, stack: np.ndarray, eps: floa
     return counts, kept
 
 
-def _qr_ranks(amps: np.ndarray, cut: Bipartition, buffer: np.ndarray, eps: float) -> np.ndarray:
-    """Ranks at a root cut without children, from its tall stack (m >= n) copied into buffer."""
-    return _node_ranks(amps, cut, reshape_rows(amps, cut, out=buffer, tall=True), eps, 1)[0]
-
-
 def _child_stack(y: np.ndarray, parent: Bipartition, p: int, tall: bool) -> np.ndarray:
     """A new (k, d_p * h, d_B / d_p) stack (tall: in its tall orientation) of the cut parent + {p}
     from y, parent's (k, h, d_B) kept rows: p's digit moves from the columns into the rows."""
@@ -277,7 +258,8 @@ def _sparse_ranks(amps: np.ndarray, cuts: Sequence[Bipartition], eps: float) -> 
 
 
 def _dense_ranks(amps: np.ndarray, cuts: Sequence[Bipartition], eps: float) -> np.ndarray:
-    """(k, len(cuts)) ranks by the QR route over the cut tree, threaded as schmidt_rank_table states."""
+    """(k, len(cuts)) ranks by the QR route, one depth-first walk of the cut tree on the calling
+    thread, as schmidt_rank_table states."""
     ranks = np.empty((amps.shape[0], len(cuts)), dtype=int)
     columns: dict[int, list[int]] = {}
     for j, c in enumerate(cuts):
@@ -288,51 +270,24 @@ def _dense_ranks(amps: np.ndarray, cuts: Sequence[Bipartition], eps: float) -> n
     for mask in columns:  # a cut's parent moves the highest party of block A back to block B
         children.get(mask ^ 1 << mask.bit_length() - 1, roots).append(mask)
 
-    def count(mask: int, stack: np.ndarray, depth: int) -> np.ndarray | None:
+    def walk(mask: int, y: np.ndarray, depth: int) -> None:
+        """Fill the columns of mask's subtree from y: the members at a root, else the parent's kept rows."""
+        tall = not children[mask]
+        if depth == 1:  # QR writes through read-only views, so a root factors a new copy of the members
+            stack = reshape_rows(y, cut[mask], out=np.empty(y.size, dtype=np.complex128), tall=tall)
+        else:
+            p = mask.bit_length() - 1
+            stack = _child_stack(y, cut[mask ^ 1 << p], p, tall)
         counts, kept = _node_ranks(amps, cut[mask], stack, eps, depth)
         ranks[:, columns[mask]] = counts[:, None]
-        return kept.copy() if children[mask] else None  # a copy, so that the stack is freed
-
-    def walk(mask: int, parent: int, y: np.ndarray, depth: int) -> None:
-        y = count(mask, _child_stack(y, cut[parent], mask.bit_length() - 1, not children[mask]), depth)
-        for child in children[mask]:
-            walk(child, mask, y, depth + 1)
-
-    def nodes(mask: int) -> int:
-        return 1 + sum(map(nodes, children[mask]))
-
-    tasks = []
-    for mask in roots:  # QR writes through read-only views, so a root factors a new copy of the members
-        copy = np.empty(amps.size, dtype=np.complex128)
         if children[mask]:
-            y = count(mask, reshape_rows(amps, cut[mask], out=copy), 1)
-            tasks += [(child, mask, y, 2) for child in children[mask]]
-        else:
-            ranks[:, columns[mask]] = _qr_ranks(amps, cut[mask], copy, eps)[:, None]
-    copy = None  # freed before the walk
-    inline = amps.shape[0] <= 1 or amps.size < _THREADED_MIN_SIZE
-    width = 1 if inline else max(1, min(len(tasks), _usable_cpus()))
-    shares: list[list[tuple]] = [[] for _ in range(width)]
-    for task in sorted(tasks, key=lambda task: -nodes(task[0])):  # largest subtree to the least loaded share
-        min(shares, key=lambda share: sum(nodes(t[0]) for t in share)).append(task)
-    errors: list[BaseException | None] = [None] * width
+            y = kept.copy()
+            del stack, kept  # freed before the subtree
+            for child in children[mask]:
+                walk(child, y, depth + 1)
 
-    def share(w: int) -> None:
-        try:
-            for task in shares[w]:
-                walk(*task)
-        except BaseException as exc:
-            errors[w] = exc
-
-    threads = [threading.Thread(target=share, args=(w,)) for w in range(1, width)]
-    for th in threads:
-        th.start()
-    share(0)
-    for th in threads:
-        th.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    for mask in roots:
+        walk(mask, amps, 1)
     return ranks
 
 
@@ -390,15 +345,9 @@ def schmidt_rank_table(
     >= eps, or whose bound does not exceed eps + t * delta, is counted by
     the SVD of its own matrix at that cut: the reference count itself.
 
-    The walk goes depth first and frees a node's stack once its Y is copied
-    out. Roots are factored on the calling thread; the subtrees under their
-    children go, largest first, to the least loaded (in cuts) of min(subtrees,
-    usable CPUs) shares, walked by the calling thread and one thread each
-    (numpy's QR and SVD release the GIL), unless there is one member or are
-    fewer than _THREADED_MIN_SIZE amplitudes. Every node factors a new stack,
-    a root a copy of the members (numpy's in-place QR writes through read-only
-    views); each share writes only its own columns, so the table is the
-    one-thread walk's, and a share's exception is re-raised once all joined.
+    The walk goes depth first on the calling thread and frees a node's stack
+    once its Y is copied out. Every node factors a new stack, a root a copy
+    of the members, since numpy's in-place QR writes through read-only views.
     """
     eps = _eps(tol)
     closed, sparse = _sparse_ranks(amps, cuts, eps)

@@ -2,7 +2,6 @@
 
 import functools
 import math
-import sys
 import threading
 
 import numpy as np
@@ -233,8 +232,9 @@ def test_rank_table_matches_per_state_passes():
             for c in enumerate_cuts(SP3)] == [None, 2, None]
 
 
-def test_rank_table_is_the_same_for_every_thread_count(monkeypatch):
-    """Shares of the cut tree run in threads; the table equals the one-thread walk's."""
+def test_rank_table_matches_the_loop_with_a_planted_member():
+    """The table equals the per-state loop and the SVD loop, also for a member whose rank
+    differs from cut to cut, and a one-cut table its column."""
     st = _rotated_family(5, 62)
     amps = st.matrix().copy()
     amps[3] = 0.0
@@ -242,33 +242,13 @@ def test_rank_table_is_the_same_for_every_thread_count(monkeypatch):
     cuts = enumerate_cuts(st.space)
     loop = [[schmidt(PureState(st.space, row), c, TOL).rank for c in cuts] for row in amps]
     assert min(loop[3]) == 1 and max(loop[3]) == 2
-    seen: set[threading.Thread] = set()
-    qr = uebkit.cuts._qr_in_place
-
-    def recording_qr(stack):
-        seen.add(threading.current_thread())  # held here, so no two threads compare equal
-        return qr(stack)
-
-    # every node of the cut tree takes one QR in the share that walks it. The root 1|2345,
-    # factored on the calling thread, has the 4 children 1p|.. (p = 2..5), whose subtrees
-    # of 8, 4, 2 and 1 cuts go to min(width, 4) shares, so that many threads factor
-    monkeypatch.setattr(uebkit.cuts, "_qr_in_place", recording_qr)
-    monkeypatch.setattr(uebkit.cuts, "_THREADED_MIN_SIZE", 0)  # this small table would run inline
-    for width in (1, 2, 3, 64):
-        monkeypatch.setattr(uebkit.cuts, "_usable_cpus", lambda: width)
-        seen.clear()
-        table = schmidt_rank_table(amps, cuts, TOL)
-        assert table.tolist() == loop
-        assert len(seen) == min(width, 4)
-    # a one-cut table starts no thread, whatever the CPU count
-    seen.clear()
-    schmidt_rank_table(amps, cuts[:1], TOL)
-    assert seen == {threading.current_thread()}
+    assert schmidt_rank_table(amps, cuts, TOL).tolist() == loop == _svd_loop(amps, cuts, TOL)
+    assert schmidt_rank_table(amps, cuts[:1], TOL).tolist() == [row[:1] for row in loop]
 
 
-def test_one_row_tables_start_no_thread(monkeypatch):
-    """A one-row table runs inline, and so does a small one; the three-qubit classifier
-    builds one per state."""
+def test_no_rank_table_starts_a_thread(monkeypatch):
+    """Every table runs on the calling thread: a one-row table, which the three-qubit classifier
+    builds once per state, a small one and the rotated n = 7 family's 127 x 128 amplitudes."""
     starts = []
     start = threading.Thread.start
 
@@ -276,73 +256,17 @@ def test_one_row_tables_start_no_thread(monkeypatch):
         starts.append(self)
         return start(self)
 
-    monkeypatch.setattr(uebkit.cuts, "_usable_cpus", lambda: 4)
     monkeypatch.setattr(threading.Thread, "start", counting_start)
     family = three_qubit_mixed_ueb()
     cuts = enumerate_cuts(family.space)
     labels = [classify_three_qubit(p, TOL).label for p in family.states]
-    assert len(labels) == 7 and not starts
+    assert len(labels) == 7
     assert schmidt_rank_table(family.matrix()[:1], cuts, TOL).tolist() == [[2, 2, 2]]
-    assert not starts
-    # a table under _THREADED_MIN_SIZE amplitudes runs inline, a larger one of two rows
-    # spreads the subtrees under the root 1|23 over the usable CPUs: its two children
-    # 12|3 and 13|2 make two shares, the calling thread's and one started thread
-    assert family.matrix().size < uebkit.cuts._THREADED_MIN_SIZE
     schmidt_rank_table(family.matrix(), cuts, TOL)
+    large = _rotated_family(7, 65)
+    assert large.matrix().size == 127 * 128
+    assert schmidt_rank_table(large.matrix(), enumerate_cuts(large.space), TOL).min() == 2
     assert not starts
-    monkeypatch.setattr(uebkit.cuts, "_THREADED_MIN_SIZE", 16)
-    schmidt_rank_table(family.matrix()[:2], cuts, TOL)
-    assert len(starts) == 1
-
-
-def test_rank_table_threads_under_fast_switching(monkeypatch):
-    """More shares than cores and a tiny switch interval: no column is lost or mixed up."""
-    st = _rotated_family(6, 64)
-    cuts = enumerate_cuts(st.space)
-    want = schmidt_rank_table(st.matrix(), cuts, TOL).tolist()
-    amps = st.matrix().copy()
-    amps[:, ::7] *= 1e-12  # ranks now differ from cut to cut
-    monkeypatch.setattr(uebkit.cuts, "_usable_cpus", lambda: 1)
-    skewed = schmidt_rank_table(amps, cuts, TOL).tolist()
-    assert skewed != want
-    monkeypatch.setattr(uebkit.cuts, "_usable_cpus", lambda: 8)
-    monkeypatch.setattr(uebkit.cuts, "_THREADED_MIN_SIZE", 0)
-    got = []
-
-    def repeat() -> None:
-        for _ in range(10):
-            got.append(schmidt_rank_table(st.matrix(), cuts, TOL).tolist())
-            got.append(schmidt_rank_table(amps, cuts, TOL).tolist())
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runner = threading.Thread(target=repeat, daemon=True)
-        runner.start()
-        runner.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not runner.is_alive()
-    assert got == [want, skewed] * 10
-
-
-def test_rank_table_reraises_a_worker_failure(monkeypatch):
-    st = _rotated_family(4, 63)
-    cuts = enumerate_cuts(st.space)
-    qr = uebkit.cuts._qr_in_place
-
-    def failing_qr(stack):
-        if threading.current_thread() is not threading.main_thread():
-            raise np.linalg.LinAlgError("QR did not converge")
-        return qr(stack)
-
-    monkeypatch.setattr(uebkit.cuts, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(uebkit.cuts, "_THREADED_MIN_SIZE", 0)
-    monkeypatch.setattr(uebkit.cuts, "_qr_in_place", failing_qr)
-    baseline = threading.active_count()
-    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-        schmidt_rank_table(st.matrix(), cuts, TOL)
-    assert threading.active_count() == baseline
 
 
 def _svd_loop(amps: np.ndarray, cuts, eps: float) -> list[list[int]]:
@@ -354,7 +278,7 @@ def _svd_loop(amps: np.ndarray, cuts, eps: float) -> list[list[int]]:
 
 def _kept_height(matrix: np.ndarray, eps: float) -> int:
     """The rows of the R factor of matrix, in its tall orientation, above a tail of
-    Frobenius norm at most tau = _TAU * eps: the height _qr_ranks keeps."""
+    Frobenius norm at most tau = _TAU * eps: the height _node_ranks keeps."""
     tall = matrix if matrix.shape[0] >= matrix.shape[1] else matrix.T
     rows = (np.abs(np.linalg.qr(tall, mode="r")) ** 2).sum(axis=1)
     return int((rows[::-1].cumsum()[::-1] > (uebkit.cuts._TAU * eps) ** 2).sum())
@@ -662,12 +586,10 @@ def test_rank_table_truncation_keeps_tails_above_tau():
     m[0, 0], m[1, 2], m[2, 2] = math.sqrt(1 - 2 * b * b), b, b  # already upper triangular: R = m
     p = PureState(sp, unreshape(m, cut))
     assert np.linalg.svd(m, compute_uv=False)[1] > TOL
-    table = schmidt_rank_table(p.amps[None], [cut], TOL)
-    assert table.tolist() == [[2]] == _svd_loop(p.amps[None], [cut], TOL)
     # the member has three nonzero amplitudes, so it takes the QR route, where R = m keeps
     # the two b entries in two rows: the last kept one is the tail of norm 0.8 eps
-    buffer = np.empty(sp.total, dtype=np.complex128)
-    assert uebkit.cuts._qr_ranks(p.amps[None], cut, buffer, TOL).tolist() == [2]
+    table = schmidt_rank_table(p.amps[None], [cut], TOL)
+    assert table.tolist() == [[2]] == _svd_loop(p.amps[None], [cut], TOL)
 
 
 def test_rank_table_bound_inside_the_margin_falls_back(monkeypatch):

@@ -80,8 +80,8 @@ MUTANTS = [
     ),
     Mutant(
         "root-copy", "src/uebkit/cuts.py",  # a root stack factored as a view of the read-only members
-        "return _node_ranks(amps, cut, reshape_rows(amps, cut, out=buffer, tall=True), eps, 1)[0]",
-        "return _node_ranks(amps, cut, reshape_rows(amps, cut, tall=True), eps, 1)[0]",
+        "stack = reshape_rows(y, cut[mask], out=np.empty(y.size, dtype=np.complex128), tall=tall)",
+        "stack = reshape_rows(y, cut[mask], tall=tall)",
         ("tests/test_cuts.py::test_rank_table_leaves_a_read_only_input_unchanged",),
     ),
     Mutant(
