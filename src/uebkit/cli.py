@@ -209,15 +209,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = _config(args)
     st, _kind, planes, info, gate = _resolve_input(args, cfg)
     rank_table = gate.rank_table if gate is not None else None
-    complement = gate.complement if gate is not None else None
+    # a catalog gate already holds the complement
+    complement = gate.complement if gate is not None else orthogonal_complement(st, args.tol)
     completion = None
     strong = None
     if args.completion is not None:
         mode = _MODES[args.completion]
         cut = Bipartition(st.space, mask) if mask is not None else None
-        result = completion_search(st, mode, cfg, args.tol, cut=cut)
-        complement = result.complement
-        completion = completion_payload(mode, result)
+        completion = completion_payload(mode, completion_search(complement, mode, cfg, args.tol, cut=cut))
         d = recognize_padded_square_meb(st, args.tol) if st.space.parties == 2 else None
         if d is not None:
             ext = extend_padded_square_meb(st, d)
@@ -230,8 +229,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             }
         else:
             strong = {"status": "OUT_OF_SCOPE"}
-    if complement is None:
-        complement = orthogonal_complement(st, args.tol)
     indist = None
     if st.space.dims == (2, 2, 2):
         try:

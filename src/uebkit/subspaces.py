@@ -10,7 +10,8 @@ a factor, say a(x)b and a(x)d; a third member e(x)f with e independent of a
 would need f parallel to both b and d, so every member carries the factor a.
 The same argument shows that when all basis vectors are product but the span
 is not, some sum of two basis vectors is entangled. The support ranks are
-singular-value counts, checked against the tolerance as in the Schmidt rank.
+Schmidt ranks of the basis's purification (support_ranks), counted against
+the tolerance by the same table as the members' ranks.
 
 Randomized searches share two batched drivers. The first is projected
 gradient ascent on the complex unit sphere of coefficient vectors, with
@@ -52,12 +53,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .cuts import (
     Bipartition,
+    _margin,
     enumerate_cuts,
     is_maximally_entangled,
     is_product,
@@ -70,7 +72,9 @@ from .cuts import (
 from .states import (
     DEFAULT_EPS,
     PureState,
+    QuditDims,
     StateSet,
+    _EXACT_SLACK,
     _eps,
     canonical_phase,
     haar_unitary,
@@ -270,29 +274,66 @@ def _entangled_probe(rows: np.ndarray, cut: Bipartition, eps: float) -> np.ndarr
     return None
 
 
+def support_ranks(s: StateSet, cuts: Sequence[Bipartition], tol: float = DEFAULT_EPS) -> np.ndarray:
+    """Support ranks of the subspace at each cut: the smaller of the counts of
+    singular values above eps of its k basis reshapes stacked by rows
+    (k dA x dB) and by columns (k dB x dA). Every M(c) has its rows and
+    columns in those spans, so this caps the Schmidt rank in the subspace, and
+    by the lemma above it is at most 1 exactly when the subspace is only-product.
+
+    Both stacks are reshapes of the purification Psi = sum_i |i>_R (x) b_i,
+    with a new first party R of dimension k, at the cuts R+A | B and R+B | A,
+    so one single-member schmidt_rank_table call counts every cut, under the
+    certificate of the member ranks. A ray is its own Psi (QuditDims has no
+    party of dimension 1).
+
+    First a dimension lemma settles a cut at min(dA, dB) = r + 1, with no
+    count. For the row stack X, X^H X = tr_A P^T <= dA lam I, P the span's
+    projector and lam = 1 + k DEFAULT_EPS a bound on the Gram matrix that
+    StateSet checks, and |X|_F^2 >= k (1 - _EXACT_SLACK)^2, the bound on
+    member norms. At most r counted values, each within the table's rounding
+    margin delta of the exact one, give |X|_F^2 <= r dA lam + (dB - r)
+    (eps + delta)^2. So when k (1 - _EXACT_SLACK)^2 exceeds this bound and
+    its mirror with dA and dB swapped, both counts exceed r. For
+    min(dA, dB) = 2 this settles the cut as not only-product; the eps^2 term
+    stays, since the tolerance is the caller's.
+    """
+    if len(s) == 0:
+        raise ValueError("empty subspace")
+    eps = _eps(tol)
+    k, m = len(s), s.matrix()
+    da = np.array([c.dim_a for c in cuts], dtype=int)
+    db = np.array([c.dim_b for c in cuts], dtype=int)
+    ranks = np.minimum(da, db)
+    r = ranks - 1
+    lam = 1.0 + k * DEFAULT_EPS
+    slack = (eps + _margin(eps, k * s.space.total, math.sqrt(k))) ** 2
+    wide = k * (1.0 - _EXACT_SLACK) ** 2
+    counted = np.flatnonzero((wide <= r * da * lam + (db - r) * slack) | (wide <= r * db * lam + (da - r) * slack))
+    if not counted.size:
+        return ranks
+    if k == 1:
+        ranks[counted] = schmidt_rank_table(m, [cuts[j] for j in counted], eps)[0]
+        return ranks
+    space = QuditDims((k,) + s.space.dims)
+    full = (1 << s.space.parties) - 1
+    purified = [Bipartition(space, a << 1 | 1) for j in counted for a in (cuts[j].mask, full ^ cuts[j].mask)]
+    table = schmidt_rank_table(m.reshape(1, -1), purified, eps)[0]
+    ranks[counted] = np.minimum(table[0::2], table[1::2])
+    return ranks
+
+
 def only_product_across_cut(s: StateSet, cut: Bipartition, tol: float = DEFAULT_EPS) -> bool:
     """Exact decision: does the subspace contain only product vectors at the cut?
 
-    By the lemma above this is a Schmidt-rank bound of at most 1.
+    By the lemma above this is a support rank of at most 1.
     """
     return schmidt_rank_upper_bound(s, cut, tol) <= 1
 
 
 def schmidt_rank_upper_bound(s: StateSet, cut: Bipartition, tol: float = DEFAULT_EPS) -> int:
-    """Exact upper bound on the Schmidt rank attainable inside the subspace.
-
-    Rows of every M(c) live in the span of all basis-reshape rows, columns in
-    the span of all columns, so the rank is capped by both support dimensions.
-    """
-    if len(s) == 0:
-        raise ValueError("empty subspace")
-    eps = _eps(tol)
-    r = _reshapes(s, cut)
-    rows = r.reshape(-1, r.shape[2])
-    cols = r.transpose(0, 2, 1).reshape(-1, r.shape[1])
-    r_rows = int((np.linalg.svd(rows, compute_uv=False) > eps).sum())
-    r_cols = int((np.linalg.svd(cols, compute_uv=False) > eps).sum())
-    return min(r_rows, r_cols)
+    """Exact upper bound on the Schmidt rank attainable inside the subspace: its support rank."""
+    return int(support_ranks(s, [cut], tol)[0])
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -648,9 +689,10 @@ def find_maximally_entangled(
     """Search for a maximally entangled vector of the subspace.
 
     Exact refusals come first, each NO_ME_FOUND graded EXACT on the support
-    ranks of schmidt_rank_upper_bound: at most 1 certifies an only-product
-    subspace, which cannot contain one, and a cap below min(dA,dB) rules out
-    full Schmidt rank.
+    rank (support_ranks: the dimension lemma, else the purification's
+    schmidt_rank_table): at most 1 certifies an only-product subspace, which
+    cannot contain one, and a cap below min(dA,dB) rules out full Schmidt
+    rank.
     Otherwise _two_rounds runs the search: every start climbs the linear
     entropy, for _SHORT_STEPS steps and, when no polished endpoint verifies,
     on to _SMOOTH_STEPS steps; after each round Gauss-Newton steps on
@@ -722,7 +764,7 @@ def max_schmidt_rank_in_subspace(
     every r x r minor vanishes, a proper algebraic subset of coefficient
     space, so a random c reaches r with probability 1 (the argument of the
     rotated-basis ENTANGLED route). The value is a lower bound on r, and
-    schmidt_rank_upper_bound gives an exact upper bound.
+    the support rank (support_ranks) an exact upper bound.
     """
     if len(s) == 0:
         raise ValueError("empty subspace")
@@ -781,11 +823,11 @@ def max_orthogonal_set(
 ) -> CompletionResult:
     """Largest orthonormal set of the requested kind found inside the subspace.
 
-    ENTANGLED is decided exactly. An only-product subspace holds no
-    entangled vector (exact refusal, nothing found). Otherwise its product
-    vectors form a proper real-algebraic subset of its unit sphere, so each
-    member of a Haar-rotated orthonormal basis is entangled with probability
-    1, and the whole rotated basis is returned. Its certificate is the one
+    ENTANGLED is decided exactly. An only-product subspace, support rank at
+    most 1, holds no entangled vector (exact refusal, nothing found).
+    Otherwise its product vectors form a proper real-algebraic subset of its
+    unit sphere, so each member of a Haar-rotated orthonormal basis is
+    entangled with probability 1, and the whole rotated basis is returned. Its certificate is the one
     the UEB gate grades EXACT: every member's Schmidt rank, from
     schmidt_rank_table, is at least 2. A draw with a member at sigma_2 <=
     eps is redrawn from the next seeded rotation; only a subspace within
@@ -877,9 +919,11 @@ def verify_basis(
     - COMPLETE_BASIS, and kind COMPLETE either way: the complement's
       dimension, the number of the set's singular values at most eps
       (orthogonal_complement);
-    - ONLY_PRODUCT at a cut: support ranks at most 1
-      (schmidt_rank_upper_bound, by the lemma above); VERIFIED for the UEB
-      kinds needs it at every cut;
+    - ONLY_PRODUCT at a cut: support rank at most 1, by the lemma above,
+      counted for every cut at once by support_ranks in one schmidt_rank_table
+      of the complement's purification; a cut where the dimension lemma
+      settles the support rank at min(dA, dB) >= 2 takes no count. VERIFIED
+      for the UEB kinds needs ONLY_PRODUCT at every cut;
     - CONTAINS_ENTANGLED at a cut: a witness in the complement whose own
       Schmidt rank is at least 2; REFUTED for the UEB kinds needs one;
     - UMEB: an EXACT verdict of find_maximally_entangled on the complement,
@@ -932,8 +976,8 @@ def verify_basis(
             return BasisVerdict(kind, Outcome.INCONCLUSIVE, (v,), comp, grade=Grade.NUMERICAL_EVIDENCE)
         return BasisVerdict(kind, Outcome.VERIFIED, (v,), comp, grade=Grade.NUMERICAL_EVIDENCE)
     per_cut: list[SubspaceVerdict] = []
-    for c in cuts:
-        if only_product_across_cut(comp, c, tol):
+    for c, bound in zip(cuts, support_ranks(comp, cuts, tol)):
+        if bound <= 1:
             per_cut.append(SubspaceVerdict(c, SubspaceStatus.ONLY_PRODUCT, Grade.EXACT))
             continue
         witness = entangled_vector_search(comp, c, tol)
@@ -952,24 +996,24 @@ def verify_basis(
 
 
 def completion_search(
-    st: StateSet,
+    comp: StateSet,
     mode: SetMode,
     cfg: SearchConfig = SearchConfig(),
     tol: float = DEFAULT_EPS,
     cut: Bipartition | None = None,
 ) -> CompletionResult:
-    """Try to extend the set to a full orthogonal basis of the requested kind.
+    """Try to extend a set to a full orthogonal basis of the requested kind,
+    given comp, the set's orthogonal complement (orthogonal_complement).
 
-    A set that already spans the space is complete: YES with nothing found.
-    Otherwise max_orthogonal_set answers on the set's orthogonal complement,
-    across cut, which defaults to the one cut of two parties and must be
-    given for more parties.
+    A set that already spans the space, an empty comp, is complete: YES with
+    nothing found. Otherwise max_orthogonal_set answers on comp across cut,
+    which defaults to the one cut of two parties and must be given for more
+    parties.
     """
-    comp = orthogonal_complement(st, tol)
     if len(comp) == 0:
-        return CompletionResult(StateSet(st.space, ()), Completable.YES, comp, "input already spans the space")
+        return CompletionResult(StateSet(comp.space, ()), Completable.YES, comp, "input already spans the space")
     if cut is None:
-        if st.space.parties > 2:
+        if comp.space.parties > 2:
             raise ValueError("completion on more than two parties needs --cut <mask>")
-        cut = single_cut(st.space)
+        cut = single_cut(comp.space)
     return max_orthogonal_set(comp, cut, mode, cfg, tol)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import uebkit.cuts
+import uebkit.subspaces
 from uebkit.cuts import reshape_rows
 from uebkit import (
     CATALOG,
@@ -33,6 +34,7 @@ from uebkit import (
     is_maximally_entangled,
     is_product,
     n_qubit_ueb,
+    orthogonal_complement,
     random_state,
     reshape,
     schmidt,
@@ -667,8 +669,9 @@ def test_rank_table_columns_follow_a_relabelling_of_the_parties():
 
 def test_rank_table_leaves_a_read_only_input_unchanged():
     """numpy's in-place QR writes through read-only views, so every root factors a copy: the
-    members of an all-cuts table, and of a one-cut table whose tall stack is the members'
-    own layout (block A the leading parties, d_A >= d_B), are left bit-identical."""
+    members of an all-cuts table, of a one-cut table whose tall stack is the members' own
+    layout (block A the leading parties, d_A >= d_B), and the complement rows whose support
+    ranks support_ranks counts are left bit-identical."""
     st = _rotated_family(5, 98)
     amps = st.matrix()
     assert not amps.flags.writeable
@@ -679,3 +682,10 @@ def test_rank_table_leaves_a_read_only_input_unchanged():
     cut = Bipartition(st.space, 0b00111)  # 123|45: an 8 x 4 stack, the rows of amps as they lie
     assert schmidt_rank_table(amps, [cut], TOL).tolist() == _svd_loop(amps, [cut], TOL)
     assert amps.tobytes() == before
+    # support ranks of a complement: a ray takes its own row, a plane its purification's table
+    for comp in (orthogonal_complement(st, TOL), orthogonal_complement(StateSet(st.space, amps[:-1]), TOL)):
+        m = comp.matrix()
+        assert not m.flags.writeable
+        before = m.tobytes()
+        assert uebkit.subspaces.support_ranks(comp, cuts, TOL).min() >= 1
+        assert m.tobytes() == before

@@ -624,26 +624,29 @@ def test_process_entry_freezes_the_import_time_heap():
 
 
 def test_verify_and_analyze_compute_one_rank_table(tmp_path, monkeypatch, capsys):
+    """One member table per command, shared by the gate and the report; a verified
+    complement adds one single-row table, its support ranks (here the ray itself)."""
     path = tmp_path / "ueb5.json"
     save_state_file(path, uebkit.n_qubit_ueb(5), kind=BasisKind.UEB_ALL_CUTS)
     calls = []
     table = uebkit.cuts.schmidt_rank_table
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append((len(args[0]), len(args[1])))
         return table(*args, **kwargs)
 
     for mod in (uebkit.subspaces, uebkit.report):
         monkeypatch.setattr(mod, "schmidt_rank_table", counting)
-    for argv in (["verify", str(path)], ["analyze", str(path)], ["verify", "eq6-mixed-ueb"],
-                 ["analyze", "eq6-mixed-ueb"]):
+    for argv, want in ((["verify", str(path)], [(31, 15), (1, 15)]), (["analyze", str(path)], [(31, 15)]),
+                       (["verify", "eq6-mixed-ueb"], [(7, 3), (1, 3)]),
+                       (["analyze", "eq6-mixed-ueb"], [(7, 3), (1, 3)])):
         calls.clear()
         assert uebkit.cli.main(argv) == 0
-        assert [len(cuts) for cuts in calls] == [15 if argv[1] == str(path) else 3], argv
+        assert calls == want, argv
     # a one-cut gate leaves the all-cuts table to the report
     calls.clear()
     assert uebkit.cli.main(["verify", str(path), "--kind", "ueb", "--cut", "3"]) == 0
-    assert [len(cuts) for cuts in calls] == [1, 15]
+    assert calls == [(31, 1), (1, 1), (31, 15)]
     capsys.readouterr()
 
 
@@ -684,6 +687,25 @@ def _spy(monkeypatch, name):
         if getattr(mod, "__name__", "").startswith("uebkit") and getattr(mod, name, None) is real:
             monkeypatch.setattr(mod, name, counting)
     return calls
+
+
+def test_catalog_completion_reuses_the_gate_complement(monkeypatch, capsys, tmp_path):
+    """analyze <catalog id> --completion searches the complement the catalog gate computed:
+    one orthogonal_complement call, and the report of the same set read from a state file,
+    whose complement is computed afresh, apart from the input block."""
+    path = tmp_path / "eq1.json"
+    save_state_file(path, build_entry("eq1-ueb"), kind=BasisKind.UEB, name="eq1-ueb")
+    complements = _spy(monkeypatch, "orthogonal_complement")
+    reports = []
+    for ref in ("eq1-ueb", str(path)):
+        complements.clear()
+        assert uebkit.cli.main(["analyze", ref, "--completion", "entangled"]) == 0
+        assert len(complements) == 1, ref
+        reports.append(json.loads(capsys.readouterr().out))
+    for doc in reports:
+        doc.pop("input")
+    assert reports[0] == reports[1]
+    assert reports[0]["completion"]["completable"] == "NO_EXACT"
 
 
 def test_each_command_gates_a_catalog_entry_once(monkeypatch, capsys):
@@ -765,7 +787,9 @@ def test_analyze_computes_one_complement(monkeypatch, capsys, tmp_path):
 def test_analyze_classifies_each_three_qubit_vector_once(monkeypatch, capsys, tmp_path):
     """The slocc block reads the class labels of the states block and
     classifies only a one-dimensional complement ray: eq6-mixed-ueb has 7
-    members and a complement ray, eq5-w-ueb 6 members and a complement plane."""
+    members and a complement ray, eq5-w-ueb 6 members and a complement plane.
+    A catalog gate also counts the complement's support ranks in one
+    single-row table."""
     path = tmp_path / "eq6.json"
     save_state_file(path, build_entry("eq6-mixed-ueb"), kind=BasisKind.UEB_ALL_CUTS, name="eq6-mixed-ueb")
     classified, tables = [], []
@@ -783,7 +807,7 @@ def test_analyze_classifies_each_three_qubit_vector_once(monkeypatch, capsys, tm
         monkeypatch.setattr(mod, "classify_from_ranks", counting_classify)
     for mod in (uebkit.subspaces, uebkit.report, uebkit.slocc):
         monkeypatch.setattr(mod, "schmidt_rank_table", counting_table)
-    for ref, want in (("eq6-mixed-ueb", (8, [7, 1])), (str(path), (8, [7, 1])), ("eq5-w-ueb", (6, [6]))):
+    for ref, want in (("eq6-mixed-ueb", (8, [7, 1, 1])), (str(path), (8, [7, 1])), ("eq5-w-ueb", (6, [6, 1]))):
         classified.clear()
         tables.clear()
         assert uebkit.cli.main(["analyze", ref]) == 0

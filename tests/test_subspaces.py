@@ -440,11 +440,11 @@ def test_max_entangled_completion_of_rotated_bell_states_in_2x4():
     Gauss-Newton polish still grades every step EXACT."""
     for draw in range(3):
         rng = np.random.default_rng([34, draw])
-        res = completion_search(_rotated_bell_states_in_2x4(3, rng), SetMode.MAX_ENTANGLED,
-                                SearchConfig(seed=draw), TOL)
+        comp = orthogonal_complement(_rotated_bell_states_in_2x4(3, rng), TOL)
+        res = completion_search(comp, SetMode.MAX_ENTANGLED, SearchConfig(seed=draw), TOL)
         assert (res.completable, len(res.found)) == (Completable.YES, 5), draw
-        res = completion_search(_rotated_bell_states_in_2x4(2, rng), SetMode.MAX_ENTANGLED,
-                                SearchConfig(seed=draw), TOL)
+        comp = orthogonal_complement(_rotated_bell_states_in_2x4(2, rng), TOL)
+        res = completion_search(comp, SetMode.MAX_ENTANGLED, SearchConfig(seed=draw), TOL)
         assert res.complement_dim == 6 and len(res.found) >= 4, draw
 
 
@@ -453,7 +453,7 @@ def test_max_entangled_completion_passes_a_local_maximum_of_sigma_min():
     at a local maximum (0.70623) that is not maximally entangled; the polished
     endpoints of the other starts still supply the fourth state."""
     st = _rotated_bell_states_in_2x4(2, np.random.default_rng([31, 2, 6]))
-    res = completion_search(st, SetMode.MAX_ENTANGLED, SearchConfig(seed=1), TOL)
+    res = completion_search(orthogonal_complement(st, TOL), SetMode.MAX_ENTANGLED, SearchConfig(seed=1), TOL)
     assert len(res.found) == 4
 
 
@@ -513,7 +513,7 @@ def test_umeb_witness_outside_the_band_is_inconclusive(monkeypatch):
     (v,) = got.per_cut
     assert v.status is SubspaceStatus.NO_ME_FOUND
     assert v.reason == subspaces._OUTSIDE_BAND
-    res = completion_search(st, SetMode.MAX_ENTANGLED, SearchConfig(seed=0), TOL)
+    res = completion_search(orthogonal_complement(st, TOL), SetMode.MAX_ENTANGLED, SearchConfig(seed=0), TOL)
     assert res.completable is Completable.NO_EVIDENCE
     assert res.reason == subspaces._OUTSIDE_BAND
 
@@ -695,29 +695,30 @@ def test_state_driven_refutations_survive_extension():
 
 def test_completion_search_modes():
     triple = build_generator("prop2a-set")
-    got = completion_search(triple, SetMode.ENTANGLED, SearchConfig(starts=16, seed=0))
+    got = completion_search(orthogonal_complement(triple, TOL), SetMode.ENTANGLED, SearchConfig(starts=16, seed=0))
     assert got.completable is Completable.YES
     assert len(got.found.states) == 3
 
-    got = completion_search(triple, SetMode.MAX_ENTANGLED, SearchConfig(starts=16, seed=0))
+    got = completion_search(orthogonal_complement(triple, TOL), SetMode.MAX_ENTANGLED, SearchConfig(starts=16, seed=0))
     assert got.completable is Completable.NO_EXACT
     assert len(got.found.states) == 1
 
     # a set that already spans the space is complete, whatever the mode
-    got = completion_search(bell_meb(2), SetMode.ENTANGLED)
+    got = completion_search(orthogonal_complement(bell_meb(2), TOL), SetMode.ENTANGLED)
     assert got.completable is Completable.YES
     assert (len(got.found), got.complement_dim) == (0, 0)
     assert got.reason == "input already spans the space"
     # so on more than two parties, where any other set needs a cut
     every = StateSet(SP3, tuple(basis_state(SP3, i) for i in range(8)))
-    assert completion_search(every, SetMode.ENTANGLED).completable is Completable.YES
+    assert completion_search(orthogonal_complement(every, TOL), SetMode.ENTANGLED).completable is Completable.YES
     with pytest.raises(ValueError, match="needs --cut <mask>"):
-        completion_search(build_entry("eq6-mixed-ueb"), SetMode.ENTANGLED)
+        completion_search(orthogonal_complement(build_entry("eq6-mixed-ueb"), TOL), SetMode.ENTANGLED)
 
 
 def test_completion_search_refuses_unextendible_families():
     # an only-product complement yields an exact refusal with nothing found
-    got = completion_search(build_entry("eq1-ueb"), SetMode.ENTANGLED, SearchConfig(starts=16, seed=0))
+    comp = orthogonal_complement(build_entry("eq1-ueb"), TOL)
+    got = completion_search(comp, SetMode.ENTANGLED, SearchConfig(starts=16, seed=0))
     assert got.completable is Completable.NO_EXACT
     assert len(got.found.states) == 0
     assert got.complement_dim == 1
@@ -741,7 +742,7 @@ def test_entangled_completion_of_a_product_block_plus_one_direction():
             comp = orthonormalize(space, block + extra)
             st = orthogonal_complement(comp, TOL)
             cfg = SearchConfig(starts=0, seed=trial)
-            got = completion_search(st, SetMode.ENTANGLED, cfg, TOL)
+            got = completion_search(orthogonal_complement(st, TOL), SetMode.ENTANGLED, cfg, TOL)
             assert (got.completable, got.complement_dim) == (want, len(comp)), (dims, trial)
             added = got.found.matrix()
             assert len(added) == (len(comp) if want is Completable.YES else 0)
@@ -753,7 +754,7 @@ def test_entangled_completion_of_a_product_block_plus_one_direction():
 
             us = [haar_unitary(d, rng) for d in dims]
             moved = StateSet(space, tuple(apply_local_unitaries(p, us) for p in st.states))
-            again = completion_search(moved, SetMode.ENTANGLED, cfg, TOL)
+            again = completion_search(orthogonal_complement(moved, TOL), SetMode.ENTANGLED, cfg, TOL)
             assert (again.completable, again.complement_dim, len(again.found)) == (want, len(comp), len(added))
 
 
@@ -768,7 +769,7 @@ def test_entangled_completion_near_the_tolerance():
         delta = scale * TOL
         comp = orthonormalize(SP2, [basis_state(SP2, 0).amps, np.array([0.0, 1.0, delta, 0.0])])
         st = orthogonal_complement(comp, TOL)
-        got = completion_search(st, SetMode.ENTANGLED, SearchConfig(starts=0), TOL)
+        got = completion_search(orthogonal_complement(st, TOL), SetMode.ENTANGLED, SearchConfig(starts=0), TOL)
         assert (got.completable, len(got.found)) == (want, found), scale
         if want is Completable.NO_EVIDENCE:
             assert "within tolerance of only-product" in got.reason
@@ -934,6 +935,153 @@ def test_a_refutation_without_a_witness_is_not_exact():
         assert (v_cut.status, v_cut.grade, v_cut.witness) == (SubspaceStatus.CONTAINS_ENTANGLED,
                                                               Grade.NUMERICAL_EVIDENCE, None), i
         assert schmidt_rank_upper_bound(got.complement, v_cut.cut, TOL) == 2, i
+
+
+def _svd_support_rank(sub, cut, eps):
+    """Reference support rank: SVD counts of the basis reshapes stacked by rows and by columns."""
+    r = uebkit.cuts.reshape_rows(sub.matrix(), cut)
+    stacks = (r.reshape(-1, r.shape[2]), r.transpose(0, 2, 1).reshape(-1, r.shape[1]))
+    return min(int((np.linalg.svd(x, compute_uv=False) > eps).sum()) for x in stacks)
+
+
+def _product_block(dims, side, count, rng):
+    """Rows of a locally rotated product block: a fixed vector of party `side` times `count`
+    orthonormal vectors of the other party, as amplitude rows of the two-block space dims."""
+    fixed = haar_unitary(dims[side], rng)[:, 0]
+    spread = haar_unitary(dims[1 - side], rng)[:, :count].T
+    return [np.kron(fixed, b) if side == 0 else np.kron(b, fixed) for b in spread]
+
+
+def test_support_ranks_match_the_svd_reference():
+    """The purification table behind the dimension lemma counts what the SVDs of the stacked
+    rows and columns count, at every cut: Haar spans of every size over two to five parties
+    with a qutrit in several places, locally rotated product blocks (a (x) C^m and C^m (x) b,
+    with and without one more random direction), and the two spans of aim 2 whose values sit
+    near eps, at a small, the default and nearly the largest accepted tolerance."""
+    rng = np.random.default_rng(47)
+    spans = []
+    for dims in ((2, 3), (3, 3), (2, 4), (3, 4), (2, 2, 3), (3, 3, 2), (2, 3, 2, 2), (2,) * 5):
+        sp = QuditDims(dims)
+        for k in sorted({1, 2, 3, sp.total // 2, sp.total - 2, sp.total - 1}):
+            z = rng.standard_normal((2, k, sp.total))
+            spans.append(orthonormalize(sp, z[0] + 1j * z[1]))
+        two = (dims[0], sp.total // dims[0])  # the cut 1|rest as two blocks
+        for side in (0, 1):
+            for count in (1, two[1 - side] - 1, two[1 - side]):
+                block = _product_block(two, side, count, rng)
+                spans.append(orthonormalize(sp, block))
+                spans.append(orthonormalize(sp, block + [random_state(sp, rng).amps]))
+    delta = 1.7 * TOL
+    e = [basis_state(SP23, i).amps for i in range(6)]
+    fourier = _fourier_set(SP23, [e[2], e[3], e[5], (e[4] - delta * e[1]) / math.hypot(1.0, delta)])
+    spans.append(orthogonal_complement(fourier, TOL))
+    sp28 = QuditDims((2, 8))
+    spans.append(orthonormalize(sp28, [basis_state(sp28, i).amps + 0.6 * TOL * basis_state(sp28, 12).amps
+                                      for i in range(4)]))
+    for tol in (1e-12, TOL, 9e-4):
+        for sub in spans:
+            cuts = enumerate_cuts(sub.space)
+            want = [_svd_support_rank(sub, c, tol) for c in cuts]
+            assert subspaces.support_ranks(sub, cuts, tol).tolist() == want, (sub.space, len(sub), tol)
+            assert [schmidt_rank_upper_bound(sub, c, tol) for c in cuts] == want
+
+
+def _two_party_variants(sub, rng):
+    """sub, its party swap, and each of the two under a Haar local unitary."""
+    da, db = sub.space.dims
+    swapped = StateSet(QuditDims((db, da)), sub.matrix().reshape(-1, da, db).transpose(0, 2, 1).reshape(len(sub), -1))
+    out = [sub, swapped]
+    for base in (sub, swapped):
+        u = np.kron(*(haar_unitary(d, rng) for d in base.space.dims))
+        out.append(StateSet(base.space, base.matrix() @ u.T))
+    return out
+
+
+def test_dimension_lemma_boundary(monkeypatch):
+    """a (x) C^dB has k = dB members and support rank 1, which the purification table counts,
+    since the lemma's bound dB + (dA - 1)(eps + delta)^2 is not exceeded. One vector more, in
+    2x4, is settled at support rank 2 by the lemma alone, with no table, and the probe's
+    witness refutes it. In C^dA (x) b only the other column of the table is 1. In 3x4 a span
+    exceeds both bounds 2 * dB and 2 * dA only at k = 9, where the lemma settles rank 3, and a
+    set whose complement is a (x) C^4 is a UEB. Each holds under a Haar local unitary and the
+    party swap."""
+    tables = []
+    table = uebkit.cuts.schmidt_rank_table
+
+    def counting(*args, **kwargs):
+        tables.append(len(args[1]))
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(subspaces, "schmidt_rank_table", counting)
+    rng = np.random.default_rng(48)
+    sp24, sp34 = QuditDims((2, 4)), QuditDims((3, 4))
+    a_c4 = _product_block((2, 4), 0, 4, rng)
+    c2_b = _product_block((2, 4), 1, 2, rng)
+    a_c4_3 = _product_block((3, 4), 0, 4, rng)
+    z = rng.standard_normal((2, 9, 12))
+    cases = [  # span, support rank, counted by the table
+        (orthonormalize(sp24, a_c4), 1, True),
+        (orthonormalize(sp24, a_c4 + [random_state(sp24, rng).amps]), 2, False),
+        (orthonormalize(sp24, c2_b), 1, True),
+        (orthonormalize(sp24, c2_b + [random_state(sp24, rng).amps]), 2, True),
+        (orthonormalize(sp34, a_c4_3), 1, True),
+        (orthonormalize(sp34, a_c4_3 + [random_state(sp34, rng).amps]), 3, True),
+        (orthonormalize(sp34, z[0, :8] + 1j * z[1, :8]), 3, True),
+        (orthonormalize(sp34, z[0] + 1j * z[1]), 3, False),
+    ]
+    for i, (span, want, counted) in enumerate(cases):
+        for j, sub in enumerate(_two_party_variants(span, rng)):
+            cut = single_cut(sub.space)
+            tables.clear()
+            assert subspaces.support_ranks(sub, [cut], TOL).tolist() == [want], (i, j)
+            assert tables == ([2] if counted else []), (i, j)
+            assert _svd_support_rank(sub, cut, TOL) == want, (i, j)
+            witness = entangled_vector_search(sub, cut, TOL)
+            assert only_product_across_cut(sub, cut, TOL) is (want == 1) is (witness is None), (i, j)
+            if witness is not None:
+                assert schmidt(witness, cut, TOL).rank >= 2 and _in_span(sub, witness.amps), (i, j)
+            if sub.space.total == 12 and len(sub) <= 5:  # the members of a set around it can be entangled
+                got = verify_basis(_fourier_set(sub.space, list(orthogonal_complement(sub, TOL).matrix())),
+                                   BasisKind.UEB, tol=TOL)
+                assert got.offending_state is None, (i, j)
+                (v_cut,) = got.per_cut
+                if want == 1:
+                    assert (got.outcome, got.grade, v_cut.status) == (
+                        Outcome.VERIFIED, Grade.EXACT, SubspaceStatus.ONLY_PRODUCT), (i, j)
+                else:
+                    assert (got.outcome, got.grade, v_cut.grade) == (Outcome.REFUTED, Grade.EXACT, Grade.EXACT), (i, j)
+                    assert _in_span(sub, v_cut.witness.amps), (i, j)
+
+
+def test_dimension_lemma_refutes_every_cut_of_a_small_set(monkeypatch):
+    """Three Haar states of three qubits leave a complement of dimension 5 = dB + 1 at each
+    2|4 cut: the lemma settles every cut, so verify_basis takes no support-rank table, and each
+    cut is refuted with a witness in the complement. With four states (k = dB) every cut is
+    counted. Both hold under Haar local unitaries and every party permutation."""
+    rng = np.random.default_rng(49)
+    z = rng.standard_normal((2, 4, 8))
+    table = uebkit.cuts.schmidt_rank_table
+    supports = []
+
+    def counting(*args, **kwargs):
+        if len(args[0]) == 1:  # a single-member table here is the complement's purification
+            supports.append(len(args[1]))
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(subspaces, "schmidt_rank_table", counting)
+    for k, want in ((3, []), (4, [6])):
+        base = orthonormalize(SP3, z[0, :k] + 1j * z[1, :k])
+        for perm in itertools.permutations(range(3)):
+            us = [haar_unitary(2, rng) for _ in range(3)]
+            moved = StateSet(SP3, tuple(apply_local_unitaries(
+                PureState(SP3, p.amps.reshape(2, 2, 2).transpose(perm).reshape(-1)), us) for p in base.states))
+            supports.clear()
+            got = verify_basis(moved, BasisKind.UEB_ALL_CUTS, tol=TOL)
+            assert supports == want, (k, perm)
+            assert (got.outcome, got.grade, got.complement_dim) == (Outcome.REFUTED, Grade.EXACT, 8 - k), (k, perm)
+            for v in got.per_cut:
+                assert v.status is SubspaceStatus.CONTAINS_ENTANGLED and v.grade is Grade.EXACT, (k, perm)
+                assert schmidt(v.witness, v.cut, TOL).rank >= 2 and _in_span(got.complement, v.witness.amps)
 
 
 def _norm(v):

@@ -41,7 +41,12 @@ ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 300
 CATALOG_IDS = ("eq1-ueb", "eq2-ueb", "eq3-meb", "eq3-in-2x3", "eq3-eq4-meb", "eq5-w-ueb", "eq6-mixed-ueb",
                "appendix-4qubit")
-W8_KETS = ",".join("0" * i + "1" + "0" * (7 - i) for i in range(8))
+
+
+def w_kets(n: int) -> str:
+    """The n weight-1 kets of n qubits, as the --kets of dft-superposition."""
+    return ",".join("0" * i + "1" + "0" * (n - 1 - i) for i in range(n))
+
 
 # Run in a child process with the working tree's src/ and perfbench/ on sys.path, in the input directory.
 BUILD_INPUTS = """
@@ -81,11 +86,12 @@ def command_groups() -> list[list[list[str]]]:
         [["analyze", "prop2a-set", "--completion", "max-entangled"]],
         [["verify", "prop2a-set", "--kind", "umeb"]],
         [["analyze", "eq6-mixed-ueb", "--completion", "entangled", "--cut", "3"]],
+        [["analyze", "eq1-ueb", "--completion", "entangled"]],
         [["construct", "embed-meb", "--d", "3", "--n", "1", "-o", "embed.json"], ["verify", "embed.json"],
          ["analyze", "embed.json"], ["analyze", "embed.json", "--completion", "max-entangled"]],
         [["construct", "nqubit-ueb", "--n", "7", "-o", "n7.json"], ["verify", "n7.json"], ["analyze", "n7.json"]],
-        [["construct", "dft-superposition", "--dims", ",".join(["2"] * 8), "--kets", W8_KETS, "-o", "w8.json"],
-         ["verify", "w8.json", "--kind", "ueb-all-cuts"]],
+        *([["construct", "dft-superposition", "--dims", ",".join(["2"] * n), "--kets", w_kets(n), "-o", f"w{n}.json"],
+           ["verify", f"w{n}.json", "--kind", "ueb-all-cuts"]] for n in (8, 9)),
         [["construct", "dft-superposition", "--dims", "3,2,2", "--kets", "100,010,001,200", "-o", "q322.json"],
          ["verify", "q322.json", "--kind", "ueb-all-cuts"], ["analyze", "q322.json"]],
         [["construct", "dft-superposition", "--dims", "2,3,2", "--kets", "100,010,001,020", "-o", "q232.json"],

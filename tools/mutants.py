@@ -139,6 +139,18 @@ MUTANTS = [
         ("tests/test_subspaces.py::test_verify_basis_flags_product_member_first",),
     ),
     Mutant(
+        "support-one-column", "src/uebkit/subspaces.py",  # support ranks read only the R+A|B column
+        "ranks[counted] = np.minimum(table[0::2], table[1::2])",
+        "ranks[counted] = table[0::2]",
+        ("tests/test_subspaces.py::test_dimension_lemma_boundary",),
+    ),
+    Mutant(
+        "lemma-min-dim", "src/uebkit/subspaces.py",  # the dimension lemma bounds by min(dA, dB) on both sides
+        "(wide <= r * da * lam + (db - r) * slack) | (wide <= r * db * lam + (da - r) * slack)",
+        "(wide <= r * ranks * lam + (db - r) * slack) | (wide <= r * ranks * lam + (da - r) * slack)",
+        ("tests/test_subspaces.py::test_dimension_lemma_boundary",),
+    ),
+    Mutant(
         "unit-rule", "src/uebkit/states.py",  # the amplitude check of states and sets keeps drifted norms
         "return amps / norm if abs(norm - 1.0) > _EXACT_SLACK else amps",
         "return amps",
