@@ -109,15 +109,6 @@ def reshape(p: PureState, cut: Bipartition) -> np.ndarray:
     return reshape_rows(p.amps[None], cut)[0]
 
 
-def unreshape(matrix: np.ndarray, cut: Bipartition) -> np.ndarray:
-    """Invert reshape: matrix for a cut back to a flat amplitude vector."""
-    dims = cut.space.dims
-    perm = cut.block_a + cut.block_b
-    t = np.asarray(matrix, dtype=np.complex128).reshape([dims[i] for i in perm])
-    inverse = np.argsort(perm)
-    return np.ascontiguousarray(t.transpose(inverse).reshape(-1))
-
-
 @dataclass(frozen=True, eq=False)
 class SchmidtData:
     """Schmidt coefficients (nonincreasing, squares summing to 1) and rank at a cut."""
@@ -371,10 +362,3 @@ def is_maximally_entangled(p: PureState, cut: Bipartition, tol: float = DEFAULT_
     data = schmidt(p, cut, tol)
     k = min(cut.dim_a, cut.dim_b)
     return data.rank == k and float(data.coefficients[0] - data.coefficients[k - 1]) < eps
-
-
-def is_genuinely_entangled(p: PureState, tol: float = DEFAULT_EPS) -> bool:
-    """Entangled (Schmidt rank >= 2) across every bipartition."""
-    if p.space.parties < 2:
-        raise ValueError("genuine entanglement needs at least two parties")
-    return all(not is_product(p, cut, tol) for cut in enumerate_cuts(p.space))

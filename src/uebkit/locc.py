@@ -37,14 +37,6 @@ def symmetric_bell_plane() -> np.ndarray:
     return np.array([[s, 0.0, 0.0, s], [0.0, s, s, 0.0]], dtype=np.complex128)
 
 
-def lone_party_for_cut(cut: Bipartition) -> int:
-    """The party that keeps its system when the cut isolates a single party."""
-    for block in (cut.block_a, cut.block_b):
-        if len(block) == 1:
-            return block[0]
-    raise ValueError(f"cut {cut.label} does not isolate a single party")
-
-
 @dataclass(frozen=True, eq=False)
 class ProjectionResult:
     """Projected two-qubit states (lone party first, plane index second)."""

@@ -53,18 +53,6 @@ class LoadedStateFile:
 def _pair_vector(raw: object, length: int, what: str) -> np.ndarray:
     if not isinstance(raw, list) or len(raw) != length:
         raise StateFileError(f"{what} must be a list of {length} [re, im] pairs")
-    if (
-        set(map(type, raw)) == {list}
-        and set(map(len, raw)) == {2}
-        and set(map(type, chain.from_iterable(raw))) <= {int, float}
-    ):
-        try:
-            out = np.array(raw, dtype=np.float64).view(np.complex128).reshape(length)
-        except OverflowError:  # an integer literal beyond float range
-            pass
-        else:
-            if np.isfinite(out).all():
-                return out
     # one component at a time, to name the first bad one
     out = np.empty(length, dtype=np.complex128)
     for i, pair in enumerate(raw):

@@ -11,7 +11,9 @@ would need f parallel to both b and d, so every member carries the factor a.
 The same argument shows that when all basis vectors are product but the span
 is not, some sum of two basis vectors is entangled. The support ranks are
 Schmidt ranks of the basis's purification (support_ranks), counted against
-the tolerance by the same table as the members' ranks.
+the tolerance by the same table as the members' ranks. Where they exceed 1,
+one witness probe (_entangled_probe) serves every such cut: it tables the
+basis vectors, then the pair sums, at all cuts still without a witness.
 
 Randomized searches share two batched drivers. The first is projected
 gradient ascent on the complex unit sphere of coefficient vectors, with
@@ -53,6 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -250,28 +253,31 @@ def _reshapes(s: StateSet, cut: Bipartition) -> np.ndarray:
     return reshape_rows(s.matrix(), cut)
 
 
-def _entangled_probe(rows: np.ndarray, cut: Bipartition, eps: float) -> np.ndarray | None:
-    """Coefficients of the first basis row with sigma_2 > eps, else of the
-    first normalized pair sum with sigma_2 > eps; None when neither exists.
-    Each sigma_2 > eps is a Schmidt rank of at least 2 in schmidt_rank_table.
+def _entangled_probe(s: StateSet, cuts: Sequence[Bipartition], tol: float) -> list[PureState | None]:
+    """Per cut, the phase-fixed first basis vector with Schmidt rank >= 2 at
+    that cut, else the first normalized pair sum (b_i + b_j) / sqrt(2),
+    i < j in lexicographic order, with rank >= 2 there; None when neither
+    exists. With no cut it takes no table.
 
-    By the lemma above, when every basis vector is product some pair sum is
-    entangled unless the span is only-product, so the pair scan runs to the
-    end only on only-product spans.
+    The basis is tabled once at every cut, then the pair sums of each i at
+    the cuts still open, so every cut gets the vector a scan of that cut
+    alone gives. By the lemma above, when every basis vector is product
+    some pair sum is entangled unless the span is only-product, so a cut
+    stays open to the end only where the span is within tolerance of
+    only-product.
     """
-    k = len(rows)
-    c = np.zeros(k, dtype=np.complex128)
-    hit = np.flatnonzero(schmidt_rank_table(rows, [cut], eps)[:, 0] >= 2)
-    if hit.size:
-        c[hit[0]] = 1.0
-        return c
-    for i in range(k - 1):
-        sums = (rows[i] + rows[i + 1:]) / math.sqrt(2.0)
-        hit = np.flatnonzero(schmidt_rank_table(sums, [cut], eps)[:, 0] >= 2)
-        if hit.size:
-            c[i] = c[i + 1 + hit[0]] = 1.0 / math.sqrt(2.0)
-            return c
-    return None
+    m, eye, root2 = s.matrix(), np.eye(len(s), dtype=np.complex128), math.sqrt(2.0)
+    pairs = (((m[i] + m[i + 1:]) / root2, (eye[i] + eye[i + 1:]) / root2) for i in range(len(s) - 1))
+    picked: list[np.ndarray | None] = [None] * len(cuts)
+    for rows, coeffs in chain([(m, eye)], pairs):
+        todo = [j for j, c in enumerate(picked) if c is None]
+        if not todo:
+            break
+        hit = schmidt_rank_table(rows, [cuts[j] for j in todo], tol) >= 2
+        for j, col in zip(todo, hit.T):
+            if col.any():
+                picked[j] = coeffs[col.argmax()]
+    return [None if c is None else _coeff_state(s, c, tol) for c in picked]
 
 
 def support_ranks(s: StateSet, cuts: Sequence[Bipartition], tol: float = DEFAULT_EPS) -> np.ndarray:
@@ -321,19 +327,6 @@ def support_ranks(s: StateSet, cuts: Sequence[Bipartition], tol: float = DEFAULT
     table = schmidt_rank_table(m.reshape(1, -1), purified, eps)[0]
     ranks[counted] = np.minimum(table[0::2], table[1::2])
     return ranks
-
-
-def only_product_across_cut(s: StateSet, cut: Bipartition, tol: float = DEFAULT_EPS) -> bool:
-    """Exact decision: does the subspace contain only product vectors at the cut?
-
-    By the lemma above this is a support rank of at most 1.
-    """
-    return schmidt_rank_upper_bound(s, cut, tol) <= 1
-
-
-def schmidt_rank_upper_bound(s: StateSet, cut: Bipartition, tol: float = DEFAULT_EPS) -> int:
-    """Exact upper bound on the Schmidt rank attainable inside the subspace: its support rank."""
-    return int(support_ranks(s, [cut], tol)[0])
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -716,7 +709,7 @@ def find_maximally_entangled(
     if len(s) == 0:
         raise ValueError("empty subspace")
     dmin = min(cut.dim_a, cut.dim_b)
-    bound = schmidt_rank_upper_bound(s, cut, tol)
+    bound = support_ranks(s, [cut], tol)[0]
     if bound <= 1:
         return SubspaceVerdict(cut, SubspaceStatus.NO_ME_FOUND, Grade.EXACT, score=0.0,
                                reason="only-product subspace")
@@ -771,25 +764,6 @@ def max_schmidt_rank_in_subspace(
     cs = _random_starts(cfg.seed, _STREAM_RANK, _SAMPLES, len(s))
     sv = np.linalg.svd(_m_stack(_reshapes(s, cut), cs), compute_uv=False)
     return int((sv > _eps(tol)).sum(axis=1).max())
-
-
-def entangled_vector_search(
-    s: StateSet,
-    cut: Bipartition,
-    tol: float = DEFAULT_EPS,
-) -> PureState | None:
-    """A Schmidt-rank >= 2 vector of the subspace; None exactly when it is only-product.
-
-    The vector is the first basis vector with sigma_2 > eps, else the first
-    normalized sum of two basis vectors with sigma_2 > eps. By the lemma
-    above, when every basis vector is product but the span is not, some such
-    pair sum is entangled, so None means the span is only-product; the
-    returned vector's own sigma_2 > eps is its certificate.
-    """
-    if len(s) == 0:
-        raise ValueError("empty subspace")
-    c = _entangled_probe(s.matrix(), cut, _eps(tol))
-    return None if c is None else _coeff_state(s, c, tol)
 
 
 def _deflate(s: StateSet, amps: np.ndarray, eps: float) -> StateSet:
@@ -847,7 +821,7 @@ def max_orthogonal_set(
     eps = _eps(tol)
     empty = StateSet(s.space, ())
     if mode is SetMode.ENTANGLED:
-        if only_product_across_cut(s, cut, tol):
+        if support_ranks(s, [cut], tol)[0] <= 1:
             return CompletionResult(empty, Completable.NO_EXACT, s, "remaining subspace holds only product vectors")
         rotated = _rotated_basis(s, cut, cfg.seed, tol)
         if rotated is None:
@@ -925,7 +899,9 @@ def verify_basis(
       settles the support rank at min(dA, dB) >= 2 takes no count. VERIFIED
       for the UEB kinds needs ONLY_PRODUCT at every cut;
     - CONTAINS_ENTANGLED at a cut: a witness in the complement whose own
-      Schmidt rank is at least 2; REFUTED for the UEB kinds needs one;
+      Schmidt rank is at least 2; REFUTED for the UEB kinds needs one. One
+      _entangled_probe call finds the witnesses of every cut whose support
+      rank exceeds 1, and each is re-checked by schmidt at its cut;
     - UMEB: an EXACT verdict of find_maximally_entangled on the complement,
       a verified witness (REFUTED) or an exact refusal (VERIFIED).
 
@@ -975,12 +951,14 @@ def verify_basis(
         if v.score is None or v.reason == _OUTSIDE_BAND:
             return BasisVerdict(kind, Outcome.INCONCLUSIVE, (v,), comp, grade=Grade.NUMERICAL_EVIDENCE)
         return BasisVerdict(kind, Outcome.VERIFIED, (v,), comp, grade=Grade.NUMERICAL_EVIDENCE)
+    bounds = support_ranks(comp, cuts, tol)
+    witnesses = iter(_entangled_probe(comp, [c for c, bound in zip(cuts, bounds) if bound > 1], tol))
     per_cut: list[SubspaceVerdict] = []
-    for c, bound in zip(cuts, support_ranks(comp, cuts, tol)):
+    for c, bound in zip(cuts, bounds):
         if bound <= 1:
             per_cut.append(SubspaceVerdict(c, SubspaceStatus.ONLY_PRODUCT, Grade.EXACT))
             continue
-        witness = entangled_vector_search(comp, c, tol)
+        witness = next(witnesses)
         if witness is not None and schmidt(witness, c, tol).rank >= 2:
             per_cut.append(SubspaceVerdict(c, SubspaceStatus.CONTAINS_ENTANGLED, Grade.EXACT, witness=witness))
         else:

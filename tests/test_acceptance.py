@@ -30,11 +30,10 @@ from uebkit import (
     classify_three_qubit,
     count_product_states_2d_2x2,
     embed_meb,
-    entangled_vector_search,
+    enumerate_cuts,
     ghz_w_range_witness,
     haar_unitary,
     inner,
-    is_genuinely_entangled,
     is_maximally_entangled,
     is_product,
     max_orthogonal_set,
@@ -42,7 +41,6 @@ from uebkit import (
     meb_extension_completion,
     me_triple_2x3,
     n_qubit_ueb,
-    only_product_across_cut,
     orthogonal_complement,
     orthonormalize,
     partial_trace,
@@ -50,6 +48,7 @@ from uebkit import (
     single_cut,
     span_equal,
     state_from_combination,
+    support_ranks,
     three_qubit_mixed_ueb,
     three_qubit_w_ueb,
     three_tangle,
@@ -60,6 +59,7 @@ from uebkit import (
     w_state,
     walgate_flag,
 )
+from uebkit.subspaces import _entangled_probe
 
 SP2 = QuditDims((2, 2))
 TOL = DEFAULT_EPS
@@ -161,7 +161,7 @@ def test_w_class_family_unextendible_all_cuts():
         assert cut_verdict.status is SubspaceStatus.ONLY_PRODUCT
         assert cut_verdict.grade is Grade.EXACT
     for s in st.states:
-        assert is_genuinely_entangled(s, TOL)
+        assert min(schmidt(s, c, TOL).rank for c in enumerate_cuts(st.space)) >= 2
         assert three_tangle(s) < 1e-8
         assert classify_three_qubit(s, TOL).category is SloccClass.W_CLASS
 
@@ -310,8 +310,8 @@ def test_oracle_equivalence_suite():
             sub = orthonormalize(space, [rng.standard_normal(total) + 1j * rng.standard_normal(total)
                                          for _ in range(k)])
         cut = single_cut(space)
-        exact = only_product_across_cut(sub, cut, TOL)
-        found = entangled_vector_search(sub, cut, TOL)
+        exact = support_ranks(sub, [cut], TOL)[0] <= 1
+        (found,) = _entangled_probe(sub, [cut], TOL)
         assert (found is None) == exact, i
         if found is not None:
             assert schmidt(found, cut, TOL).rank >= 2

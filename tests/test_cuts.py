@@ -30,7 +30,6 @@ from uebkit import (
     ghz_state,
     haar_unitary,
     inner,
-    is_genuinely_entangled,
     is_maximally_entangled,
     is_product,
     n_qubit_ueb,
@@ -44,7 +43,6 @@ from uebkit import (
     tensor_product,
     three_qubit_mixed_ueb,
     three_qubit_w_ueb,
-    unreshape,
     verify_basis,
     w_state,
 )
@@ -85,17 +83,6 @@ def test_single_cut_requires_exactly_two_parties():
     assert single_cut(SP2).mask == 1
     with pytest.raises(ValueError):
         single_cut(SP3)
-
-
-def test_reshape_unreshape_roundtrip():
-    rng = np.random.default_rng(12)
-    for _ in range(40):
-        sp = QuditDims((2, 3, 2))
-        p = random_state(sp, rng)
-        cut = Bipartition(sp, 0b101)
-        m = reshape(p, cut)
-        assert m.shape == (cut.dim_a, cut.dim_b)
-        assert np.abs(unreshape(m, cut) - p.amps).max() < 1e-15
 
 
 def test_schmidt_reference_values():
@@ -184,12 +171,12 @@ def test_maximal_entanglement_uses_smaller_local_dimension():
 
 
 def test_genuine_entanglement_checks_every_cut():
-    assert is_genuinely_entangled(ghz_state(3), TOL)
-    assert is_genuinely_entangled(w_state(3), TOL)
+    """The report's genuine entanglement is Schmidt rank >= 2 at every cut."""
     lone = tensor_product(basis_state(QuditDims((2,)), 0),
                           state_from_combination(SP2, {"00": 1, "11": 1}))
-    assert not is_genuinely_entangled(lone, TOL)
-    assert not is_genuinely_entangled(basis_state(SP3, 0), TOL)
+    for p, want in ((ghz_state(3), True), (w_state(3), True), (lone, False), (basis_state(SP3, 0), False)):
+        (row,) = state_diagnostics(StateSet(SP3, (p,)), TOL)
+        assert row["genuinely_entangled"] is want
 
 
 def test_cut_dims_multiply_to_total():
@@ -222,8 +209,8 @@ def test_rank_table_matches_per_state_passes():
             want = [schmidt(s, c, TOL).rank for c in cuts]
             assert table[i].tolist() == want
             assert rows[i]["schmidt_ranks"] == {c.label: k for c, k in zip(cuts, want)}
-            assert rows[i]["genuinely_entangled"] is is_genuinely_entangled(s, TOL)
-        loop = next((i for i, s in enumerate(st.states) if not is_genuinely_entangled(s, TOL)), None)
+            assert rows[i]["genuinely_entangled"] is (min(want) >= 2)
+        loop = next((i for i, row in enumerate(table) if row.min() < 2), None)
         assert verify_basis(st, BasisKind.UEB_ALL_CUTS, tol=TOL).offending_state == loop
         for c in cuts:
             loop = next((i for i, s in enumerate(st.states) if is_product(s, c, TOL)), None)
@@ -411,6 +398,13 @@ def test_rank_table_matches_the_svd_loop(monkeypatch, eps):
     assert schmidt_rank_table(amps, cuts, eps).tolist() == _svd_loop(amps, cuts, eps)
 
 
+def _from_matrix(m: np.ndarray, cut: Bipartition) -> np.ndarray:
+    """The amplitudes whose reshape at cut is m."""
+    perm = cut.block_a + cut.block_b
+    t = np.asarray(m, dtype=np.complex128).reshape([cut.space.dims[i] for i in perm])
+    return t.transpose(np.argsort(perm)).reshape(-1)
+
+
 def _planted(dims: tuple[int, ...], mask: int, sigma2: float, seed: int) -> tuple[PureState, Bipartition]:
     """A state with Schmidt coefficients sqrt(1 - sigma2^2), sigma2 at the cut mask of dims,
     under seeded Haar local unitaries and a seeded relabelling of the parties.
@@ -421,7 +415,7 @@ def _planted(dims: tuple[int, ...], mask: int, sigma2: float, seed: int) -> tupl
     cut = Bipartition(sp, mask)
     m = np.zeros((cut.dim_a, cut.dim_b), dtype=np.complex128)
     m[0, 0], m[1, 1] = math.sqrt(1 - sigma2**2), sigma2
-    p = apply_local_unitaries(PureState(sp, unreshape(m, cut)), [haar_unitary(d, rng) for d in dims])
+    p = apply_local_unitaries(PureState(sp, _from_matrix(m, cut)), [haar_unitary(d, rng) for d in dims])
     perm = rng.permutation(len(dims))
     amps = p.amps.reshape(dims).transpose(perm).reshape(-1)
     new_mask = sum(1 << j for j, i in enumerate(perm) if cut.mask >> i & 1)
@@ -586,7 +580,7 @@ def test_rank_table_truncation_keeps_tails_above_tau():
     b = 0.8 * TOL
     m = np.zeros((4, 4))
     m[0, 0], m[1, 2], m[2, 2] = math.sqrt(1 - 2 * b * b), b, b  # already upper triangular: R = m
-    p = PureState(sp, unreshape(m, cut))
+    p = PureState(sp, _from_matrix(m, cut))
     assert np.linalg.svd(m, compute_uv=False)[1] > TOL
     # the member has three nonzero amplitudes, so it takes the QR route, where R = m keeps
     # the two b entries in two rows: the last kept one is the tail of norm 0.8 eps
@@ -605,7 +599,7 @@ def test_rank_table_bound_inside_the_margin_falls_back(monkeypatch):
     a = math.sqrt(0.75 - bound * bound / 0.75)
     m = np.zeros((4, 4))
     m[0, 0], m[1, 1], m[2, 2] = a, 0.5, bound / a
-    amps = PureState(sp, unreshape(m, cut)).amps[None]
+    amps = PureState(sp, _from_matrix(m, cut)).amps[None]
     assert eps < bound < eps + uebkit.cuts._margin(eps, sp.total, np.float64(1.0))
     routes = _Routes(monkeypatch)
     assert schmidt_rank_table(amps, [cut], TOL).tolist() == [[3]] == _svd_loop(amps, [cut], eps)

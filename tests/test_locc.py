@@ -21,7 +21,6 @@ from uebkit import (
     ghz_state,
     haar_unitary,
     inner,
-    lone_party_for_cut,
     mask_isolating,
     project_two_qubit,
     schmidt,
@@ -49,7 +48,8 @@ def test_cut_mask_helpers():
     assert mask_isolating(1) == 0b101
     assert mask_isolating(2) == 0b011
     for lone in range(3):
-        assert lone_party_for_cut(Bipartition(SP3, mask_isolating(lone))) == lone
+        cut = Bipartition(SP3, mask_isolating(lone))
+        assert (lone,) in (cut.block_a, cut.block_b)
     with pytest.raises(ValueError):
         mask_isolating(3)
 

@@ -31,6 +31,7 @@ from uebkit import (
     basis_state,
     bell_meb,
     build_entry,
+    dft_superposition,
     load_state_file,
     parse_state_file,
     random_state,
@@ -625,9 +626,16 @@ def test_process_entry_freezes_the_import_time_heap():
 
 def test_verify_and_analyze_compute_one_rank_table(tmp_path, monkeypatch, capsys):
     """One member table per command, shared by the gate and the report; a verified
-    complement adds one single-row table, its support ranks (here the ray itself)."""
+    complement adds one single-row table, its support ranks (here the ray itself). A refuted
+    complement whose support ranks the dimension lemma settles adds the witness probe's
+    tables alone: its basis at every cut, then the pair sums of its first row at the cuts
+    where no basis vector is entangled."""
     path = tmp_path / "ueb5.json"
     save_state_file(path, uebkit.n_qubit_ueb(5), kind=BasisKind.UEB_ALL_CUTS)
+    sp5 = QuditDims((2,) * 5)
+    w5 = tmp_path / "w5.json"
+    weight_one = ["0" * i + "1" + "0" * (4 - i) for i in range(5)]
+    save_state_file(w5, StateSet(sp5, tuple(dft_superposition(sp5, weight_one))))
     calls = []
     table = uebkit.cuts.schmidt_rank_table
 
@@ -647,6 +655,9 @@ def test_verify_and_analyze_compute_one_rank_table(tmp_path, monkeypatch, capsys
     calls.clear()
     assert uebkit.cli.main(["verify", str(path), "--kind", "ueb", "--cut", "3"]) == 0
     assert calls == [(31, 1), (1, 1), (31, 15)]
+    calls.clear()
+    assert uebkit.cli.main(["verify", str(w5), "--kind", "ueb-all-cuts"]) == 1
+    assert calls == [(5, 15), (27, 15), (26, 7)]
     capsys.readouterr()
 
 

@@ -30,7 +30,6 @@ from uebkit import (
     completion_search,
     count_product_states_2d_2x2,
     embed_meb,
-    entangled_vector_search,
     enumerate_cuts,
     find_maximally_entangled,
     find_product_state,
@@ -39,20 +38,21 @@ from uebkit import (
     is_product,
     max_orthogonal_set,
     max_schmidt_rank_in_subspace,
-    only_product_across_cut,
     orthogonal_complement,
     orthonormalize,
     random_state,
     schmidt,
-    schmidt_rank_upper_bound,
     single_cut,
     state_from_combination,
+    support_ranks,
     tensor_product,
     verify_basis,
 )
 from uebkit import subspaces
 from uebkit.subspaces import (
     _ascend,
+    _coeff_state,
+    _entangled_probe,
     _impurity_vag,
     _in_me_band,
     _random_starts,
@@ -73,14 +73,18 @@ def combo(space, terms):
     return state_from_combination(space, terms)
 
 
+def only_product(sub, cut, tol=TOL):
+    return bool(support_ranks(sub, [cut], tol)[0] <= 1)
+
+
 def test_only_product_reference_planes():
     # a common factor on one side keeps every combination product across every cut
     sub = span_of(SP3, 0b011, 0b111)
     for mask in (1, 3, 5):
         from uebkit import Bipartition
-        assert only_product_across_cut(sub, Bipartition(SP3, mask), TOL)
-    assert not only_product_across_cut(span_of(SP2, 0, 3), single_cut(SP2), TOL)
-    assert only_product_across_cut(span_of(SP23, 2, 5), single_cut(SP23), TOL)
+        assert only_product(sub, Bipartition(SP3, mask))
+    assert not only_product(span_of(SP2, 0, 3), single_cut(SP2))
+    assert only_product(span_of(SP23, 2, 5), single_cut(SP23))
 
 
 def test_only_product_on_constructed_product_planes():
@@ -91,7 +95,7 @@ def test_only_product_on_constructed_product_planes():
         b2 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         sub = orthonormalize(SP23, [np.kron(a, b1), np.kron(a, b2)])
         assert len(sub) == 2
-        assert only_product_across_cut(sub, single_cut(SP23), TOL)
+        assert only_product(sub, single_cut(SP23))
 
 
 def test_generic_planes_contain_entanglement():
@@ -99,7 +103,7 @@ def test_generic_planes_contain_entanglement():
     for _ in range(100):
         vecs = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(2)]
         sub = orthonormalize(SP23, vecs)
-        assert not only_product_across_cut(sub, single_cut(SP23), TOL)
+        assert not only_product(sub, single_cut(SP23))
 
 
 def test_find_product_state_verdicts():
@@ -533,7 +537,7 @@ def test_zero_starts_reports_no_evidence():
 
     # the exact routes need no starts: the probe refuses an only-product plane,
     # and a rotated basis completes the full space with entangled states
-    assert entangled_vector_search(span_of(SP23, 2, 5), single_cut(SP23)) is None
+    assert _entangled_probe(span_of(SP23, 2, 5), [single_cut(SP23)], TOL) == [None]
     got = max_orthogonal_set(full, single_cut(SP2), SetMode.ENTANGLED, cfg)
     assert len(got.found.states) == 4
     assert got.completable is Completable.YES
@@ -572,7 +576,7 @@ def test_max_schmidt_rank_and_upper_bound():
         comp = orthogonal_complement(embed_meb(d, n), TOL)
         cut = single_cut(comp.space)
         assert max_schmidt_rank_in_subspace(comp, cut) == n
-        assert schmidt_rank_upper_bound(comp, cut, TOL) >= n
+        assert support_ranks(comp, [cut], TOL)[0] >= n
     full = StateSet(SP2, tuple(basis_state(SP2, k) for k in range(4)))
     assert max_schmidt_rank_in_subspace(full, single_cut(SP2)) == 2
 
@@ -591,17 +595,17 @@ def test_max_schmidt_rank_of_odd_antisymmetric_spans():
         sub = orthonormalize(space, [apply_local_unitaries(combo(space, {f"{i}{j}": 1, f"{j}{i}": -1}), us).amps
                                      for i in range(d) for j in range(i + 1, d)])
         assert len(sub) == d * (d - 1) // 2
-        assert schmidt_rank_upper_bound(sub, cut, TOL) == d
+        assert support_ranks(sub, [cut], TOL)[0] == d
         for seed in range(3):
             assert max_schmidt_rank_in_subspace(sub, cut, SearchConfig(seed=seed), TOL) == d - 1, (d, seed)
 
 
-def test_entangled_vector_search_finds_rank_two():
+def test_entangled_probe_finds_rank_two():
     rng = np.random.default_rng(24)
     for trial in range(50):
         vecs = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(2)]
         sub = orthonormalize(SP23, vecs)
-        w = entangled_vector_search(sub, single_cut(SP23))
+        (w,) = _entangled_probe(sub, [single_cut(SP23)], TOL)
         assert w is not None
         assert schmidt(w, single_cut(SP23), TOL).rank >= 2
 
@@ -816,8 +820,8 @@ def test_pair_step_of_the_lemma():
     for sub, rest in cases:
         cut = single_cut(sub.space)
         assert all(is_product(x, cut, TOL) for x in sub.states)
-        assert not only_product_across_cut(sub, cut, TOL)
-        w = entangled_vector_search(sub, cut, TOL)
+        assert not only_product(sub, cut)
+        (w,) = _entangled_probe(sub, [cut], TOL)
         assert w is not None
         assert schmidt(w, cut, TOL).rank == 2
         assert _in_span(sub, w.amps)
@@ -842,7 +846,7 @@ def test_tolerance_boundary_applies_to_singular_values():
             delta = scale * tol
             ray = np.array([1.0, 0.0, 0.0, delta]) / np.hypot(1.0, delta)
             sub = StateSet(SP2, (PureState(SP2, ray),))
-            assert only_product_across_cut(sub, cut, tol) is only
+            assert only_product(sub, cut, tol) is only
             # the complement of an entangled set around the ray is that ray again
             other = np.array([delta, 0.0, 0.0, -1.0]) / np.hypot(1.0, delta)
             st = _fourier_set(SP2, [basis_state(SP2, 1).amps, basis_state(SP2, 2).amps, other])
@@ -875,9 +879,10 @@ def _svd_probe(rows, cut, eps):
 
 
 def test_entangled_probe_matches_the_svd_reference():
-    """The probe counts sigma_2 > eps with the shared Schmidt-rank table; its coefficients equal
-    the SVD reference's on Haar spans, on locally rotated kets (where only the pair scan can hit,
-    or nothing can) and on the two spans whose sigma_2 values sit near eps."""
+    """The probe counts sigma_2 > eps with the shared Schmidt-rank table; one call over every cut
+    gives at each cut the witness of the SVD reference's coefficients there, on Haar spans, on
+    locally rotated kets (where only the pair scan can hit, or nothing can) and on the two spans
+    whose sigma_2 values sit near eps."""
     rng = np.random.default_rng(29)
     spans = []
     for dims in ((2, 3), (3, 3), (2, 2, 2)):
@@ -897,15 +902,17 @@ def test_entangled_probe_matches_the_svd_reference():
     sp28 = QuditDims((2, 8))
     spans.append(orthonormalize(sp28, [basis_state(sp28, i).amps + 0.6 * TOL * basis_state(sp28, 12).amps
                                       for i in range(4)]))
+    # the first entangled row differs between cuts: |0>|psi+> is product at 1|23 alone
+    spans.append(StateSet(SP3, (combo(SP3, {"001": 1, "010": 1}), combo(SP3, {"000": 1, "111": 1}))))
     kinds = []
     for sub in spans:
-        for cut in enumerate_cuts(sub.space):
-            got = subspaces._entangled_probe(sub.matrix(), cut, TOL)
+        cuts = enumerate_cuts(sub.space)
+        for cut, got in zip(cuts, _entangled_probe(sub, cuts, TOL), strict=True):
             want = _svd_probe(sub.matrix(), cut, TOL)
             assert (got is None) == (want is None)
             if got is not None:
-                assert got.tobytes() == want.tobytes()
-                kinds.append(int(np.count_nonzero(got)))
+                assert got.amps.tobytes() == _coeff_state(sub, want, TOL).amps.tobytes()
+                kinds.append(int(np.count_nonzero(want)))
             else:
                 kinds.append(0)
     assert {0, 1, 2} <= set(kinds)  # no hit, a basis row, a pair sum
@@ -934,7 +941,7 @@ def test_a_refutation_without_a_witness_is_not_exact():
         (v_cut,) = got.per_cut
         assert (v_cut.status, v_cut.grade, v_cut.witness) == (SubspaceStatus.CONTAINS_ENTANGLED,
                                                               Grade.NUMERICAL_EVIDENCE, None), i
-        assert schmidt_rank_upper_bound(got.complement, v_cut.cut, TOL) == 2, i
+        assert support_ranks(got.complement, [v_cut.cut], TOL).tolist() == [2], i
 
 
 def _svd_support_rank(sub, cut, eps):
@@ -982,8 +989,8 @@ def test_support_ranks_match_the_svd_reference():
         for sub in spans:
             cuts = enumerate_cuts(sub.space)
             want = [_svd_support_rank(sub, c, tol) for c in cuts]
-            assert subspaces.support_ranks(sub, cuts, tol).tolist() == want, (sub.space, len(sub), tol)
-            assert [schmidt_rank_upper_bound(sub, c, tol) for c in cuts] == want
+            assert support_ranks(sub, cuts, tol).tolist() == want, (sub.space, len(sub), tol)
+            assert [support_ranks(sub, [c], tol)[0] for c in cuts] == want
 
 
 def _two_party_variants(sub, rng):
@@ -1036,8 +1043,8 @@ def test_dimension_lemma_boundary(monkeypatch):
             assert subspaces.support_ranks(sub, [cut], TOL).tolist() == [want], (i, j)
             assert tables == ([2] if counted else []), (i, j)
             assert _svd_support_rank(sub, cut, TOL) == want, (i, j)
-            witness = entangled_vector_search(sub, cut, TOL)
-            assert only_product_across_cut(sub, cut, TOL) is (want == 1) is (witness is None), (i, j)
+            (witness,) = _entangled_probe(sub, [cut], TOL)
+            assert (witness is None) is (want == 1), (i, j)
             if witness is not None:
                 assert schmidt(witness, cut, TOL).rank >= 2 and _in_span(sub, witness.amps), (i, j)
             if sub.space.total == 12 and len(sub) <= 5:  # the members of a set around it can be entangled

@@ -151,6 +151,12 @@ MUTANTS = [
         ("tests/test_subspaces.py::test_dimension_lemma_boundary",),
     ),
     Mutant(
+        "probe-one-column", "src/uebkit/subspaces.py",  # every open cut takes the first open cut's hit
+        "for j, col in zip(todo, hit.T):",
+        "for j, col in zip(todo, hit.T[[0] * len(todo)]):",
+        ("tests/test_subspaces.py::test_entangled_probe_matches_the_svd_reference",),
+    ),
+    Mutant(
         "unit-rule", "src/uebkit/states.py",  # the amplitude check of states and sets keeps drifted norms
         "return amps / norm if abs(norm - 1.0) > _EXACT_SLACK else amps",
         "return amps",
