@@ -190,32 +190,14 @@ def embed_meb(d: int, n: int) -> StateSet:
     return StateSet(QuditDims((d, d + n)), _fourier_pair_block(d, d + n, 0))
 
 
-def meb_extension_completion(
-    x: np.ndarray | None = None,
-    x_prime: np.ndarray | None = None,
-    dim_b: int = 4,
-) -> StateSet:
-    """Four maximally entangled states of 2 x dim_b supported on two fresh columns.
-
-    Defaults put the support on the third and fourth columns, which completes
-    the zero-padded 2 x 2 basis to a full maximally entangled basis of 2 x 4.
-    """
-    space = QuditDims((2, dim_b))
-    if x is None:
-        x = np.eye(dim_b, dtype=np.complex128)[2]
-    if x_prime is None:
-        x_prime = np.eye(dim_b, dtype=np.complex128)[3]
-    x = np.asarray(x, dtype=np.complex128).reshape(-1)
-    x_prime = np.asarray(x_prime, dtype=np.complex128).reshape(-1)
-    if x.size != dim_b or x_prime.size != dim_b:
-        raise ValueError("support vectors must live on the second party")
-    if abs(np.linalg.norm(x) - 1) > 1e-9 or abs(np.linalg.norm(x_prime) - 1) > 1e-9 or abs(np.vdot(x, x_prime)) > 1e-9:
-        raise ValueError("support vectors must be orthonormal")
+def meb_extension_completion() -> StateSet:
+    """Four maximally entangled states of 2 x 4 supported on the third and fourth columns,
+    which complete the zero-padded 2 x 2 basis to a full maximally entangled basis of 2 x 4."""
     e0, e1 = np.eye(2, dtype=np.complex128)
-    pair = (x, x_prime)
+    pair = np.eye(4, dtype=np.complex128)[2:]
     rows = [(kron_amplitudes(e0, pair[t]) + (-1) ** k * kron_amplitudes(e1, pair[1 - t])) / math.sqrt(2)
             for t in range(2) for k in range(2)]
-    return StateSet(space, np.array(rows))
+    return StateSet(QuditDims((2, 4)), np.array(rows))
 
 
 def padded_meb_with_extension() -> StateSet:
@@ -439,11 +421,13 @@ def build_entry_with_verdict(
 
 @dataclass(frozen=True)
 class GeneratorEntry:
-    """A parameterized family with its claim; the CLI resolves parameters and calls build_generator."""
+    """A parameterized family with its claim and the options its build reads; the CLI
+    resolves those options and calls build_generator."""
 
     name: str
     title: str
     params: str
+    options: tuple[str, ...]
     kind: BasisKind | None = None
     expected: Outcome | None = None
 
@@ -451,14 +435,16 @@ class GeneratorEntry:
 GENERATORS: dict[str, GeneratorEntry] = {
     g.name: g
     for g in (
-        GeneratorEntry("bell-meb", "complete maximally entangled basis of d x d", "d >= 2",
+        GeneratorEntry("bell-meb", "complete maximally entangled basis of d x d", "d >= 2", ("d",),
                        BasisKind.UMEB, Outcome.COMPLETE_BASIS),
         GeneratorEntry("embed-meb", "unextendible maximally entangled basis of d x (d+n)", "d >= 2, 1 <= n < d",
-                       BasisKind.UMEB, Outcome.VERIFIED),
+                       ("d", "n"), BasisKind.UMEB, Outcome.VERIFIED),
         GeneratorEntry("nqubit-ueb", "unextendible entangled basis of n qubits, all cuts", "n >= 4, coeff variant",
-                       BasisKind.UEB_ALL_CUTS, Outcome.VERIFIED),
-        GeneratorEntry("dft-superposition", "Fourier superpositions of chosen basis kets", "dims, kets"),
-        GeneratorEntry("prop2a-set", "three maximally entangled states of 2x3 extendible by exactly one more", "none"),
+                       ("n", "variant"), BasisKind.UEB_ALL_CUTS, Outcome.VERIFIED),
+        GeneratorEntry("dft-superposition", "Fourier superpositions of chosen basis kets", "dims, kets",
+                       ("dims", "kets")),
+        GeneratorEntry("prop2a-set", "three maximally entangled states of 2x3 extendible by exactly one more", "none",
+                       ()),
     )
 }
 

@@ -136,6 +136,13 @@ def _cut_mask(raw: str) -> int:
         raise ValueError(f"--cut takes an integer cut mask, or 'all' for verify; got {raw!r}") from None
 
 
+def _dims(raw: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in raw.split(","))
+    except ValueError:
+        raise ValueError(f"--dims takes comma-separated integer dimensions; got {raw!r}") from None
+
+
 def cmd_catalog(args: argparse.Namespace) -> int:
     entries = [
         {
@@ -158,9 +165,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
     name = args.name
     if name not in CATALOG and name not in GENERATORS:
         raise ValueError(f"unknown family {name!r}; run 'uebkit catalog list'")
-    takes = {"bell-meb": "d", "embed-meb": "d n", "nqubit-ueb": "n variant", "dft-superposition": "dims kets"}
+    options = GENERATORS[name].options if name in GENERATORS else ()
     for opt in ("d", "n", "variant", "dims", "kets"):
-        if getattr(args, opt) is not None and opt not in takes.get(name, "").split():
+        if getattr(args, opt) is not None and opt not in options:
             raise ValueError(f"{name} takes no --{opt}")
     if name in CATALOG:
         entry = CATALOG[name]
@@ -168,7 +175,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     else:
         entry = GENERATORS[name]
         st = build_generator(name, cfg, args.tol, d=args.d, n=args.n, variant=_VARIANTS[args.variant or "dft"],
-                             dims=tuple(int(x) for x in args.dims.split(",")) if args.dims else None,
+                             dims=_dims(args.dims) if args.dims else None,
                              kets=args.kets.split(",") if args.kets else None)
     gate = entry.expected.value if entry.expected else "ORTHONORMAL"
     if args.output:
@@ -194,7 +201,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         verdict = gate  # the catalog gate already ran this exact check
     else:
         verdict = verify_basis(st, kind, cfg, args.tol, cut=cut)
-    _emit(verify_report(info, kind, cfg, _eps(args.tol), verdict, st), args.format)
+    _emit(verify_report(info, cfg, _eps(args.tol), verdict, st), args.format)
     if verdict.outcome in (Outcome.VERIFIED, Outcome.COMPLETE_BASIS):
         return EXIT_OK
     if verdict.outcome is Outcome.REFUTED:

@@ -78,17 +78,15 @@ def single_cut(space: QuditDims) -> Bipartition:
     return Bipartition(space, 1)
 
 
-def reshape_rows(
-    amps: np.ndarray, cut: Bipartition, out: np.ndarray | None = None, tall: bool = False
-) -> np.ndarray:
-    """Row-batched reshape: a (k, D) amplitude array to a (k, dim_a, dim_b) stack.
+def reshape_rows(amps: np.ndarray, cut: Bipartition, tall: bool = False) -> np.ndarray:
+    """Row-batched reshape: a (k, D) amplitude array to a new C-ordered (k, dim_a, dim_b) stack.
 
     Row and column indices are lexicographic over the parties of each block,
-    preserving the original party order within the block. With out, a flat
-    complex buffer of k*D entries, the stack is written into out and
-    returned as a view of it, so no new array is allocated. With tall, a
-    cut with dim_a < dim_b gives the transposed (k, dim_b, dim_a) stack, so
-    every matrix has at least as many rows as columns.
+    preserving the original party order within the block. The stack is a
+    copy even where the permutation is the identity, so a caller may factor
+    it in place. With tall, a cut with dim_a < dim_b gives the transposed
+    (k, dim_b, dim_a) stack, so every matrix has at least as many rows as
+    columns.
     """
     k = amps.shape[0]
     t = amps.reshape((k,) + cut.space.dims)
@@ -96,10 +94,7 @@ def reshape_rows(
     if tall and cut.dim_a < cut.dim_b:
         rows, cols, shape = cols, rows, (k, cut.dim_b, cut.dim_a)
     perm = (0,) + tuple(i + 1 for i in rows + cols)
-    if out is None:
-        return np.ascontiguousarray(t.transpose(perm).reshape(shape))
-    np.copyto(out.reshape(tuple(t.shape[i] for i in perm)), t.transpose(perm))
-    return out.reshape(shape)
+    return np.array(t.transpose(perm), order="C").reshape(shape)
 
 
 def reshape(p: PureState, cut: Bipartition) -> np.ndarray:
@@ -264,8 +259,8 @@ def _dense_ranks(amps: np.ndarray, cuts: Sequence[Bipartition], eps: float) -> n
     def walk(mask: int, y: np.ndarray, depth: int) -> None:
         """Fill the columns of mask's subtree from y: the members at a root, else the parent's kept rows."""
         tall = not children[mask]
-        if depth == 1:  # QR writes through read-only views, so a root factors a new copy of the members
-            stack = reshape_rows(y, cut[mask], out=np.empty(y.size, dtype=np.complex128), tall=tall)
+        if depth == 1:
+            stack = reshape_rows(y, cut[mask], tall=tall)
         else:
             p = mask.bit_length() - 1
             stack = _child_stack(y, cut[mask ^ 1 << p], p, tall)

@@ -111,7 +111,6 @@ def cut_verdict_payload(v: SubspaceVerdict) -> dict:
 
 def verify_report(
     input_info: dict,
-    kind: BasisKind,
     cfg: SearchConfig,
     eps: float,
     verdict: BasisVerdict,
@@ -120,7 +119,7 @@ def verify_report(
     return {
         "command": "verify",
         "input": input_info,
-        "kind": kind.value,
+        "kind": verdict.kind.value,
         "tolerance": eps,
         "seed": cfg.seed,
         "starts": cfg.starts,

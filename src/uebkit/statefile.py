@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -89,7 +89,10 @@ def load_state_file(
     import hashlib  # loads OpenSSL, about 3 MB resident, which importing uebkit need not pay
 
     digest = hashlib.sha256(data).hexdigest()
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StateFileError(f"not valid UTF-8: {exc}") from exc
     del data  # the parse's peak holds the text alone
     return replace(parse_state_file(text, tol=tol, gram_fix=gram_fix), sha256=digest)
 
@@ -181,35 +184,22 @@ def save_state_file(
     path: str | Path,
     states: StateSet,
     kind: BasisKind | None = None,
-    planes: dict[int, np.ndarray] | None = None,
     name: str | None = None,
 ) -> None:
     with open(path, "w") as f:
-        f.writelines(state_file_chunks(states, kind=kind, planes=planes, name=name))
-
-
-def _rows(rows: Iterable[np.ndarray], depth: int) -> Iterator[str]:
-    """One chunk per row: the row as json.dumps(..., indent=2) lays out a list depth levels deep."""
-    outer, pair, value = (" " * (2 * (depth + i)) for i in range(3))
-    item = f"{pair}[\n{value}%s,\n{value}%s\n{pair}]"
-    sep = ""
-    for row in rows:
-        flat = np.ascontiguousarray(row, dtype=np.complex128).view(np.float64)
-        values = list(map(float.__repr__, flat.tolist()))
-        yield f"{sep}{outer}[\n" + ",\n".join(item % p for p in zip(values[::2], values[1::2])) + f"\n{outer}]"
-        sep = ",\n"
+        f.writelines(state_file_chunks(states, kind=kind, name=name))
 
 
 def state_file_chunks(
     states: StateSet,
     kind: BasisKind | None = None,
-    planes: dict[int, np.ndarray] | None = None,
     name: str | None = None,
 ) -> Iterator[str]:
     """The state-file document as json.dumps(doc, indent=2) prints it plus a newline, in chunks.
 
-    The header and the plane keys pass through json.dumps, so their escaping
-    is the json module's; each amplitude row is one chunk.
+    The header passes through json.dumps, so its escaping is the json
+    module's; each amplitude row is one chunk, laid out as json.dumps lays
+    out a list two levels deep.
     """
     head = {
         "name": name if name is not None else states.name,
@@ -217,13 +207,10 @@ def state_file_chunks(
         "kind": kind.value if kind is not None else None,
     }
     yield json.dumps(head, indent=2)[:-2] + ',\n  "states": [\n'
-    yield from _rows(states.matrix(), 2)
-    yield "\n  ]"
-    if planes:
-        yield ',\n  "planes": {'
-        for i, (mask, rows) in enumerate(sorted(planes.items())):
-            yield f'{"," if i else ""}\n    {json.dumps(str(mask))}: [\n'
-            yield from _rows(rows, 3)
-            yield "\n    ]"
-        yield "\n  }"
-    yield "\n}\n"
+    item = "      [\n        %s,\n        %s\n      ]"
+    sep = ""
+    for row in states.matrix():
+        values = list(map(float.__repr__, row.view(np.float64).tolist()))
+        yield f"{sep}    [\n" + ",\n".join(item % p for p in zip(values[::2], values[1::2])) + "\n    ]"
+        sep = ",\n"
+    yield "\n  ]\n}\n"

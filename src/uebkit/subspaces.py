@@ -189,9 +189,9 @@ class BasisVerdict:
 
 @dataclass(frozen=True, eq=False)
 class CompletionResult:
-    """Answer of max_orthogonal_set and completion_search: the orthonormal
-    states found inside complement, whether they complete it, and why the
-    search ended."""
+    """Answer of completion_search: the orthonormal states of the requested
+    kind found inside complement, the complement of the set to extend,
+    whether they complete it, and why the search ended."""
 
     found: StateSet
     completable: Completable
@@ -788,61 +788,6 @@ def _rotated_basis(s: StateSet, cut: Bipartition, seed: int, tol: float) -> Stat
     return None
 
 
-def max_orthogonal_set(
-    s: StateSet,
-    cut: Bipartition,
-    mode: SetMode,
-    cfg: SearchConfig = SearchConfig(),
-    tol: float = DEFAULT_EPS,
-) -> CompletionResult:
-    """Largest orthonormal set of the requested kind found inside the subspace.
-
-    ENTANGLED is decided exactly. An only-product subspace, support rank at
-    most 1, holds no entangled vector (exact refusal, nothing found).
-    Otherwise its product vectors form a proper real-algebraic subset of its
-    unit sphere, so each member of a Haar-rotated orthonormal basis is
-    entangled with probability 1, and the whole rotated basis is returned. Its certificate is the one
-    the UEB gate grades EXACT: every member's Schmidt rank, from
-    schmidt_rank_table, is at least 2. A draw with a member at sigma_2 <=
-    eps is redrawn from the next seeded rotation; only a subspace within
-    tolerance of only-product misses on every draw, and then nothing is
-    found and the refusal is not exact. cfg.starts plays no part here.
-
-    MAX_ENTANGLED is greedy deflation: take an EXACT maximally entangled
-    witness, restrict to its orthocomplement, repeat. The result size is a
-    lower bound.
-
-    completable is YES when the found set fills s (each deflation step
-    removes one dimension), else NO_EXACT when the search ended on an exact
-    refusal, else NO_EVIDENCE; complement is s.
-    """
-    if len(s) == 0:
-        raise ValueError("empty subspace")
-    eps = _eps(tol)
-    empty = StateSet(s.space, ())
-    if mode is SetMode.ENTANGLED:
-        if support_ranks(s, [cut], tol)[0] <= 1:
-            return CompletionResult(empty, Completable.NO_EXACT, s, "remaining subspace holds only product vectors")
-        rotated = _rotated_basis(s, cut, cfg.seed, tol)
-        if rotated is None:
-            return CompletionResult(empty, Completable.NO_EVIDENCE, s,
-                                    f"each of {_ROTATION_DRAWS} rotated bases had a member with Schmidt rank < 2:"
-                                    " the subspace is within tolerance of only-product")
-        return CompletionResult(rotated, Completable.YES, s, "subspace exhausted")
-    current = s
-    found: list[PureState] = []
-    while len(current) >= 1:
-        v = find_maximally_entangled(current, cut, cfg, tol)
-        if v.status is not SubspaceStatus.ME_FOUND or v.grade is not Grade.EXACT:
-            exact = v.status is SubspaceStatus.NO_ME_FOUND and v.grade is Grade.EXACT
-            return CompletionResult(StateSet(s.space, tuple(found)),
-                                    Completable.NO_EXACT if exact else Completable.NO_EVIDENCE, s,
-                                    v.reason or "no maximally entangled vector found")
-        found.append(v.witness)  # phase-fixed by the search
-        current = _deflate(current, v.witness.amps, eps)
-    return CompletionResult(StateSet(s.space, tuple(found)), Completable.YES, s, "subspace exhausted")
-
-
 def count_product_states_2d_2x2(s: StateSet, tol: float = DEFAULT_EPS) -> ProductCount:
     """Count product rays in a 2-dimensional subspace of a 2x2 space.
 
@@ -980,18 +925,60 @@ def completion_search(
     tol: float = DEFAULT_EPS,
     cut: Bipartition | None = None,
 ) -> CompletionResult:
-    """Try to extend a set to a full orthogonal basis of the requested kind,
-    given comp, the set's orthogonal complement (orthogonal_complement).
+    """Try to extend a set to a full orthogonal basis of the requested kind:
+    the largest orthonormal set of that kind found inside comp, the set's
+    orthogonal complement (orthogonal_complement), across cut. cut defaults
+    to the one cut of two parties and must be given for more parties.
 
-    A set that already spans the space, an empty comp, is complete: YES with
-    nothing found. Otherwise max_orthogonal_set answers on comp across cut,
-    which defaults to the one cut of two parties and must be given for more
-    parties.
+    A set that already spans the space, an empty comp, is complete: YES
+    with nothing found, whatever the cut.
+
+    ENTANGLED is decided exactly. An only-product comp, support rank at
+    most 1, holds no entangled vector (exact refusal, nothing found).
+    Otherwise its product vectors form a proper real-algebraic subset of its
+    unit sphere, so each member of a Haar-rotated orthonormal basis is
+    entangled with probability 1, and the whole rotated basis is returned.
+    Its certificate is the one the UEB gate grades EXACT: every member's
+    Schmidt rank, from schmidt_rank_table, is at least 2. A draw with a
+    member at sigma_2 <= eps is redrawn from the next seeded rotation; only
+    a comp within tolerance of only-product misses on every draw, and then
+    nothing is found and the refusal is not exact. cfg.starts plays no part
+    here.
+
+    MAX_ENTANGLED is greedy deflation: take an EXACT maximally entangled
+    witness, restrict to its orthocomplement, repeat. The result size is a
+    lower bound.
+
+    completable is YES when the found set fills comp (each deflation step
+    removes one dimension), else NO_EXACT when the search ended on an exact
+    refusal, else NO_EVIDENCE; complement is comp.
     """
+    empty = StateSet(comp.space, ())
     if len(comp) == 0:
-        return CompletionResult(StateSet(comp.space, ()), Completable.YES, comp, "input already spans the space")
+        return CompletionResult(empty, Completable.YES, comp, "input already spans the space")
     if cut is None:
         if comp.space.parties > 2:
             raise ValueError("completion on more than two parties needs --cut <mask>")
         cut = single_cut(comp.space)
-    return max_orthogonal_set(comp, cut, mode, cfg, tol)
+    eps = _eps(tol)
+    if mode is SetMode.ENTANGLED:
+        if support_ranks(comp, [cut], tol)[0] <= 1:
+            return CompletionResult(empty, Completable.NO_EXACT, comp, "remaining subspace holds only product vectors")
+        rotated = _rotated_basis(comp, cut, cfg.seed, tol)
+        if rotated is None:
+            return CompletionResult(empty, Completable.NO_EVIDENCE, comp,
+                                    f"each of {_ROTATION_DRAWS} rotated bases had a member with Schmidt rank < 2:"
+                                    " the subspace is within tolerance of only-product")
+        return CompletionResult(rotated, Completable.YES, comp, "subspace exhausted")
+    current = comp
+    found: list[PureState] = []
+    while len(current) >= 1:
+        v = find_maximally_entangled(current, cut, cfg, tol)
+        if v.status is not SubspaceStatus.ME_FOUND or v.grade is not Grade.EXACT:
+            exact = v.status is SubspaceStatus.NO_ME_FOUND and v.grade is Grade.EXACT
+            return CompletionResult(StateSet(comp.space, tuple(found)),
+                                    Completable.NO_EXACT if exact else Completable.NO_EVIDENCE, comp,
+                                    v.reason or "no maximally entangled vector found")
+        found.append(v.witness)  # phase-fixed by the search
+        current = _deflate(current, v.witness.amps, eps)
+    return CompletionResult(StateSet(comp.space, tuple(found)), Completable.YES, comp, "subspace exhausted")

@@ -28,6 +28,7 @@ from uebkit import (
     basis_state,
     bell_meb,
     classify_three_qubit,
+    completion_search,
     count_product_states_2d_2x2,
     embed_meb,
     enumerate_cuts,
@@ -36,7 +37,6 @@ from uebkit import (
     inner,
     is_maximally_entangled,
     is_product,
-    max_orthogonal_set,
     max_schmidt_rank_in_subspace,
     meb_extension_completion,
     me_triple_2x3,
@@ -137,13 +137,13 @@ def test_me_deficient_triple_separates_completion_modes():
     comp = orthogonal_complement(triple, TOL)
     cfg = SearchConfig(starts=64, seed=0)
 
-    best_me = max_orthogonal_set(comp, cut, SetMode.MAX_ENTANGLED, cfg, TOL)
+    best_me = completion_search(comp, SetMode.MAX_ENTANGLED, cfg, TOL, cut=cut)
     assert len(best_me.found.states) == 1
     phi_plus = state_from_combination(space, {"00": 1, "11": 1})
     fidelity = abs(inner(best_me.found.states[0], phi_plus)) ** 2
     assert fidelity > 1 - 1e-9
 
-    best_ent = max_orthogonal_set(comp, cut, SetMode.ENTANGLED, cfg, TOL)
+    best_ent = completion_search(comp, SetMode.ENTANGLED, cfg, TOL, cut=cut)
     assert len(best_ent.found.states) == 3
     full = StateSet(space, triple.states + best_ent.found.states)
     assert len(full.states) == space.total

@@ -181,8 +181,7 @@ def test_extension_pair_constraints():
     assert len(st.states) == 4
     for member in st.states:
         assert is_maximally_entangled(member, single_cut(st.space), TOL)
-    with pytest.raises(ValueError):
-        meb_extension_completion(x=np.array([0, 0, 1.0, 0]), x_prime=np.array([0, 0, 1.0, 0]))
+        assert not member.amps.reshape(2, 4)[:, :2].any()  # supported on the third and fourth columns
 
 
 def test_padded_union_has_disjoint_supports():

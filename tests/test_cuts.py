@@ -683,3 +683,17 @@ def test_rank_table_leaves_a_read_only_input_unchanged():
         before = m.tobytes()
         assert uebkit.subspaces.support_ranks(comp, cuts, TOL).min() >= 1
         assert m.tobytes() == before
+
+
+def test_reshape_rows_never_returns_a_view_of_its_input():
+    """Every stack is a new C-ordered array, also where the permutation is the identity (block A
+    the leading parties), so no caller factors a read-only (k, D) matrix in place."""
+    m = n_qubit_ueb(5).matrix()
+    assert not m.flags.writeable
+    space = QuditDims((2,) * 5)
+    for cut in (Bipartition(space, 1), Bipartition(space, 0b00111)):
+        for tall in (False, True):
+            stack = reshape_rows(m, cut, tall=tall)
+            assert not np.shares_memory(stack, m), (cut.label, tall)
+            assert stack.flags.c_contiguous and stack.flags.writeable
+        assert np.array_equal(reshape_rows(m, cut), m.reshape(len(m), cut.dim_a, cut.dim_b))

@@ -80,13 +80,19 @@ def test_round_trip_is_amplitude_exact(tmp_path):
     st = dataclasses.replace(orthonormalize(space, [rng.standard_normal(8) + 1j * rng.standard_normal(8)
                                                     for _ in range(3)]), name="random-triple")
     path = tmp_path / "triple.json"
-    save_state_file(path, st, kind=BasisKind.UEB, planes={1: symmetric_bell_plane()})
+    save_state_file(path, st, kind=BasisKind.UEB)
     loaded = load_state_file(path)
     assert loaded.states.name == "random-triple"
     assert loaded.kind is BasisKind.UEB
-    assert set(loaded.planes) == {1}
+    assert loaded.planes == {}
     for a, b in zip(st.states, loaded.states.states):
         assert np.array_equal(a.amps, b.amps)
+    # a plane in the document is read bit-exactly too
+    doc = json.loads(path.read_text())
+    doc["planes"] = {"1": [uebkit.statefile.complex_vector(row) for row in symmetric_bell_plane()]}
+    path.write_text(json.dumps(doc))
+    loaded = load_state_file(path)
+    assert set(loaded.planes) == {1}
     assert np.array_equal(loaded.planes[1], symmetric_bell_plane())
 
 
@@ -104,19 +110,20 @@ def test_dumps_is_deterministic_with_trailing_newline():
 
 def test_written_text_is_the_indent_2_json_dump(tmp_path):
     """The streamed writer prints what json.dumps(doc, indent=2) prints, plus a newline:
-    with planes, with a name that needs escaping, and with signed zeros."""
-    st = StateSet(SP2, tuple(two_qubit_ueb_fourier().states), name='quote " backslash \\ \u00e9 \u2603 \n')
-    plane = symmetric_bell_plane().copy()
-    plane[0, 1] = complex(-0.0, 0.0)
-    for planes in (None, {1: plane}):
-        for name in (None, "named"):
-            text = "".join(state_file_chunks(st, kind=BasisKind.UEB, planes=planes, name=name))
-            doc = json.loads(text)
-            assert text == json.dumps(doc, indent=2) + "\n"
-            assert doc["name"] == (name or st.name)
-            path = tmp_path / "st.json"
-            save_state_file(path, st, kind=BasisKind.UEB, planes=planes, name=name)
-            assert path.read_bytes() == text.encode()
+    with a name that needs escaping, and with signed zeros."""
+    rows = two_qubit_ueb_fourier().matrix().copy()
+    rows[np.abs(rows) == 0] = complex(-0.0, -0.0)
+    st = StateSet(SP2, rows, name='quote " backslash \\ \u00e9 \u2603 \n')
+    assert np.signbit(st.matrix().view(np.float64)).any()
+    for name in (None, "named"):
+        text = "".join(state_file_chunks(st, kind=BasisKind.UEB, name=name))
+        assert "-0.0" in text
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert doc["name"] == (name or st.name)
+        path = tmp_path / "st.json"
+        save_state_file(path, st, kind=BasisKind.UEB, name=name)
+        assert path.read_bytes() == text.encode()
 
 
 def test_save_streams_row_by_row(tmp_path):
@@ -176,6 +183,19 @@ def test_parse_rejects_malformed_documents():
     for text in cases:
         with pytest.raises(StateFileError):
             parse_state_file(text)
+
+
+def test_non_utf8_state_file_is_an_input_error(tmp_path, capsys):
+    """A file that is not UTF-8 is refused as a state file, with exit 3 and one error line."""
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff" + json.dumps({"dims": [2, 2], "states": []}).encode())
+    with pytest.raises(StateFileError, match=r"^not valid UTF-8: .*position 0"):
+        load_state_file(path)
+    for command in ("verify", "analyze"):
+        assert uebkit.cli.main([command, str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "", command
+        assert err.startswith("error: not valid UTF-8: ") and err.count("\n") == 1, command
 
 
 @pytest.mark.parametrize(
@@ -418,6 +438,16 @@ def test_cli_refuses_a_non_integer_cut_mask(capsys):
         assert err == "error: --cut takes an integer cut mask, or 'all' for verify; got 'abc'\n", argv
 
 
+def test_cli_refuses_non_integer_dims(capsys):
+    """A --dims that is not a list of integers is refused with one error line naming --dims
+    and echoing the value, before anything is built."""
+    for dims in ("2,x", "2,,2", "2.5,2"):
+        assert uebkit.cli.main(["construct", "dft-superposition", "--dims", dims, "--kets", "00"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "", dims
+        assert err == f"error: --dims takes comma-separated integer dimensions; got {dims!r}\n", dims
+
+
 @pytest.mark.parametrize("argv, option", [
     (["construct", "eq1-ueb", "--d", "5"], "--d"),
     (["construct", "nqubit-ueb", "--n", "4", "--d", "3"], "--d"),
@@ -455,7 +485,9 @@ def test_plane_key_is_stored_under_the_canonical_mask(tmp_path, capsys):
     reports = {}
     for key in ("1", "6"):
         path = _eq6_with_planes(tmp_path / f"k{key}.json", [key])
-        assert set(load_state_file(path).planes) == {1}
+        planes = load_state_file(path).planes
+        assert set(planes) == {1}
+        assert planes[1].tolist() == [[1, 0, 0, 0], [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0]]
         assert uebkit.cli.main(["analyze", str(path)]) == 0
         out, err = capsys.readouterr()
         assert err == ""
@@ -469,12 +501,6 @@ def test_plane_key_is_stored_under_the_canonical_mask(tmp_path, capsys):
     assert uebkit.cli.main(["analyze", str(tmp_path / "both.json")]) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == "error: plane key 6: the cut 1|23 already has a plane\n"
-
-    path = tmp_path / "saved.json"
-    save_state_file(path, build_entry("eq6-mixed-ueb"), planes={6: symmetric_bell_plane()})
-    loaded = load_state_file(path)
-    assert set(loaded.planes) == {1}
-    assert np.array_equal(loaded.planes[1], symmetric_bell_plane())
 
 
 def test_cli_analyze_extended_space_block():

@@ -36,7 +36,6 @@ from uebkit import (
     haar_unitary,
     is_maximally_entangled,
     is_product,
-    max_orthogonal_set,
     max_schmidt_rank_in_subspace,
     orthogonal_complement,
     orthonormalize,
@@ -538,7 +537,7 @@ def test_zero_starts_reports_no_evidence():
     # the exact routes need no starts: the probe refuses an only-product plane,
     # and a rotated basis completes the full space with entangled states
     assert _entangled_probe(span_of(SP23, 2, 5), [single_cut(SP23)], TOL) == [None]
-    got = max_orthogonal_set(full, single_cut(SP2), SetMode.ENTANGLED, cfg)
+    got = completion_search(full, SetMode.ENTANGLED, cfg)
     assert len(got.found.states) == 4
     assert got.completable is Completable.YES
     assert got.reason == "subspace exhausted"
@@ -610,18 +609,18 @@ def test_entangled_probe_finds_rank_two():
         assert schmidt(w, single_cut(SP23), TOL).rank >= 2
 
 
-def test_max_orthogonal_set_modes():
+def test_completion_search_modes_across_a_given_cut():
     triple = build_generator("prop2a-set")
     comp = orthogonal_complement(triple, TOL)
     cut = single_cut(SP23)
-    got = max_orthogonal_set(comp, cut, SetMode.MAX_ENTANGLED, SearchConfig(starts=16, seed=0))
+    got = completion_search(comp, SetMode.MAX_ENTANGLED, SearchConfig(starts=16, seed=0), cut=cut)
     assert len(got.found.states) == 1
     assert got.completable is Completable.NO_EXACT
-    got = max_orthogonal_set(comp, cut, SetMode.ENTANGLED, SearchConfig(starts=16, seed=0))
+    got = completion_search(comp, SetMode.ENTANGLED, SearchConfig(starts=16, seed=0), cut=cut)
     assert len(got.found.states) == 3
 
     ray = StateSet(SP2, (basis_state(SP2, 3),))
-    got = max_orthogonal_set(ray, single_cut(SP2), SetMode.ENTANGLED)
+    got = completion_search(ray, SetMode.ENTANGLED, cut=single_cut(SP2))
     assert len(got.found.states) == 0
     assert got.completable is Completable.NO_EXACT
 
@@ -634,7 +633,7 @@ def test_max_entangled_completion_keeps_only_exact_witnesses(monkeypatch):
         return SubspaceVerdict(cut, SubspaceStatus.ME_FOUND, Grade.NUMERICAL_EVIDENCE, witness=s.states[0], score=0.5)
 
     monkeypatch.setattr(subspaces, "find_maximally_entangled", unverified)
-    got = max_orthogonal_set(span_of(SP2, 0, 1), single_cut(SP2), SetMode.MAX_ENTANGLED, tol=TOL)
+    got = completion_search(span_of(SP2, 0, 1), SetMode.MAX_ENTANGLED, tol=TOL, cut=single_cut(SP2))
     assert got.completable is Completable.NO_EVIDENCE
     assert not got.found.states
 

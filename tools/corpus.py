@@ -110,6 +110,11 @@ def command_groups() -> list[list[list[str]]]:
          ["analyze", "bell.json", "--completion", "entangled", "--cut", "99"]],
         [["analyze", "eq6-mixed-ueb", "--cut", "99"]],
         [["analyze", "eq6-plane6.json"]],
+        [["construct", "nqubit-ueb"]],
+        [["construct", "embed-meb", "--d", "3"]],
+        [["construct", "prop2a-set", "--d", "2"]],
+        [["construct", "bell-meb", "--d", "1"]],
+        [["verify", "nqubit-ueb"]],
     ]
     return groups
 

@@ -79,9 +79,9 @@ MUTANTS = [
         ("tests/test_cuts.py::test_sparse_route_near_the_tolerance",),
     ),
     Mutant(
-        "root-copy", "src/uebkit/cuts.py",  # a root stack factored as a view of the read-only members
-        "stack = reshape_rows(y, cut[mask], out=np.empty(y.size, dtype=np.complex128), tall=tall)",
-        "stack = reshape_rows(y, cut[mask], tall=tall)",
+        "root-copy", "src/uebkit/cuts.py",  # an identity reshape is a view, so a root factors the read-only members
+        'return np.array(t.transpose(perm), order="C").reshape(shape)',
+        "return np.ascontiguousarray(t.transpose(perm)).reshape(shape)",
         ("tests/test_cuts.py::test_rank_table_leaves_a_read_only_input_unchanged",),
     ),
     Mutant(
