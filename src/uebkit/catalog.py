@@ -9,6 +9,7 @@ over states.MAX_COMPLEMENT_BYTES are refused before anything is built.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -171,7 +172,8 @@ def _fourier_pair_block(d: int, dim_b: int, offset: int) -> np.ndarray:
 
 
 def bell_meb(d: int) -> StateSet:
-    """Complete maximally entangled basis of d x d, ordered by (shift, phase)."""
+    """Complete maximally entangled basis of d x d, ordered by (shift, phase); size-checked first."""
+    check_complement_size((d, d))
     if d < 2:
         raise ValueError("local dimension must be at least 2")
     return StateSet(QuditDims((d, d)), _fourier_pair_block(d, d, 0))
@@ -182,7 +184,9 @@ def embed_meb(d: int, n: int) -> StateSet:
 
     The complement is the span of the last n columns, whose Schmidt rank is
     capped at n, so no maximally entangled vector survives outside the set.
+    The space is checked against states.MAX_COMPLEMENT_BYTES before anything is built.
     """
+    check_complement_size((d, d + n))
     if d < 2:
         raise ValueError("local dimension must be at least 2")
     if not 1 <= n < d:
@@ -293,9 +297,7 @@ def n_qubit_ueb(
     verified unextendible across all cuts before it is returned. An n whose
     space is over states.MAX_COMPLEMENT_BYTES is refused before anything is built.
     """
-    st = _n_qubit_family(n, coeff_variant)
-    _gate(st, f"nqubit-ueb(n={n})", GENERATORS["nqubit-ueb"], cfg, tol)
-    return st
+    return build("nqubit-ueb", cfg, tol, n=n, variant=coeff_variant)[0]
 
 
 def recognize_padded_square_meb(st: StateSet, tol: float = DEFAULT_EPS) -> int | None:
@@ -386,113 +388,103 @@ CATALOG: dict[str, CatalogEntry] = {
 }
 
 
-def build_entry(
-    entry_id: str,
-    cfg: SearchConfig = SearchConfig(),
-    tol: float = DEFAULT_EPS,
-) -> StateSet:
-    """Build a registered family and run its verification gate."""
-    return build_entry_with_verdict(entry_id, cfg, tol)[0]
-
-
-def build_entry_with_verdict(
-    entry_id: str,
-    cfg: SearchConfig = SearchConfig(),
-    tol: float = DEFAULT_EPS,
-    gate: bool = True,
-) -> tuple[StateSet, BasisVerdict | None]:
-    """build_entry, also returning the gate's verdict (None for entries without a kind).
-
-    The verdict is verify_basis(set, entry.kind, cfg, tol) at the default cut;
-    for the UMEB kind it is also the per-member check. With gate False the
-    dims check still runs but the verifier does not, and the verdict is None:
-    for a caller about to run another check.
-    """
-    if entry_id not in CATALOG:
-        raise KeyError(f"unknown catalog entry {entry_id!r}")
-    entry = CATALOG[entry_id]
-    st = entry.build()
-    if st.space.dims != entry.dims:
-        raise ConstructionError(f"{entry_id}: built dims {st.space.dims} differ from registered {entry.dims}")
-    if entry.kind is None or not gate:
-        return st, None
-    return st, _gate(st, entry_id, entry, cfg, tol)
-
-
 @dataclass(frozen=True)
 class GeneratorEntry:
-    """A parameterized family with its claim and the options its build reads; the CLI
-    resolves those options and calls build_generator."""
+    """A parameterized family with its claim and its builder, which takes tol and
+    then the options it names; an option without a default is one it needs."""
 
     name: str
     title: str
     params: str
-    options: tuple[str, ...]
+    build: Callable[..., StateSet]
     kind: BasisKind | None = None
     expected: Outcome | None = None
+
+    @property
+    def options(self) -> tuple[str, ...]:
+        """The options build names, in its order."""
+        return tuple(inspect.signature(self.build).parameters)[1:]
+
+
+def _dft_family(tol: float, dims: Sequence[int], kets: Sequence[str]) -> StateSet:
+    """The dft-superposition instance, size-checked before anything is built."""
+    check_complement_size(dims)
+    space = QuditDims(tuple(dims))
+    return StateSet(space, tuple(dft_superposition(space, list(kets))))
+
+
+def _prop2a_set(tol: float) -> StateSet:
+    """me_triple_2x3, each member checked maximally entangled at tol."""
+    st = me_triple_2x3()
+    cut = single_cut(st.space)
+    for i, psi in enumerate(st.states):
+        if not is_maximally_entangled(psi, cut, tol):
+            raise ConstructionError(f"prop2a-set: member {i} is not maximally entangled")
+    return st
 
 
 GENERATORS: dict[str, GeneratorEntry] = {
     g.name: g
     for g in (
-        GeneratorEntry("bell-meb", "complete maximally entangled basis of d x d", "d >= 2", ("d",),
-                       BasisKind.UMEB, Outcome.COMPLETE_BASIS),
+        GeneratorEntry("bell-meb", "complete maximally entangled basis of d x d", "d >= 2",
+                       lambda tol, d: bell_meb(d), BasisKind.UMEB, Outcome.COMPLETE_BASIS),
         GeneratorEntry("embed-meb", "unextendible maximally entangled basis of d x (d+n)", "d >= 2, 1 <= n < d",
-                       ("d", "n"), BasisKind.UMEB, Outcome.VERIFIED),
+                       lambda tol, d, n: embed_meb(d, n), BasisKind.UMEB, Outcome.VERIFIED),
         GeneratorEntry("nqubit-ueb", "unextendible entangled basis of n qubits, all cuts", "n >= 4, coeff variant",
-                       ("n", "variant"), BasisKind.UEB_ALL_CUTS, Outcome.VERIFIED),
+                       lambda tol, n, variant=CoeffVariant.DFT: _n_qubit_family(n, variant),
+                       BasisKind.UEB_ALL_CUTS, Outcome.VERIFIED),
         GeneratorEntry("dft-superposition", "Fourier superpositions of chosen basis kets", "dims, kets",
-                       ("dims", "kets")),
+                       _dft_family),
         GeneratorEntry("prop2a-set", "three maximally entangled states of 2x3 extendible by exactly one more", "none",
-                       ()),
+                       _prop2a_set),
     )
 }
 
 
-def build_generator(
+def build(
     name: str,
     cfg: SearchConfig = SearchConfig(),
     tol: float = DEFAULT_EPS,
-    *,
-    d: int | None = None,
-    n: int | None = None,
-    variant: CoeffVariant = CoeffVariant.DFT,
-    dims: tuple[int, ...] | None = None,
-    kets: Sequence[str] | None = None,
-) -> StateSet:
-    """Build a parameterized family and run the gate matching its claim.
+    gate: bool = True,
+    **options,
+) -> tuple[StateSet, BasisVerdict | None]:
+    """Build a catalog entry or a generator instance and run its claim gate.
 
-    Parameters whose space is over states.MAX_COMPLEMENT_BYTES raise
-    ValueError before anything is built.
+    An option given as None counts as not given. A catalog entry takes none
+    and must come out with its registered dims. A generator missing an option
+    it needs raises ValueError naming all it needs; a space over
+    states.MAX_COMPLEMENT_BYTES raises ValueError before anything is built.
+    The verdict is the gate's, verify_basis(set, kind, cfg, tol) at the
+    default cut (for UMEB also the per-member check), labelled by the entry id
+    or as in "embed-meb(d=3, n=1)". It is None for a family without a kind,
+    and with gate False for every family: for a caller about to run another check.
     """
-    if name == "nqubit-ueb":
-        if n is None:
-            raise ValueError("nqubit-ueb needs n")
-        return n_qubit_ueb(n, variant, cfg, tol)  # size-checked and gated there
-    if name == "dft-superposition":
-        if dims is None or kets is None:
-            raise ValueError("dft-superposition needs dims and kets")
-        check_complement_size(dims)
-        space = QuditDims(tuple(dims))
-        return StateSet(space, tuple(dft_superposition(space, list(kets))))
-    if name == "prop2a-set":
-        st = me_triple_2x3()
-        cut = single_cut(st.space)
-        for i, psi in enumerate(st.states):
-            if not is_maximally_entangled(psi, cut, tol):
-                raise ConstructionError(f"{name}: member {i} is not maximally entangled")
-        return st
-    if name == "bell-meb":
-        if d is None:
-            raise ValueError("bell-meb needs d")
-        check_complement_size((d, d))
-        st, label = bell_meb(d), f"bell-meb(d={d})"
-    elif name == "embed-meb":
-        if d is None or n is None:
-            raise ValueError("embed-meb needs d and n")
-        check_complement_size((d, d + n))
-        st, label = embed_meb(d, n), f"embed-meb(d={d}, n={n})"
+    options = {k: v for k, v in options.items() if v is not None}
+    if name in CATALOG:
+        family = CATALOG[name]
+        st, label = family.build(**options), name
+        if st.space.dims != family.dims:
+            raise ConstructionError(f"{name}: built dims {st.space.dims} differ from registered {family.dims}")
+    elif name in GENERATORS:
+        family = GENERATORS[name]
+        params = list(inspect.signature(family.build).parameters.values())[1:]
+        needs = [p.name for p in params if p.default is p.empty]
+        if not all(o in options for o in needs):
+            raise ValueError(f"{name} needs {' and '.join(needs)}")
+        st = family.build(tol, **options)
+        label = f"{name}({', '.join(f'{o}={options[o]}' for o in needs)})"
     else:
-        raise KeyError(f"unknown generator {name!r}")
-    _gate(st, label, GENERATORS[name], cfg, tol)
-    return st
+        raise KeyError(f"unknown catalog entry or generator {name!r}")
+    if family.kind is None or not gate:
+        return st, None
+    return st, _gate(st, label, family, cfg, tol)
+
+
+def build_entry(
+    name: str,
+    cfg: SearchConfig = SearchConfig(),
+    tol: float = DEFAULT_EPS,
+    **options,
+) -> StateSet:
+    """The set of build(name, cfg, tol, **options), gated."""
+    return build(name, cfg, tol, **options)[0]

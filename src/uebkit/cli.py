@@ -3,8 +3,11 @@
 Exit codes: 0 for VERIFIED or COMPLETE_BASIS verdicts and for successful
 catalog/construct/analyze runs, 1 for REFUTED verdicts and failed
 construction gates, 2 for INCONCLUSIVE verdicts, 3 for malformed input or
-bad parameters. Reports go to stdout, error messages to stderr, and
-identical inputs with identical options produce byte-identical reports.
+bad parameters (a command line argparse refuses included), 4 for an
+internal error: any other exception, named on one stderr line. Reports go
+to stdout, error messages to stderr. Identical inputs with identical
+options produce byte-identical reports on one host under one BLAS thread
+setting; a change of thread count can change the last digits of a report.
 """
 
 from __future__ import annotations
@@ -20,9 +23,7 @@ from .catalog import (
     GENERATORS,
     CoeffVariant,
     ConstructionError,
-    build_entry,
-    build_entry_with_verdict,
-    build_generator,
+    build,
     extend_padded_square_meb,
     recognize_padded_square_meb,
 )
@@ -58,6 +59,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 _KINDS = {
     "ueb": BasisKind.UEB,
@@ -97,16 +99,13 @@ def _resolve_input(args: argparse.Namespace, cfg: SearchConfig, gate: bool = Tru
     if Path(ref).exists():
         loaded = load_state_file(ref, tol=args.tol, gram_fix=args.gram_fix)
         return loaded.states, loaded.kind, loaded.planes, input_payload(ref, loaded), None
-    if args.gram_fix and (ref in CATALOG or ref in GENERATORS):
+    family = CATALOG.get(ref) or GENERATORS.get(ref)
+    if family is None:
+        raise StateFileError(f"no such file or catalog entry: {ref!r}")
+    if args.gram_fix:
         raise ValueError(f"{ref} takes no --gram-fix: only a state file is re-orthonormalized")
-    if ref in CATALOG:
-        entry = CATALOG[ref]
-        st, verdict = build_entry_with_verdict(ref, cfg, args.tol, gate=gate)
-        return st, entry.kind, {}, catalog_input_payload(ref, st, entry.kind), verdict
-    if ref in GENERATORS:
-        st = build_generator(ref, cfg, args.tol)  # parameterless generators only
-        return st, None, {}, catalog_input_payload(ref, st, None), None
-    raise StateFileError(f"no such file or catalog entry: {ref!r}")
+    st, verdict = build(ref, cfg, args.tol, gate=gate)  # no options: a generator that needs one refuses
+    return st, family.kind, {}, catalog_input_payload(ref, st, family.kind), verdict
 
 
 def _parse_cut(args: argparse.Namespace, space, kind: BasisKind) -> Bipartition | None:
@@ -163,25 +162,20 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 def cmd_construct(args: argparse.Namespace) -> int:
     cfg = _config(args)
     name = args.name
-    if name not in CATALOG and name not in GENERATORS:
+    family = CATALOG.get(name) or GENERATORS.get(name)
+    if family is None:
         raise ValueError(f"unknown family {name!r}; run 'uebkit catalog list'")
     options = GENERATORS[name].options if name in GENERATORS else ()
     for opt in ("d", "n", "variant", "dims", "kets"):
         if getattr(args, opt) is not None and opt not in options:
             raise ValueError(f"{name} takes no --{opt}")
-    if name in CATALOG:
-        entry = CATALOG[name]
-        st = build_entry(name, cfg, args.tol)
-    else:
-        entry = GENERATORS[name]
-        st = build_generator(name, cfg, args.tol, d=args.d, n=args.n, variant=_VARIANTS[args.variant or "dft"],
-                             dims=_dims(args.dims) if args.dims else None,
-                             kets=args.kets.split(",") if args.kets else None)
-    gate = entry.expected.value if entry.expected else "ORTHONORMAL"
+    st, _ = build(name, cfg, args.tol, d=args.d, n=args.n, variant=_VARIANTS.get(args.variant),
+                  dims=_dims(args.dims) if args.dims else None, kets=args.kets.split(",") if args.kets else None)
+    gate = family.expected.value if family.expected else "ORTHONORMAL"
     if args.output:
-        save_state_file(args.output, st, kind=entry.kind, name=name)
+        save_state_file(args.output, st, kind=family.kind, name=name)
     _emit(
-        construct_report(name, entry.title, st, entry.kind, gate, args.output, include_states=args.output is None),
+        construct_report(name, family.title, st, family.kind, gate, args.output, include_states=args.output is None),
         args.format,
     )
     return EXIT_OK
@@ -262,8 +256,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, refusing a command line by ValueError (exit 3) where argparse exits 2."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uebkit",
         description="Construct, verify and analyze unextendible entangled bases of multi-qudit systems.",
     )
@@ -312,9 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command and return its exit code; touches no process-wide state."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -322,6 +322,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (StateFileError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a fault of uebkit, not of its input
+        print(f"internal error: {type(exc).__name__}: {exc}".splitlines()[0], file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def run() -> None:

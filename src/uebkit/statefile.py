@@ -106,6 +106,8 @@ def parse_state_file(
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise StateFileError(f"not valid JSON: {exc}") from exc
+    except RecursionError:  # the parser recurses once per [ or {
+        raise StateFileError("JSON nested deeper than the parser's recursion limit") from None
     if not isinstance(doc, dict):
         raise StateFileError("top level must be an object")
     name = doc.get("name")

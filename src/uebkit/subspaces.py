@@ -649,19 +649,21 @@ def _lattice_snap(s: StateSet, cut: Bipartition, amps: np.ndarray) -> PureState 
     amplitudes z/sqrt(N) for small complex integers z, rounding recovers it
     exactly. The snapped vector is kept only when it stays near the witness,
     lies in the subspace, and verifies as maximally entangled at 1e-12; on
-    any miss the caller keeps the numerical witness.
+    any miss the caller keeps the numerical witness. One array step screens
+    the 64 scales N for a rounded candidate near the witness, and only those
+    N take the checks, in order.
     """
     k = int(np.argmax(np.abs(amps)))
     pivot = amps[k]
     if abs(pivot) < 1e-9:
         return None
     aligned = amps * (abs(pivot) / pivot)
-    for n in range(1, 65):
+    zs = np.round(aligned * np.sqrt(np.arange(1, 65))[:, None])
+    totals = np.sum(np.abs(zs) ** 2, axis=1)
+    near = np.linalg.norm(zs / np.sqrt(np.maximum(totals, 0.5))[:, None] - aligned, axis=1) <= 1e-4
+    for n in np.flatnonzero(near & (totals >= 0.5)) + 1:
         z = np.round(aligned * math.sqrt(n))
-        total = float(np.sum(np.abs(z) ** 2))
-        if total < 0.5:
-            continue
-        cand = z / math.sqrt(total)
+        cand = z / math.sqrt(float(np.sum(np.abs(z) ** 2)))
         if float(np.linalg.norm(cand - aligned)) > 1e-4:
             continue
         inside = (s.matrix().conj() @ cand) @ s.matrix()

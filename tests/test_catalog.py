@@ -21,8 +21,8 @@ from uebkit import (
     StateSet,
     basis_state,
     bell_meb,
+    build,
     build_entry,
-    build_generator,
     dft_superposition,
     embed_meb,
     extend_padded_square_meb,
@@ -196,7 +196,7 @@ def test_padded_union_has_disjoint_supports():
 
 def test_triple_registered_as_parameterless_generator():
     t = me_triple_2x3()
-    built = build_generator("prop2a-set")
+    built = build_entry("prop2a-set")
     cut = single_cut(built.space)
     assert built.space.dims == (2, 3) and len(built.states) == 3
     for a, b in zip(t.states, built.states):
@@ -256,7 +256,7 @@ def test_n_qubit_variants_share_complement():
 
 def test_padded_square_recognition_and_extension():
     assert recognize_padded_square_meb(build_entry("eq3-in-2x3")) == 2
-    assert recognize_padded_square_meb(build_generator("prop2a-set")) is None
+    assert recognize_padded_square_meb(build_entry("prop2a-set")) is None
     ext = extend_padded_square_meb(build_entry("eq3-in-2x3"), 2)
     assert ext.space.dims == (2, 4)
     assert len(ext.states) == 8
@@ -265,18 +265,24 @@ def test_padded_square_recognition_and_extension():
 
 def test_build_generator_dispatch():
     assert set(GENERATORS) == {"bell-meb", "dft-superposition", "embed-meb", "nqubit-ueb", "prop2a-set"}
-    st = build_generator("bell-meb", d=3)
+    st = build_entry("bell-meb", d=3)
     ref = bell_meb(3)
     for a, b in zip(st.states, ref.states):
         assert np.array_equal(a.amps, b.amps)
-    st = build_generator("embed-meb", d=3, n=2)
+    st = build_entry("embed-meb", d=3, n=2)
     assert st.space.dims == (3, 5) and len(st.states) == 9
-    st = build_generator("dft-superposition", dims=(2, 2, 2), kets=["001", "010", "100"])
+    st = build_entry("dft-superposition", dims=(2, 2, 2), kets=["001", "010", "100"])
     assert len(st.states) == 3
     with pytest.raises(KeyError):
-        build_generator("no-such-generator", d=2)
-    with pytest.raises(ValueError):
-        build_generator("bell-meb")
+        build_entry("no-such-generator", d=2)
+    assert GENERATORS["nqubit-ueb"].options == ("n", "variant")
+    for name, given, needs in (("bell-meb", {}, "d"), ("embed-meb", {"d": 3}, "d and n"), ("nqubit-ueb", {}, "n"),
+                               ("dft-superposition", {"dims": (2, 2)}, "dims and kets")):
+        with pytest.raises(ValueError, match=f"^{name} needs {needs}$"):
+            build_entry(name, **given)
+    assert build("embed-meb", d=3, n=1)[1].outcome is Outcome.VERIFIED
+    assert build("prop2a-set")[1] is None
+    assert build("eq1-ueb", gate=False)[1] is None
 
 
 def test_every_entry_passes_its_declared_gate():
@@ -299,7 +305,7 @@ def test_a_missed_claim_raises_naming_family_verdict_and_claim(monkeypatch):
 
     monkeypatch.setattr(uebkit.catalog, "verify_basis", missed)
     for build, family, claim in ((lambda: build_entry("eq3-meb"), "eq3-meb", "COMPLETE_BASIS"),
-                                 (lambda: build_generator("embed-meb", d=3, n=1), "embed-meb(d=3, n=1)", "VERIFIED"),
+                                 (lambda: build_entry("embed-meb", d=3, n=1), "embed-meb(d=3, n=1)", "VERIFIED"),
                                  (lambda: n_qubit_ueb(4), "nqubit-ueb(n=4)", "VERIFIED")):
         with pytest.raises(ConstructionError) as err:
             build()
@@ -308,13 +314,15 @@ def test_a_missed_claim_raises_naming_family_verdict_and_claim(monkeypatch):
 
 
 def test_library_refuses_oversize_generators_before_building():
-    """build_generator and n_qubit_ueb refuse a space over MAX_COMPLEMENT_BYTES
+    """build, n_qubit_ueb, bell_meb and embed_meb refuse a space over MAX_COMPLEMENT_BYTES
     from the parameters alone: nothing near the size of one state is allocated."""
-    for call in (lambda: build_generator("dft-superposition", dims=(2,) * 14, kets=["0" * 14]),
-                 lambda: build_generator("bell-meb", d=100),
-                 lambda: build_generator("embed-meb", d=91, n=10),
-                 lambda: build_generator("nqubit-ueb", n=20),
-                 lambda: n_qubit_ueb(20)):
+    for call in (lambda: build_entry("dft-superposition", dims=(2,) * 14, kets=["0" * 14]),
+                 lambda: build_entry("bell-meb", d=100),
+                 lambda: build_entry("embed-meb", d=91, n=10),
+                 lambda: build_entry("nqubit-ueb", n=20),
+                 lambda: n_qubit_ueb(20),
+                 lambda: bell_meb(100),
+                 lambda: embed_meb(91, 10)):
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="MAX_COMPLEMENT_BYTES cap"):

@@ -607,12 +607,18 @@ def test_rank_table_bound_inside_the_margin_falls_back(monkeypatch):
 
 
 def test_rank_table_without_the_in_place_qr(monkeypatch):
-    """Without numpy's in-place QR gufunc the table takes np.linalg.qr and is unchanged."""
-    amps = _rotated_family(6, 76).matrix()
-    cuts = enumerate_cuts(QuditDims((2,) * 6))
-    want = schmidt_rank_table(amps, cuts, TOL).tolist()
+    """Without numpy's in-place QR gufunc (numpy < 2) the table takes np.linalg.qr and is
+    unchanged: a rotated 6-qubit family, and eq6-mixed-ueb, whose members all go dense."""
+    sets = (_rotated_family(6, 76), build_entry("eq6-mixed-ueb"))
+    want = [schmidt_rank_table(st.matrix(), enumerate_cuts(st.space), TOL).tolist() for st in sets]
+    qr, calls = np.linalg.qr, []
     monkeypatch.setattr(uebkit.cuts, "_geqrf", None)
-    assert schmidt_rank_table(amps, cuts, TOL).tolist() == want == _svd_loop(amps, cuts, TOL)
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: calls.append(1) or qr(*args, **kwargs))
+    for st, ref in zip(sets, want):
+        amps, cuts = st.matrix(), enumerate_cuts(st.space)
+        before = len(calls)
+        assert schmidt_rank_table(amps, cuts, TOL).tolist() == ref == _svd_loop(amps, cuts, TOL)
+        assert len(calls) > before
 
 
 @functools.cache

@@ -198,6 +198,20 @@ def test_non_utf8_state_file_is_an_input_error(tmp_path, capsys):
         assert err.startswith("error: not valid UTF-8: ") and err.count("\n") == 1, command
 
 
+def test_deeply_nested_state_file_is_an_input_error(tmp_path, capsys):
+    """Lists nested past the JSON parser's recursion limit are refused as a state file, with
+    exit 3 and one error line naming the nesting, where the RecursionError escaped before."""
+    path = tmp_path / "nested.json"
+    path.write_text('{"dims": [2, 2], "states": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(StateFileError, match="^JSON nested deeper than the parser's recursion limit"):
+        load_state_file(path)
+    for command in ("verify", "analyze"):
+        assert uebkit.cli.main([command, str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "", command
+        assert err.startswith("error: JSON nested deeper") and err.count("\n") == 1, command
+
+
 @pytest.mark.parametrize(
     "literal",
     ["1" + "0" * 400, "-1" + "0" * 400, "1e400", "NaN", "Infinity", "-Infinity"],
@@ -448,6 +462,40 @@ def test_cli_refuses_non_integer_dims(capsys):
         assert err == f"error: --dims takes comma-separated integer dimensions; got {dims!r}\n", dims
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "eq6-mixed-ueb", "--kind", "bogus"], "uebkit verify: argument --kind: invalid choice: 'bogus'"),
+    (["verify", "eq6-mixed-ueb", "--tol", "abc"], "uebkit verify: argument --tol: invalid float value: 'abc'"),
+    (["bogus"], "uebkit: argument command: invalid choice: 'bogus'"),
+])
+def test_cli_refuses_a_bad_command_line_with_exit_3(argv, message, capsys):
+    """A command line argparse refuses is a bad parameter, exit 3, not argparse's own 2, which
+    reads as INCONCLUSIVE; argparse's message is the one stderr line."""
+    assert uebkit.cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_cli_help_exits_0(capsys):
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as stop:
+            uebkit.cli.main(argv)
+        assert stop.value.code == 0, argv
+        assert capsys.readouterr().out.startswith("usage: uebkit"), argv
+
+
+def test_an_unexpected_exception_exits_4_naming_its_type(monkeypatch, capsys):
+    """An exception that is neither an input error nor a failed gate is a fault of uebkit:
+    exit 4, internal error, on one stderr line naming its type, not a traceback and exit 1,
+    which reads as REFUTED."""
+    def broken(args):
+        raise TypeError("boom\nsecond line")
+
+    monkeypatch.setattr(uebkit.cli, "cmd_catalog", broken)
+    assert uebkit.cli.main(["catalog", "list"]) == 4
+    assert capsys.readouterr() == ("", "internal error: TypeError: boom\n")
+
+
 @pytest.mark.parametrize("argv, option", [
     (["construct", "eq1-ueb", "--d", "5"], "--d"),
     (["construct", "nqubit-ueb", "--n", "4", "--d", "3"], "--d"),
@@ -460,8 +508,7 @@ def test_cli_refuses_options_the_request_does_not_use(argv, option, monkeypatch,
     def refused(*args, **kwargs):
         raise AssertionError("built a set for a request it should have refused")
 
-    for builder in ("build_entry", "build_entry_with_verdict", "build_generator"):
-        monkeypatch.setattr(uebkit.cli, builder, refused)
+    monkeypatch.setattr(uebkit.cli, "build", refused)
     assert uebkit.cli.main(argv) == 3
     out, err = capsys.readouterr()
     assert out == ""

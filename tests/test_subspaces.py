@@ -26,7 +26,6 @@ from uebkit import (
     basis_state,
     bell_meb,
     build_entry,
-    build_generator,
     completion_search,
     count_product_states_2d_2x2,
     embed_meb,
@@ -379,7 +378,7 @@ def test_stalled_rows_end_the_second_round_early(monkeypatch):
 
 def test_snapped_witness_has_no_negative_zeros():
     """Exact zeros of the lattice-snapped |phi+> print as 0.0 on every seed."""
-    st = build_generator("prop2a-set")
+    st = build_entry("prop2a-set")
     comp = orthogonal_complement(st, TOL)
     cut = single_cut(comp.space)
     for seed in range(8):
@@ -407,6 +406,50 @@ def test_snapped_witness_lies_in_the_subspace():
     basis = s.matrix()
     w = got.witness.amps
     assert np.linalg.norm(w - (basis.conj() @ w) @ basis) <= 1e-12
+
+
+def _snap_loop(s, cut, amps):
+    """_lattice_snap as one loop that takes every check at each of the 64 scales: the reference."""
+    pivot = amps[int(np.argmax(np.abs(amps)))]
+    if abs(pivot) < 1e-9:
+        return None
+    aligned = amps * (abs(pivot) / pivot)
+    for n in range(1, 65):
+        z = np.round(aligned * math.sqrt(n))
+        total = float(np.sum(np.abs(z) ** 2))
+        if total < 0.5:
+            continue
+        cand = z / math.sqrt(total)
+        if float(np.linalg.norm(cand - aligned)) > 1e-4:
+            continue
+        if float(np.linalg.norm(cand - (s.matrix().conj() @ cand) @ s.matrix())) > 1e-12:
+            continue
+        if is_maximally_entangled(PureState(s.space, cand), cut, 1e-12):
+            return PureState(s.space, cand)
+    return None
+
+
+def test_lattice_snap_matches_the_scale_loop():
+    """Screening the 64 scales in one array step snaps what the loop over every scale snaps:
+    lattice vectors at N = 2, 3 and 4, phase-rotated and nudged 1e-9 inside their span, give
+    the same vector, and Haar witnesses none."""
+    rng = np.random.default_rng(41)
+    lattice = (((2, 2), [1, 0, 0, 1j]), ((3, 3), [1, 0, 0, 0, 1, 0, 0, 0, -1]),
+               ((2, 2), [1, 1, 1, -1]), ((2, 3), [1, 0, 0, 0, 0, 1]))
+    snapped = 0
+    for dims, z in lattice:
+        space = QuditDims(dims)
+        cut = single_cut(space)
+        v = np.array(z, dtype=complex) / np.linalg.norm(z)
+        s = orthonormalize(space, [v, random_state(space, rng).amps])
+        for amps in (np.exp(0.7j) * v + 1e-9 * s.matrix()[1], random_state(space, rng).amps):
+            amps = (s.matrix().conj() @ amps) @ s.matrix()
+            want, got = _snap_loop(s, cut, amps), subspaces._lattice_snap(s, cut, amps)
+            assert (want is None) == (got is None), dims
+            if want is not None:
+                snapped += 1
+                assert np.array_equal(want.amps, got.amps), dims
+    assert snapped == len(lattice)
 
 
 def test_newton_polish_lands_on_a_maximally_entangled_vector():
@@ -463,7 +506,7 @@ def test_max_entangled_completion_passes_a_local_maximum_of_sigma_min():
 def test_verify_basis_is_invariant_under_local_unitaries():
     """Outcome, grade and complement dimension do not move under seeded local unitaries."""
     cases = ((build_entry("eq1-ueb"), BasisKind.UEB), (build_entry("eq6-mixed-ueb"), BasisKind.UEB_ALL_CUTS),
-             (build_entry("eq3-in-2x3"), BasisKind.UMEB), (build_generator("prop2a-set"), BasisKind.UMEB))
+             (build_entry("eq3-in-2x3"), BasisKind.UMEB), (build_entry("prop2a-set"), BasisKind.UMEB))
     for st, kind in cases:
         want = verify_basis(st, kind, SearchConfig(seed=0), TOL)
         for trial in range(8):
@@ -509,7 +552,7 @@ def test_umeb_witness_outside_the_band_is_inconclusive(monkeypatch):
     """A search that ends within tol_me of maximal entanglement but outside
     the band is no evidence that the basis is unextendible."""
     monkeypatch.setattr(subspaces, "_in_me_band", lambda sv, tol_me: False)
-    st = build_generator("prop2a-set")
+    st = build_entry("prop2a-set")
     got = verify_basis(st, BasisKind.UMEB, SearchConfig(seed=0), TOL)
     assert got.outcome is Outcome.INCONCLUSIVE
     assert got.grade is Grade.NUMERICAL_EVIDENCE
@@ -610,7 +653,7 @@ def test_entangled_probe_finds_rank_two():
 
 
 def test_completion_search_modes_across_a_given_cut():
-    triple = build_generator("prop2a-set")
+    triple = build_entry("prop2a-set")
     comp = orthogonal_complement(triple, TOL)
     cut = single_cut(SP23)
     got = completion_search(comp, SetMode.MAX_ENTANGLED, SearchConfig(starts=16, seed=0), cut=cut)
@@ -697,7 +740,7 @@ def test_state_driven_refutations_survive_extension():
 
 
 def test_completion_search_modes():
-    triple = build_generator("prop2a-set")
+    triple = build_entry("prop2a-set")
     got = completion_search(orthogonal_complement(triple, TOL), SetMode.ENTANGLED, SearchConfig(starts=16, seed=0))
     assert got.completable is Completable.YES
     assert len(got.found.states) == 3

@@ -6,9 +6,9 @@
 The working tree's src/ is compared against src/ at REV, unpacked with
 `git archive` into a temporary directory. The inputs (the benchmark's
 seed-11 rotated n-qubit files, built by perfbench/workloads.py's
-NQubitInput, a plane file, a malformed file and two files with a bad
-state) are built once per run with the working tree. Each command group
-then runs on both trees, the tree that goes first alternating from group to
+NQubitInput, a plane file, a malformed file, a file nesting 1000 lists
+and two files with a bad state) are built once per run with the working
+tree. Each command group then runs on both trees, the tree that goes first alternating from group to
 group, each time in a fresh work directory holding only the inputs its
 commands name. The commands of
 a group run in order in that directory, so a group can construct a file
@@ -65,6 +65,7 @@ doc = json.loads("".join(uebkit.statefile.state_file_chunks(uebkit.build_entry("
 doc["planes"] = {"6": [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [s, 0], [s, 0], [0, 0]]]}
 (here / "eq6-plane6.json").write_text(json.dumps(doc, indent=2) + "\\n")
 (here / "malformed.json").write_text("not json\\n")
+(here / "nested.json").write_text('{"dims": [2, 2], "states": ' + "[" * 1000 + "]" * 1000 + "}\\n")
 # a state of norm 2, and a NaN amplitude in the second of three states
 e = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
 bad = {"norm2.json": [[[2.0, 0.0]] + e[0][1:]], "nan.json": [e[0], [[0.0, 0.0], [math.nan, 0.0]] + e[1][2:], e[2]]}
@@ -115,6 +116,12 @@ def command_groups() -> list[list[list[str]]]:
         [["construct", "prop2a-set", "--d", "2"]],
         [["construct", "bell-meb", "--d", "1"]],
         [["verify", "nqubit-ueb"]],
+        [["construct", "bell-meb", "--d", "100"]],
+        [["construct", "nqubit-ueb", "--n", "14"]],
+        [["verify", "nested.json"]],
+        [["verify", "eq6-mixed-ueb", "--kind", "bogus"]],
+        [["verify", "eq6-mixed-ueb", "--tol", "abc"]],
+        [["bogus"]],
     ]
     return groups
 
